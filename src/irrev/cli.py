@@ -19,8 +19,10 @@ Commands and exit codes::
     2  solver failure (partial outputs kept with a .partial marker)
     3  configuration error
 
-The environment variable ``IRREV_VERBOSE=1`` turns on per-step prints; no
-other environment coupling exists.
+The environment variable ``IRREV_VERBOSE=1`` makes ``run``, ``longtime`` and
+``fracture`` print one line per step (PDAS sweeps, contact-set size, KKT
+residual), for a failed run's partial trajectory too; no other environment
+coupling exists.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .diagnostics import (CheckVerdict, balance_residual, check_dissipation_sign
                           check_irreversibility, check_lewy_stampacchia,
                           check_unilateral_minimality, refinement_study,
                           verdicts_to_json, write_refinement_csv)
-from .evolution import EvolutionError, run_evolution, save_trajectory
+from .evolution import EvolutionError, Trajectory, run_evolution, save_trajectory
 from .fracture import ATParams, FractureSetupError, run_fracture
 from .grid import BC, Field, Grid
 from .model import ProblemData, validate
@@ -57,6 +59,15 @@ class ConfigError(ValueError):
 
 def _verbose() -> bool:
     return os.environ.get("IRREV_VERBOSE", "0") not in ("", "0")
+
+
+def _print_steps(traj: Trajectory) -> None:
+    """One line per step from the solver metadata, when verbose."""
+    if not _verbose():
+        return
+    for s in traj.step_meta:
+        print(f"step {s.k}: sweeps={s.iters} n_active={s.n_active} "
+              f"kkt_residual={s.kkt_residual:.3g}")
 
 
 # --------------------------------------------------------------------------
@@ -206,11 +217,13 @@ def cmd_run(cfg: dict, out_dir: Path, seed: int, force: bool = False) -> int:
         traj = run_evolution(data, nl, m, opts=opts, quad_pts=quad_pts,
                              validate_first=False)
     except EvolutionError as exc:
+        _print_steps(exc.partial)
         save_trajectory(exc.partial, out_dir, stride=_stride(cfg))
         (out_dir / "trajectory.partial").write_text(f"{exc}\n")
         print(f"solver failure: {exc}")
         return EXIT_SOLVER_FAILED
 
+    _print_steps(traj)
     save_trajectory(traj, out_dir, stride=_stride(cfg))
     energy_report = balance_residual(traj, data, nl, quad_pts=quad_pts)
     with open(out_dir / "energy_report.json", "w") as fh:
@@ -282,9 +295,12 @@ def cmd_longtime(cfg: dict, out_dir: Path, seed: int) -> int:
         result = run_longtime(data, nl, horizon, m_per_unit, opts=opts,
                               quad_pts=quad_pts)
     except (EvolutionError, ObstacleError) as exc:
+        if isinstance(exc, EvolutionError):
+            _print_steps(exc.partial)
         print(f"solver failure: {exc}")
         return EXIT_SOLVER_FAILED
 
+    _print_steps(result.traj)
     save_trajectory(result.traj, out_dir, stride=_stride(cfg))
     with open(out_dir / "gap.csv", "w") as fh:
         fh.write("t,gap_V\n")
@@ -368,15 +384,17 @@ def cmd_fracture(cfg: dict, out_dir: Path, seed: int) -> int:
         result = run_fracture(params, grid, horizon, m, z0=z0, opts=opts,
                               quad_pts=quad_pts, scan_range=scan_range)
     except FractureSetupError as exc:
-        print(f"FAIL  {exc}")
+        print(exc)
         return EXIT_CHECK_FAILED
     except EvolutionError as exc:
+        _print_steps(exc.partial)
         save_trajectory(exc.partial, out_dir, stride=_stride(cfg))
         (out_dir / "trajectory.partial").write_text(f"{exc}\n")
         print(f"solver failure: {exc}")
         return EXIT_SOLVER_FAILED
 
     traj = result.traj
+    _print_steps(traj)
     save_trajectory(traj, out_dir, stride=_stride(cfg))
     with open(out_dir / "displacement.csv", "w") as fh:
         fh.write("t,x,u,u_x\n")

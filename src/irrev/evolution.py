@@ -1,9 +1,12 @@
 """Implicit stepping driver: iterate the obstacle step and keep the history.
 
 Each step's obstacle is the previous state, so the discrete trajectory is
-nonincreasing in time by construction.  The full history (states,
-multipliers, energies, per-step solver metadata) is kept in memory -- these
-are desk-scale runs -- and can be thinned only at serialization time.
+nonincreasing in time by construction.  Because the evolution is
+irreversible, the contact set changes little from one step to the next, so
+every active-set solve after the first starts from the previous step's
+contact set.  The full history (states, multipliers, energies, per-step
+solver metadata) is kept in memory -- these are desk-scale runs -- and can
+be thinned only at serialization time.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from .grid import BC, Field, Grid
 from .model import (DiscretizedData, Nonlinearity, ProblemData, ValidationError,
                     discretize_time, validate)
-from .obstacle import ObstacleError, ObstacleResult, SolverOptions, solve_step, solve_step_pg
+from .obstacle import ObstacleError, SolverOptions, solve_step, solve_step_pg
 
 
 class EvolutionError(RuntimeError):
@@ -83,8 +86,11 @@ def run_evolution(data: ProblemData, nl: Nonlinearity, m: int,
     Validates the problem data first (raise :class:`ValidationError` on any
     failed hypothesis), averages the data over the step intervals, then
     solves one obstacle step per interval with the previous state as the
-    obstacle.  On a per-step solver failure the partial trajectory built so
-    far is attached to the raised :class:`EvolutionError`.
+    obstacle.  The first active-set solve starts cold; each later one starts
+    from the contact set of the step before (the projected-gradient solver
+    takes no starting set).  On a per-step solver failure the partial
+    trajectory built so far is attached to the raised
+    :class:`EvolutionError`.
     """
     from .diagnostics import energy  # single evaluation path for stored energies
 
@@ -106,18 +112,22 @@ def run_evolution(data: ProblemData, nl: Nonlinearity, m: int,
     states[0] = data.initial.values
     energies[0] = energy(data, nl, data.initial, 0.0)
 
-    stepper = solve_step_pg if opts.method == "projected_gradient" else solve_step
+    active = None
     for k in range(1, m + 1):
+        step_args = (g, states[k - 1], disc.source_avg[k - 1], disc.weight_avg[k - 1],
+                     data.lam, nl, opts)
         try:
-            res: ObstacleResult = stepper(
-                g, states[k - 1], disc.source_avg[k - 1], disc.weight_avg[k - 1],
-                data.lam, nl, opts)
+            if opts.method == "projected_gradient":
+                res = solve_step_pg(*step_args)
+            else:
+                res = solve_step(*step_args, initial_active=active)
         except ObstacleError as exc:
             partial = Trajectory(
                 grid=g, times=disc.times[:k], states=states[:k].copy(),
                 multipliers=multipliers[:k - 1].copy(), energies=energies[:k].copy(),
                 tau=disc.tau, step_meta=tuple(meta), disc=disc)
             raise EvolutionError(k, partial, exc) from exc
+        active = res.active
         states[k] = res.z.values
         multipliers[k - 1] = res.eta.values
         energies[k] = energy(data, nl, res.z, disc.times[k])

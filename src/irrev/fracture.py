@@ -32,7 +32,11 @@ from .obstacle import SolverOptions, solve_unconstrained
 
 
 class FractureSetupError(RuntimeError):
-    """The derived problem violates a solvability hypothesis."""
+    """The derived problem violates a solvability hypothesis.
+
+    The message starts with ``FAIL  <check>:``, the form in which the
+    command line prints failed verdicts.
+    """
 
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -270,6 +274,6 @@ def run_fracture(params: ATParams, grid: Grid, horizon: float, m: int,
                     for k in range(traj.m + 1))
     energies = np.array([at_energy(grid, st, params) for st in coupled])
     if not np.all(np.isfinite(energies)):
-        raise FractureSetupError("surrogate fracture energy is not finite")
+        raise FractureSetupError("FAIL  at_energy: surrogate fracture energy is not finite")
     return FractureResult(traj=traj, data=data, nl=nl, params=params,
                           coupled=coupled, at_energies=energies)

@@ -220,9 +220,11 @@ def solve_step(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinearit
                initial_active: Optional[np.ndarray] = None) -> ObstacleResult:
     """Primal-dual active-set solve of one obstacle step.
 
-    Starting from the obstacle (or from a caller-supplied active-set guess),
-    each sweep fixes the active nodes on the obstacle, Newton-solves the
-    force balance on the rest, recovers the multiplier on the active set and
+    Starting from the obstacle (or from a caller-supplied active-set guess;
+    :func:`irrev.evolution.run_evolution` passes the previous step's
+    contact set, from which a sweep or two usually suffice), each sweep
+    fixes the active nodes on the obstacle, Newton-solves the force balance
+    on the rest, recovers the multiplier on the active set and
     re-predicts it from ``eta + c*(u - psi) > 0``.  Terminates when the set
     is stable and the recomputed KKT residual is within ``tol_kkt``.
 

@@ -4,7 +4,7 @@ import pytest
 from irrev import (EvolutionError, Field, Grid, ProblemData, TimeProfile,
                    ValidationError, constant_profile, interp_constant,
                    interp_linear, load_trajectory, norm_h1, run_evolution,
-                   save_trajectory, solve_unconstrained)
+                   save_trajectory, solve_step, solve_unconstrained)
 from irrev.presets import nonlinearity, time_profile
 
 from helpers import smooth_values
@@ -117,6 +117,36 @@ def test_step_failure_attaches_partial_trajectory():
     assert 1 <= exc.step <= 10
     assert exc.partial.times.size == exc.step
     np.testing.assert_array_equal(exc.partial.states[0], np.zeros(5))
+
+
+def contact_data(n):
+    """f = 1 + t*sin(2 pi x): rises on (0, 1/2), where the state sits on its
+    obstacle, and falls on (1/2, 1), where it moves; z0 is the equilibrium."""
+    g = Grid(0.0, 1.0, n)
+    nl = nonlinearity({"preset": "tanh", "amplitude": 1.0})
+    source = time_profile(g, {"preset": "linear_t",
+                              "base": {"preset": "constant", "value": 1.0},
+                              "rate": {"preset": "sine", "amplitude": 1.0, "mode": 2}}, "f")
+    weight = constant_profile(1.0)
+    z0 = solve_unconstrained(g, source(g.nodes, 0.0), weight(g.nodes, 0.0), 1.0, nl)
+    return ProblemData(grid=g, lam=1.0, weight=weight, source=source,
+                       initial=z0, horizon=1.0), nl
+
+
+@pytest.mark.parametrize("n", [101, 301])
+def test_warm_start_matches_cold_steps(n):
+    data, nl = contact_data(n)
+    traj = run_evolution(data, nl, m=50)
+    cold = [solve_step(data.grid, traj.states[k - 1], traj.disc.source_avg[k - 1],
+                       traj.disc.weight_avg[k - 1], data.lam, nl)
+            for k in range(1, traj.m + 1)]
+    sweeps = [s.iters for s in traj.step_meta]
+    assert sweeps[0] == cold[0].iters > 2   # the first step starts cold
+    assert max(sweeps[1:]) <= 2             # later ones from the last contact set
+    assert [s.n_active for s in traj.step_meta] == [res.active.size for res in cold]
+    assert min(res.active.size for res in cold) > 0
+    for k, res in enumerate(cold, start=1):
+        np.testing.assert_allclose(traj.states[k], res.z.values, rtol=0, atol=1e-12)
 
 
 # --------------------------------------------------------------------------
