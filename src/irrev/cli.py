@@ -2,8 +2,8 @@
 
 One JSON configuration file drives one experiment; command-line flags only
 override the output directory and the seed, so every run is reproducible
-from a single artifact.  Unknown configuration keys abort before any
-computation (fail-closed).
+from a single artifact.  Unknown configuration keys and an output stride
+below 1 abort before any computation (fail-closed).
 
 Commands and exit codes::
 
@@ -40,7 +40,8 @@ from .diagnostics import (CheckVerdict, balance_residual, check_dissipation_sign
                           check_irreversibility, check_lewy_stampacchia,
                           check_unilateral_minimality, refinement_study,
                           verdicts_to_json, write_refinement_csv)
-from .evolution import EvolutionError, Trajectory, run_evolution, save_trajectory
+from .evolution import (EvolutionError, Trajectory, run_evolution, save_trajectory,
+                        write_csv)
 from .fracture import ATParams, FractureSetupError, run_fracture
 from .grid import BC, Field, Grid
 from .model import ProblemData, validate
@@ -57,13 +58,9 @@ class ConfigError(ValueError):
     pass
 
 
-def _verbose() -> bool:
-    return os.environ.get("IRREV_VERBOSE", "0") not in ("", "0")
-
-
 def _print_steps(traj: Trajectory) -> None:
     """One line per step from the solver metadata, when verbose."""
-    if not _verbose():
+    if os.environ.get("IRREV_VERBOSE", "0") in ("", "0"):
         return
     for s in traj.step_meta:
         print(f"step {s.k}: sweeps={s.iters} n_active={s.n_active} "
@@ -74,13 +71,32 @@ def _print_steps(traj: Trajectory) -> None:
 # config parsing (fail-closed)
 # --------------------------------------------------------------------------
 
-def _check_keys(block: dict, allowed: set[str], where: str) -> None:
+#: the keys each configuration block accepts
+_BLOCK_KEYS = {
+    "problem": {"grid", "lambda", "gamma", "sigma", "f", "z0", "T", "m", "quad_pts"},
+    "solver": {"tol_kkt", "max_outer"},
+    "output": {"directory", "stride"},
+    "tolerances": {"irreversibility", "lewy_stampacchia", "minimality", "dissipation"},
+    "refine": {"m_list", "n_list"},
+    "longtime": {"horizon", "m_per_unit", "final_gap_tol"},
+    "stationary": {"f_inf", "sigma"},
+    "fracture": {"eps", "delta_eps", "load", "z0", "n", "T", "m", "quad_pts",
+                 "scan_range"},
+}
+_GRID_KEYS = {"a", "b", "n", "bc_left", "bc_right"}
+
+
+def _check_block(block, allowed: set[str], where: str) -> None:
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be an object")
     unknown = sorted(set(block) - allowed)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
 
 
 def load_config(path: str | Path) -> dict:
+    """Read a configuration and check the keys of every block and the
+    output stride, before any computation."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -88,20 +104,24 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be an object")
-    _check_keys(cfg, {"problem", "solver", "output", "seed", "tolerances",
-                      "refine", "longtime", "stationary", "fracture"}, "config")
+    _check_block(cfg, set(_BLOCK_KEYS) | {"seed"}, "config")
+    for name, allowed in _BLOCK_KEYS.items():
+        if name in cfg:
+            _check_block(cfg[name], allowed, name)
+    if "grid" in cfg.get("problem", {}):
+        _check_block(cfg["problem"]["grid"], _GRID_KEYS, "problem.grid")
+    stride = cfg.get("output", {}).get("stride", 1)
+    if type(stride) is not int or stride < 1:
+        raise ConfigError(f"output.stride must be an integer >= 1, got {stride!r}")
     return cfg
 
 
 def _build_grid(spec: dict) -> Grid:
-    _check_keys(spec, {"a", "b", "n", "bc_left", "bc_right"}, "problem.grid")
     try:
         return Grid(a=float(spec.get("a", 0.0)), b=float(spec.get("b", 1.0)),
                     n=int(spec["n"]),
-                    bc_left=BC(spec.get("bc_left", "dirichlet")),
-                    bc_right=BC(spec.get("bc_right", "dirichlet")))
+                    bc_left=BC(spec.get("bc_left", BC.DIRICHLET)),
+                    bc_right=BC(spec.get("bc_right", BC.DIRICHLET)))
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"problem.grid: {exc}") from exc
 
@@ -112,8 +132,6 @@ def build_problem(cfg: dict):
         prob = cfg["problem"]
     except KeyError:
         raise ConfigError("config needs a 'problem' block") from None
-    _check_keys(prob, {"grid", "lambda", "gamma", "sigma", "f", "z0", "T", "m",
-                       "quad_pts"}, "problem")
     try:
         grid = _build_grid(prob.get("grid", {"n": 101}))
         lam = float(prob.get("lambda", 1.0))
@@ -139,42 +157,36 @@ def build_problem(cfg: dict):
 
 def build_solver_options(cfg: dict) -> SolverOptions:
     block = cfg.get("solver", {})
-    _check_keys(block, {"method", "tol_kkt", "max_outer", "pdas_c",
-                        "newton_damping", "pg_max_iters"}, "solver")
-    method = block.get("method", "pdas")
-    if method not in ("pdas", "projected_gradient"):
-        raise ConfigError(f"solver.method must be 'pdas' or 'projected_gradient', got {method!r}")
     try:
-        return SolverOptions(
-            method=method,
-            tol_kkt=float(block.get("tol_kkt", 1e-10)),
-            max_outer=int(block.get("max_outer", 100)),
-            pdas_c=float(block.get("pdas_c", 1.0)),
-            newton_damping=float(block.get("newton_damping", 0.5)),
-            pg_max_iters=int(block.get("pg_max_iters", 200_000)))
-    except ValueError as exc:
+        return SolverOptions(tol_kkt=float(block.get("tol_kkt", 1e-10)),
+                             max_outer=int(block.get("max_outer", 100)))
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"solver block: {exc}") from exc
 
 
 def _output_dir(cfg: dict, override: str | None) -> Path:
     block = cfg.get("output", {})
-    _check_keys(block, {"directory", "stride"}, "output")
     directory = Path(override or block.get("directory", "irrev_out"))
     directory.mkdir(parents=True, exist_ok=True)
     return directory
 
 
 def _stride(cfg: dict) -> int:
-    return int(cfg.get("output", {}).get("stride", 1))
-
-
-def _seed(cfg: dict, override: int | None) -> int:
-    return int(override if override is not None else cfg.get("seed", 0))
+    return cfg.get("output", {}).get("stride", 1)
 
 
 # --------------------------------------------------------------------------
 # commands
 # --------------------------------------------------------------------------
+
+def _solver_failed(exc: EvolutionError, cfg: dict, out_dir: Path) -> int:
+    """Keep a failed run's partial trajectory, with a ``.partial`` marker."""
+    _print_steps(exc.partial)
+    save_trajectory(exc.partial, out_dir, stride=_stride(cfg))
+    (out_dir / "trajectory.partial").write_text(f"{exc}\n")
+    print(f"solver failure: {exc}")
+    return EXIT_SOLVER_FAILED
+
 
 def cmd_check(cfg: dict, out_dir: Path, seed: int) -> int:
     data, nl, _, _ = build_problem(cfg)
@@ -186,7 +198,14 @@ def cmd_check(cfg: dict, out_dir: Path, seed: int) -> int:
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
-def _print_verdicts(verdicts: list[CheckVerdict]) -> bool:
+def _report(out_dir: Path, traj: Trajectory, verdicts: list[CheckVerdict],
+            detail: str) -> int:
+    """Write ``verdicts.json``, print the movement, ``detail`` and the verdicts."""
+    (out_dir / "verdicts.json").write_text(verdicts_to_json(verdicts) + "\n")
+    movement = traj.max_movement()
+    tag = "  [no evolution]" if movement <= 1e-10 else ""
+    print(f"max movement: {movement:.17g}{tag}")
+    print(detail)
     ok = True
     for v in verdicts:
         if not v.applicable:
@@ -195,7 +214,7 @@ def _print_verdicts(verdicts: list[CheckVerdict]) -> bool:
         status = "PASS" if v.passed else "FAIL"
         ok &= v.passed
         print(f"{status}  {v.name}: violation={v.max_violation:.3g} tol={v.tolerance:.3g}")
-    return ok
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_run(cfg: dict, out_dir: Path, seed: int, force: bool = False) -> int:
@@ -217,11 +236,7 @@ def cmd_run(cfg: dict, out_dir: Path, seed: int, force: bool = False) -> int:
         traj = run_evolution(data, nl, m, opts=opts, quad_pts=quad_pts,
                              validate_first=False)
     except EvolutionError as exc:
-        _print_steps(exc.partial)
-        save_trajectory(exc.partial, out_dir, stride=_stride(cfg))
-        (out_dir / "trajectory.partial").write_text(f"{exc}\n")
-        print(f"solver failure: {exc}")
-        return EXIT_SOLVER_FAILED
+        return _solver_failed(exc, cfg, out_dir)
 
     _print_steps(traj)
     save_trajectory(traj, out_dir, stride=_stride(cfg))
@@ -235,8 +250,6 @@ def cmd_run(cfg: dict, out_dir: Path, seed: int, force: bool = False) -> int:
                   fh, sort_keys=True, indent=1)
 
     tol = cfg.get("tolerances", {})
-    _check_keys(tol, {"irreversibility", "lewy_stampacchia", "minimality",
-                      "dissipation"}, "tolerances")
     verdicts = [
         check_irreversibility(traj, tol=float(tol.get("irreversibility", 1e-12))),
         check_lewy_stampacchia(traj, traj.disc, data.lam, nl,
@@ -249,22 +262,15 @@ def cmd_run(cfg: dict, out_dir: Path, seed: int, force: bool = False) -> int:
         verdicts.append(check_unilateral_minimality(
             traj, data, nl, traj.times[k], n_samples=200, seed=seed + int(k),
             tol=float(tol.get("minimality", 1e-10))))
-    (out_dir / "verdicts.json").write_text(verdicts_to_json(verdicts) + "\n")
-
-    movement = traj.max_movement()
-    tag = "  [no evolution]" if movement <= 1e-10 else ""
-    print(f"max movement: {movement:.17g}{tag}")
-    print(f"balance: max|residual|={energy_report.max_abs:.3g} "
-          f"total={energy_report.total_abs:.3g}")
-    ok = _print_verdicts(verdicts)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return _report(out_dir, traj, verdicts,
+                   f"balance: max|residual|={energy_report.max_abs:.3g} "
+                   f"total={energy_report.total_abs:.3g}")
 
 
 def cmd_refine(cfg: dict, out_dir: Path, seed: int) -> int:
     data, nl, _, quad_pts = build_problem(cfg)
     opts = build_solver_options(cfg)
     block = cfg.get("refine", {})
-    _check_keys(block, {"m_list", "n_list"}, "refine")
     m_list = [int(v) for v in block.get("m_list", [50, 100, 200])]
     n_list = [int(v) for v in block.get("n_list", [])]
     rows = refinement_study(data, nl, m_list, n_list, opts=opts, quad_pts=quad_pts)
@@ -286,7 +292,6 @@ def cmd_longtime(cfg: dict, out_dir: Path, seed: int) -> int:
     data, nl, _, quad_pts = build_problem(cfg)
     opts = build_solver_options(cfg)
     block = cfg.get("longtime", {})
-    _check_keys(block, {"horizon", "m_per_unit", "final_gap_tol"}, "longtime")
     horizon = float(block.get("horizon", 40.0))
     m_per_unit = int(block.get("m_per_unit", 16))
     final_tol = float(block.get("final_gap_tol", 1e-6))
@@ -294,18 +299,12 @@ def cmd_longtime(cfg: dict, out_dir: Path, seed: int) -> int:
     try:
         result = run_longtime(data, nl, horizon, m_per_unit, opts=opts,
                               quad_pts=quad_pts)
-    except (EvolutionError, ObstacleError) as exc:
-        if isinstance(exc, EvolutionError):
-            _print_steps(exc.partial)
-        print(f"solver failure: {exc}")
-        return EXIT_SOLVER_FAILED
+    except EvolutionError as exc:
+        return _solver_failed(exc, cfg, out_dir)
 
     _print_steps(result.traj)
     save_trajectory(result.traj, out_dir, stride=_stride(cfg))
-    with open(out_dir / "gap.csv", "w") as fh:
-        fh.write("t,gap_V\n")
-        for t, gv in zip(result.traj.times, result.gaps):
-            fh.write(f"{t:.17g},{gv:.17g}\n")
+    write_csv(out_dir / "gap.csv", ("t", "gap_V"), [(result.traj.times, result.gaps)])
 
     print(f"final gap: {result.final_gap:.17g}")
     print(f"gap monotone: {result.gap_monotone} "
@@ -325,7 +324,6 @@ def cmd_stationary(cfg: dict, out_dir: Path, seed: int) -> int:
     data, nl, _, _ = build_problem(cfg)
     opts = build_solver_options(cfg)
     block = cfg.get("stationary", {})
-    _check_keys(block, {"f_inf", "sigma"}, "stationary")
     g = data.grid
     x = g.nodes
     f_inf = Field(g, presets.space_values(g, block["f_inf"], "stationary.f_inf")) \
@@ -337,17 +335,11 @@ def cmd_stationary(cfg: dict, out_dir: Path, seed: int) -> int:
         res = solve_stationary(StationaryProblem(
             grid=g, obstacle=data.initial, source=f_inf, weight=weight,
             lam=data.lam, nl=nl), opts=opts)
-    except ObstacleError as exc:
-        print(f"solver failure: {exc}")
-        return EXIT_SOLVER_FAILED
     except ValueError as exc:
         print(f"FAIL  {exc}")
         return EXIT_CHECK_FAILED
 
-    with open(out_dir / "z_inf.csv", "w") as fh:
-        fh.write("x,z,eta\n")
-        for i in range(g.n):
-            fh.write(f"{x[i]:.17g},{res.z.values[i]:.17g},{res.eta.values[i]:.17g}\n")
+    write_csv(out_dir / "z_inf.csv", ("x", "z", "eta"), [(x, res.z.values, res.eta.values)])
     with open(out_dir / "stationary.json", "w") as fh:
         json.dump({"kkt_residual": res.kkt_residual, "iters": res.iters,
                    "active": [int(i) for i in res.active]}, fh, sort_keys=True, indent=1)
@@ -358,8 +350,6 @@ def cmd_stationary(cfg: dict, out_dir: Path, seed: int) -> int:
 
 def cmd_fracture(cfg: dict, out_dir: Path, seed: int) -> int:
     block = cfg.get("fracture", {})
-    _check_keys(block, {"eps", "delta_eps", "load", "z0", "n", "T", "m",
-                        "quad_pts", "scan_range"}, "fracture")
     try:
         eps = float(block["eps"])
         delta = float(block["delta_eps"])
@@ -387,25 +377,15 @@ def cmd_fracture(cfg: dict, out_dir: Path, seed: int) -> int:
         print(exc)
         return EXIT_CHECK_FAILED
     except EvolutionError as exc:
-        _print_steps(exc.partial)
-        save_trajectory(exc.partial, out_dir, stride=_stride(cfg))
-        (out_dir / "trajectory.partial").write_text(f"{exc}\n")
-        print(f"solver failure: {exc}")
-        return EXIT_SOLVER_FAILED
+        return _solver_failed(exc, cfg, out_dir)
 
     traj = result.traj
     _print_steps(traj)
     save_trajectory(traj, out_dir, stride=_stride(cfg))
-    with open(out_dir / "displacement.csv", "w") as fh:
-        fh.write("t,x,u,u_x\n")
-        for st in result.coupled:
-            for i, xx in enumerate(st.x_full):
-                fh.write(f"{st.t:.17g},{xx:.17g},{st.u_full[i]:.17g},"
-                         f"{st.ux_full[i]:.17g}\n")
-    with open(out_dir / "at_energy.csv", "w") as fh:
-        fh.write("t,at_energy\n")
-        for t, e in zip(traj.times, result.at_energies):
-            fh.write(f"{t:.17g},{e:.17g}\n")
+    write_csv(out_dir / "displacement.csv", ("t", "x", "u", "u_x"),
+              ((np.full(st.x_full.size, st.t), st.x_full, st.u_full, st.ux_full)
+               for st in result.coupled))
+    write_csv(out_dir / "at_energy.csv", ("t", "at_energy"), [(traj.times, result.at_energies)])
 
     verdicts = [
         check_irreversibility(traj),
@@ -420,14 +400,7 @@ def cmd_fracture(cfg: dict, out_dir: Path, seed: int) -> int:
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     verdicts.append(CheckVerdict(name="reduction_consistency", max_violation=worst,
                                  tolerance=1e-10, passed=worst <= 1e-10))
-    (out_dir / "verdicts.json").write_text(verdicts_to_json(verdicts) + "\n")
-
-    movement = traj.max_movement()
-    tag = "  [no evolution]" if movement <= 1e-10 else ""
-    print(f"max movement: {movement:.17g}{tag}")
-    print(f"min phase field: {traj.states.min():.6g}")
-    ok = _print_verdicts(verdicts)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return _report(out_dir, traj, verdicts, f"min phase field: {traj.states.min():.6g}")
 
 
 # --------------------------------------------------------------------------
@@ -454,7 +427,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         out_dir = _output_dir(cfg, args.output_dir)
-        seed = _seed(cfg, args.seed)
+        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
         if args.command == "check":
             return cmd_check(cfg, out_dir, seed)
         if args.command == "run":

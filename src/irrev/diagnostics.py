@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import Field, Grid, neg_laplacian, norm_h1
+from .grid import Field, Grid, full_values, neg_laplacian, norm_h1
 from .model import DiscretizedData, Nonlinearity, ProblemData, discretize_time
 from .obstacle import SolverOptions, step_energy
 
@@ -316,11 +316,8 @@ def regrid_problem(data: ProblemData, n: int) -> ProblemData:
     new_grid = Grid(a=g.a, b=g.b, n=n, bc_left=g.bc_left, bc_right=g.bc_right)
 
     def regrid_field(f: Field) -> Field:
-        left = 0.0 if g.bc_left.value == "dirichlet" else f.values[0]
-        right = 0.0 if g.bc_right.value == "dirichlet" else f.values[-1]
         xs = np.concatenate(([g.a], g.nodes, [g.b]))
-        ys = np.concatenate(([left], f.values, [right]))
-        return Field(new_grid, np.interp(new_grid.nodes, xs, ys))
+        return Field(new_grid, np.interp(new_grid.nodes, xs, full_values(g, f)))
 
     return ProblemData(
         grid=new_grid, lam=data.lam, weight=data.weight, source=data.source,
@@ -356,60 +353,39 @@ def refinement_study(data: ProblemData, nl: Nonlinearity, m_list, n_list,
     interpolation-error level, so the runs skip that gate; the per-step
     convexity guard still applies.
     """
-    from .evolution import run_evolution
-
-    rows: list[RefinementRow] = []
+    from .evolution import interp_constant, run_evolution
 
     def step_rate(traj) -> float:
         diffs = [norm_h1(traj.grid, traj.states[k] - traj.states[k - 1])
                  for k in range(1, traj.m + 1)]
         return float(max(diffs) / np.sqrt(traj.tau))
 
-    prev_traj = None
-    prev_sum = None
-    for m in sorted(m_list):
-        traj = run_evolution(data, nl, int(m), opts=opts, quad_pts=quad_pts,
-                             validate_first=False)
-        bal = balance_residual(traj, data, nl, quad_pts=quad_pts).total_abs
-        gap = None
-        if prev_traj is not None:
-            from .evolution import interp_constant
-            gap = max(norm_h1(traj.grid,
-                              interp_constant(traj, t).values - prev_traj.states[k])
-                      for k, t in enumerate(prev_traj.times))
-        order = None
-        if prev_sum is not None and bal > 0:
-            order = float(np.log2(prev_sum / bal))
-        rows.append(RefinementRow("tau", int(m), data.grid.n, gap, bal, order,
-                                  step_rate(traj)))
-        prev_traj, prev_sum = traj, bal
-
     m_h = int(max(m_list)) if len(m_list) else 100
+    runs = ([("tau", int(m), data) for m in sorted(m_list)]
+            + [("h", m_h, regrid_problem(data, int(n))) for n in sorted(n_list)])
+    rows: list[RefinementRow] = []
     prev = None
-    prev_sum = None
-    for n in sorted(n_list):
-        pdata = regrid_problem(data, int(n))
-        traj = run_evolution(pdata, nl, m_h, opts=opts, quad_pts=quad_pts,
+    for kind, m, pdata in runs:
+        traj = run_evolution(pdata, nl, m, opts=opts, quad_pts=quad_pts,
                              validate_first=False)
         bal = balance_residual(traj, pdata, nl, quad_pts=quad_pts).total_abs
-        gap = None
-        if prev is not None:
-            prev_traj, prev_data = prev
-            cg = prev_data.grid
-            fine_full_x = np.concatenate(([pdata.grid.a], pdata.grid.nodes, [pdata.grid.b]))
-            gap = 0.0
-            for k in range(prev_traj.m + 1):
-                fine = traj.states[k]
-                left = 0.0 if pdata.grid.bc_left.value == "dirichlet" else fine[0]
-                right = 0.0 if pdata.grid.bc_right.value == "dirichlet" else fine[-1]
-                fine_full = np.concatenate(([left], fine, [right]))
-                restricted = np.interp(cg.nodes, fine_full_x, fine_full)
-                gap = max(gap, norm_h1(cg, restricted - prev_traj.states[k]))
-        order = None
-        if prev_sum is not None and bal > 0:
-            order = float(np.log2(prev_sum / bal))
-        rows.append(RefinementRow("h", m_h, int(n), gap, bal, order, step_rate(traj)))
-        prev, prev_sum = (traj, pdata), bal
+        gap = order = None
+        if prev is not None and prev[0] == kind:
+            _, prev_traj, prev_sum = prev
+            g, cg = traj.grid, prev_traj.grid
+            if kind == "tau":
+                gap = max(norm_h1(g, interp_constant(traj, t).values - prev_traj.states[k])
+                          for k, t in enumerate(prev_traj.times))
+            else:
+                fine_full_x = np.concatenate(([g.a], g.nodes, [g.b]))
+                gap = max(norm_h1(cg, np.interp(cg.nodes, fine_full_x,
+                                                full_values(g, traj.states[k]))
+                                  - prev_traj.states[k])
+                          for k in range(prev_traj.m + 1))
+            if bal > 0:
+                order = float(np.log2(prev_sum / bal))
+        rows.append(RefinementRow(kind, m, pdata.grid.n, gap, bal, order, step_rate(traj)))
+        prev = (kind, traj, bal)
     return rows
 
 

@@ -11,18 +11,17 @@ be thinned only at serialization time.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .grid import BC, Field, Grid
 from .model import (DiscretizedData, Nonlinearity, ProblemData, ValidationError,
                     discretize_time, validate)
-from .obstacle import ObstacleError, SolverOptions, solve_step, solve_step_pg
+from .obstacle import ObstacleError, SolverOptions, solve_step
 
 
 class EvolutionError(RuntimeError):
@@ -87,9 +86,8 @@ def run_evolution(data: ProblemData, nl: Nonlinearity, m: int,
     failed hypothesis), averages the data over the step intervals, then
     solves one obstacle step per interval with the previous state as the
     obstacle.  The first active-set solve starts cold; each later one starts
-    from the contact set of the step before (the projected-gradient solver
-    takes no starting set).  On a per-step solver failure the partial
-    trajectory built so far is attached to the raised
+    from the contact set of the step before.  On a per-step solver failure
+    the partial trajectory built so far is attached to the raised
     :class:`EvolutionError`.
     """
     from .diagnostics import energy  # single evaluation path for stored energies
@@ -99,7 +97,6 @@ def run_evolution(data: ProblemData, nl: Nonlinearity, m: int,
         if not report.ok:
             raise ValidationError(report)
 
-    opts = opts or SolverOptions()
     disc = discretize_time(data, m, quad_pts)
     g = data.grid
     n = g.n
@@ -114,13 +111,10 @@ def run_evolution(data: ProblemData, nl: Nonlinearity, m: int,
 
     active = None
     for k in range(1, m + 1):
-        step_args = (g, states[k - 1], disc.source_avg[k - 1], disc.weight_avg[k - 1],
-                     data.lam, nl, opts)
         try:
-            if opts.method == "projected_gradient":
-                res = solve_step_pg(*step_args)
-            else:
-                res = solve_step(*step_args, initial_active=active)
+            res = solve_step(g, states[k - 1], disc.source_avg[k - 1],
+                             disc.weight_avg[k - 1], data.lam, nl, opts,
+                             initial_active=active)
         except ObstacleError as exc:
             partial = Trajectory(
                 grid=g, times=disc.times[:k], states=states[:k].copy(),
@@ -178,6 +172,22 @@ def interp_constant(traj: Trajectory, t: float) -> Field:
 # serialization: long CSV + JSON manifest
 # --------------------------------------------------------------------------
 
+CSV_CHUNK_ROWS = 1024      # rows formatted per write, bounding the text in memory
+
+
+def write_csv(path: str | Path, header: Sequence[str], blocks) -> None:
+    """Write CSV rows under a header line from ``blocks``, each a tuple of
+    equal-length float columns.  Values get 17 significant digits (a reload
+    reproduces them to the last bit) and lines end in ``\\n``."""
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for cols in blocks:
+            for start in range(0, len(cols[0]), CSV_CHUNK_ROWS):
+                table = np.column_stack([c[start:start + CSV_CHUNK_ROWS] for c in cols])
+                fh.write((row * len(table)) % tuple(table.ravel().tolist()))
+
+
 def save_trajectory(traj: Trajectory, directory: str | Path,
                     stem: str = "trajectory", stride: int = 1) -> tuple[Path, Path]:
     """Write ``<stem>.csv`` (long format: t, x, z, eta) and ``<stem>.json``.
@@ -196,15 +206,11 @@ def save_trajectory(traj: Trajectory, directory: str | Path,
     json_path = directory / f"{stem}.json"
 
     keep = sorted(set(range(0, traj.m + 1, stride)) | {0, traj.m})
-    x = traj.grid.nodes
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "z", "eta"])
-        for k in keep:
-            eta_row = traj.multipliers[k - 1] if k >= 1 else np.full(traj.grid.n, np.nan)
-            for i in range(traj.grid.n):
-                writer.writerow([f"{traj.times[k]:.17g}", f"{x[i]:.17g}",
-                                 f"{traj.states[k, i]:.17g}", f"{eta_row[i]:.17g}"])
+    n, x = traj.grid.n, traj.grid.nodes
+    no_eta = np.full(n, np.nan)
+    write_csv(csv_path, ("t", "x", "z", "eta"),
+              ((np.full(n, traj.times[k]), x, traj.states[k],
+                traj.multipliers[k - 1] if k else no_eta) for k in keep))
 
     manifest = {
         "grid": {"a": traj.grid.a, "b": traj.grid.b, "n": traj.grid.n,
@@ -215,8 +221,7 @@ def save_trajectory(traj: Trajectory, directory: str | Path,
         "kept_stamps": keep,
         "times": [float(t) for t in traj.times[keep]],
         "energies": [float(e) for e in traj.energies[keep]],
-        "step_meta": [{"k": s.k, "iters": s.iters, "kkt_residual": s.kkt_residual,
-                       "n_active": s.n_active} for s in traj.step_meta],
+        "step_meta": [vars(s) for s in traj.step_meta],   # asdict would deep-copy
     }
     with open(json_path, "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
@@ -239,22 +244,13 @@ def load_trajectory(directory: str | Path, stem: str = "trajectory") -> Trajecto
 
     times = np.asarray(manifest["times"], dtype=float)
     n, m1 = grid.n, times.size
-    states = np.empty((m1, n))
-    multipliers = np.full((m1 - 1, n), np.nan)
-    with open(directory / f"{stem}.csv", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        rows = list(reader)
-    if len(rows) != m1 * n:
+    rows = np.loadtxt(directory / f"{stem}.csv", delimiter=",", skiprows=1, ndmin=2)
+    if rows.shape != (m1 * n, 4):
         raise ValueError("trajectory CSV does not match the manifest")
-    for j, row in enumerate(rows):
-        k, i = divmod(j, n)
-        states[k, i] = float(row[2])
-        if k >= 1:
-            multipliers[k - 1, i] = float(row[3])
+    states = rows[:, 2].reshape(m1, n).copy()
+    multipliers = rows[n:, 3].reshape(m1 - 1, n).copy()
 
-    meta = tuple(StepMeta(k=s["k"], iters=s["iters"], kkt_residual=s["kkt_residual"],
-                          n_active=s["n_active"]) for s in manifest["step_meta"])
+    meta = tuple(StepMeta(**s) for s in manifest["step_meta"])
     return Trajectory(grid=grid, times=times, states=states, multipliers=multipliers,
                       energies=np.asarray(manifest["energies"], dtype=float),
                       tau=manifest["tau"], step_meta=meta, disc=None)

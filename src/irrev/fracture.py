@@ -25,8 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import Field, Grid, as_values, forward_jumps
-from .model import (Nonlinearity, ProblemData, TimeProfile, ValidationError,
+from .grid import BC, Field, Grid, as_values, forward_jumps, full_values
+from .model import (ZERO_NONLINEARITY, Nonlinearity, ProblemData, TimeProfile,
                     constant_profile, validate)
 from .obstacle import SolverOptions, solve_unconstrained
 
@@ -180,7 +180,7 @@ def recover_displacement(grid: Grid, z: Field | np.ndarray, params: ATParams,
     zv = as_values(grid, z)
     x_full = grid.nodes_full
     H = cumulative_load(grid, params, t)
-    z_full = np.concatenate(([0.0], zv, [0.0]))
+    z_full = full_values(grid, zv)
     ux = -H / (z_full * z_full + params.delta)
     u = _cumtrapz(x_full, ux)
     return CoupledState(z=Field(grid, zv), x_full=x_full, u_full=u, ux_full=ux,
@@ -198,17 +198,13 @@ def relaxed_profile(grid: Grid, params: ATParams,
     lam = params.lam
     ones = np.full(grid.n, lam)
     zeros = np.zeros(grid.n)
-    linear = Nonlinearity(fn=lambda s: np.zeros_like(np.asarray(s, float)),
-                          primitive=lambda s: np.zeros_like(np.asarray(s, float)),
-                          slope_bound=0.0, growth=1.0,
-                          deriv=lambda s: np.zeros_like(np.asarray(s, float)))
-    return solve_unconstrained(grid, ones, zeros, lam, linear, opts=opts)
+    return solve_unconstrained(grid, ones, zeros, lam, ZERO_NONLINEARITY, opts=opts)
 
 
 def build_problem(grid: Grid, params: ATParams, z0: Optional[Field], horizon: float,
                   scan_range: float = 10.0) -> tuple[ProblemData, Nonlinearity]:
     """Assemble the scalar evolution equivalent to the coupled system."""
-    if grid.bc_left.value != "dirichlet" or grid.bc_right.value != "dirichlet":
+    if grid.bc_left is not BC.DIRICHLET or grid.bc_right is not BC.DIRICHLET:
         raise ValueError("the fracture reduction pins the phase field at both ends")
     nl = at_nonlinearity(params, scan_range=scan_range)
     if z0 is None:
@@ -234,7 +230,7 @@ def at_energy(grid: Grid, state: CoupledState, params: ATParams) -> float:
     deviation-from-intact part.  Logged along runs; finiteness is the only
     contract."""
     x_full = state.x_full
-    z_full = np.concatenate(([0.0], state.z.values, [0.0]))
+    z_full = full_values(grid, state.z)
     elastic = 0.5 * _trapz((z_full ** 2 + params.delta) * state.ux_full ** 2, x_full)
     dz = forward_jumps(grid, state.z)
     gradient = 0.5 * params.eps * grid.h * float(np.dot(dz, dz))

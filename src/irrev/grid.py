@@ -93,9 +93,6 @@ class Field:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def with_values(self, values: np.ndarray) -> "Field":
-        return Field(self.grid, values)
-
 
 def as_values(grid: Grid, u) -> np.ndarray:
     """Coerce a Field or array-like to a plain value array on ``grid``."""
@@ -111,10 +108,13 @@ def as_values(grid: Grid, u) -> np.ndarray:
     return vals
 
 
-def _check_same_grid(grid: Grid, *fields: Field) -> None:
-    for f in fields:
-        if isinstance(f, Field) and f.grid != grid:
-            raise GridMismatchError("fields live on different grids")
+def full_values(grid: Grid, u: Field | np.ndarray) -> np.ndarray:
+    """Values on all ``n+2`` nodes; the ghost value is 0 at a Dirichlet end
+    and the adjacent interior value at a Neumann end."""
+    vals = as_values(grid, u)
+    left = 0.0 if grid.bc_left is BC.DIRICHLET else vals[0]
+    right = 0.0 if grid.bc_right is BC.DIRICHLET else vals[-1]
+    return np.concatenate(([left], vals, [right]))
 
 
 def neg_laplacian(grid: Grid, u: Field | np.ndarray) -> Field:
@@ -168,16 +168,11 @@ def norm_l2(grid: Grid, u: Field | np.ndarray) -> float:
 def forward_jumps(grid: Grid, u: Field | np.ndarray) -> np.ndarray:
     """Forward differences ``(u_{i+1} - u_i)/h`` including the boundary jumps.
 
-    Returns ``n+1`` values.  Ghost values follow the grid tags: zero beyond a
-    Dirichlet endpoint (so the boundary jump is ``u_1/h`` resp. ``-u_n/h``),
-    mirror beyond a Neumann endpoint (zero jump there).
+    Returns ``n+1`` values.  Ghost values follow :func:`full_values`: zero
+    beyond a Dirichlet endpoint (so the boundary jump is ``u_1/h`` resp.
+    ``-u_n/h``), mirror beyond a Neumann endpoint (zero jump there).
     """
-    vals = as_values(grid, u)
-    h = grid.h
-    left = 0.0 if grid.bc_left is BC.DIRICHLET else vals[0]
-    right = 0.0 if grid.bc_right is BC.DIRICHLET else vals[-1]
-    ext = np.concatenate(([left], vals, [right]))
-    return np.diff(ext) / h
+    return np.diff(full_values(grid, u)) / grid.h
 
 
 def grad_inner(grid: Grid, u: Field | np.ndarray, v: Field | np.ndarray) -> float:

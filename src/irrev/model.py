@@ -68,6 +68,10 @@ class Nonlinearity:
         if self.growth <= 0:
             raise ValueError("growth must be > 0")
 
+    def convexity_margin(self, lam: float, weight) -> float:
+        """``lam - L*max(weight, 0)``, which every step solve requires to be positive."""
+        return lam - self.slope_bound * float(np.max(weight, initial=0.0))
+
     def deriv_or_fd(self, s: np.ndarray) -> np.ndarray:
         if self.deriv is not None:
             return np.asarray(self.deriv(s), dtype=float)
@@ -94,6 +98,14 @@ class Nonlinearity:
         s = rng.uniform(lo, hi, n)
         expr = self.growth * (np.abs(s) + 1.0) - np.abs(np.asarray(self.fn(s), float))
         return float(max(0.0, -expr.min(initial=0.0)))
+
+
+def _zeros(s):
+    return np.zeros_like(np.asarray(s, dtype=float))
+
+
+ZERO_NONLINEARITY = Nonlinearity(fn=_zeros, primitive=_zeros, deriv=_zeros,
+                                 slope_bound=0.0, growth=1.0)
 
 
 def estimate_slope_bound(fn: Callable[[np.ndarray], np.ndarray], lo: float,
@@ -248,9 +260,9 @@ def validate(data: ProblemData, nl: Nonlinearity, tol_admiss: float = TOL_ADMISS
 
     Items checked:
 
-    * ``coercivity_margin``: ``lam - L * sup(weight)`` over sampled (x, t)
-      must be strictly positive, otherwise the per-step minimization is not
-      convex and every solver refuses to run.
+    * ``coercivity_margin``: :meth:`Nonlinearity.convexity_margin` of the
+      weight sampled over (x, t) must be strictly positive, otherwise the
+      per-step minimization is not convex and every solver refuses to run.
     * ``initial_admissibility``: nodewise residual of the force balance at
       the initial state, ``max(-z0'' + lam*z0 + weight(.,0)*fn(z0) -
       source(.,0)) <= tol_admiss``.
@@ -271,8 +283,7 @@ def validate(data: ProblemData, nl: Nonlinearity, tol_admiss: float = TOL_ADMISS
     if not np.all(np.isfinite(w_samples)) or not np.all(np.isfinite(f_samples)):
         raise ValueError("weight/source evaluator returned non-finite values")
 
-    sup_w = float(w_samples.max())
-    lambda0 = data.lam - nl.slope_bound * sup_w
+    lambda0 = nl.convexity_margin(data.lam, w_samples)
 
     z0 = data.initial.values
     resid = (neg_laplacian(g, z0).values + data.lam * z0

@@ -13,15 +13,17 @@ Equivalently z minimizes the strictly convex step energy
 over ``{u <= psi}``; strict convexity requires the margin
 ``lam - slope_bound * max(w) > 0``, which every entry point checks.
 
-Two solvers share that contract: a primal-dual active-set iteration with a
-damped-Newton inner solve (the workhorse), and a projected-gradient descent
-kept as an independent cross-check.  For small grids an exhaustive
-enumeration of active sets certifies uniqueness of the KKT point.
+The solver is a primal-dual active-set iteration with a damped-Newton inner
+solve (:func:`solve_step`).  Two independent references share its KKT
+contract so that tests can check it: a projected-gradient descent
+(:func:`solve_step_pg`) and, for small grids, an exhaustive enumeration of
+active sets that also certifies uniqueness of the KKT point
+(:func:`oracle_enumerate`).  Neither is a selectable solver.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -54,20 +56,20 @@ class NewtonFailure(ObstacleError):
     """The inner Newton solve stalled after reaching the damping floor."""
 
 
+NEWTON_DAMPING = 0.5       # backtracking shrink factor
+MAX_NEWTON = 60            # Newton iterations per inner solve
+PG_MAX_ITERS = 200_000     # projected-gradient iteration budget
+EPS_COERCE = 1e-12         # reject convexity margins below this
+
+
 @dataclass(frozen=True)
 class SolverOptions:
-    method: str = "pdas"               # "pdas" | "projected_gradient"
     tol_kkt: float = 1e-10
     max_outer: int = 100
-    pdas_c: float = 1.0                # active-set predictor scaling
-    newton_damping: float = 0.5        # backtracking shrink factor
-    eps_coerce: float = 1e-12          # reject margins below this
-    max_newton: int = 60
-    pg_max_iters: int = 200_000
 
     def __post_init__(self) -> None:
-        if self.tol_kkt <= 0 or self.pdas_c <= 0 or not (0 < self.newton_damping < 1):
-            raise ValueError("solver tolerances/factors must be positive (damping in (0,1))")
+        if not self.tol_kkt > 0 or self.max_outer < 1:
+            raise ValueError("solver.tol_kkt must be positive and solver.max_outer at least 1")
 
 
 @dataclass(frozen=True)
@@ -120,17 +122,12 @@ def _residual(grid: Grid, u: np.ndarray, fv: np.ndarray, wv: np.ndarray,
     return out
 
 
-def _coercivity_margin(wv: np.ndarray, lam: float, nl: Nonlinearity) -> float:
-    return lam - nl.slope_bound * float(wv.max(initial=0.0))
-
-
-def _require_coercive(wv: np.ndarray, lam: float, nl: Nonlinearity,
-                      opts: SolverOptions) -> None:
-    margin = _coercivity_margin(wv, lam, nl)
-    if margin < opts.eps_coerce:
+def _require_coercive(wv: np.ndarray, lam: float, nl: Nonlinearity) -> None:
+    margin = nl.convexity_margin(lam, wv)
+    if margin < EPS_COERCE:
         raise CoercivityLost(
             f"convexity margin lam - L*max(weight) = {margin:.6g} "
-            f"is below the floor {opts.eps_coerce:.3g}")
+            f"is below the floor {EPS_COERCE:.3g}")
 
 
 def _natural_residual(eta: np.ndarray, slack: np.ndarray) -> float:
@@ -144,7 +141,7 @@ def _natural_residual(eta: np.ndarray, slack: np.ndarray) -> float:
 
 def _newton_on_subset(grid: Grid, u: np.ndarray, free: np.ndarray,
                       fv: np.ndarray, wv: np.ndarray, lam: float,
-                      nl: Nonlinearity, opts: SolverOptions,
+                      nl: Nonlinearity,
                       lap: tuple[np.ndarray, np.ndarray, np.ndarray],
                       tol: float) -> np.ndarray:
     """Solve G(u) = 0 on the nodes flagged by ``free``, the rest held fixed.
@@ -162,9 +159,9 @@ def _newton_on_subset(grid: Grid, u: np.ndarray, free: np.ndarray,
 
     G = _residual(grid, u, fv, wv, lam, nl, lap)
     r = float(np.abs(G[idx]).max())
-    alpha_floor = opts.newton_damping ** 40
+    alpha_floor = NEWTON_DAMPING ** 40
 
-    for _ in range(opts.max_newton):
+    for _ in range(MAX_NEWTON):
         if r <= tol:
             return u
         jd = diag[idx] + lam + wv[idx] * nl.deriv_or_fd(u[idx])
@@ -187,7 +184,7 @@ def _newton_on_subset(grid: Grid, u: np.ndarray, free: np.ndarray,
             if r_try <= (1.0 - 1e-4 * alpha) * r or r_try <= tol:
                 u, G, r = u_try, G_try, r_try
                 break
-            alpha *= opts.newton_damping
+            alpha *= NEWTON_DAMPING
             if alpha < alpha_floor:
                 raise NewtonFailure(
                     f"Newton stalled at residual {r:.3g} (damping floor reached)")
@@ -203,10 +200,10 @@ def solve_unconstrained(grid: Grid, source, weight, lam: float, nl: Nonlinearity
     opts = opts or SolverOptions()
     fv = as_values(grid, source)
     wv = as_values(grid, weight)
-    _require_coercive(wv, lam, nl, opts)
+    _require_coercive(wv, lam, nl)
     lap = laplacian_diagonals(grid)
     u = np.zeros(grid.n) if start is None else np.array(start, dtype=float)
-    u = _newton_on_subset(grid, u, np.ones(grid.n, bool), fv, wv, lam, nl, opts,
+    u = _newton_on_subset(grid, u, np.ones(grid.n, bool), fv, wv, lam, nl,
                           lap, tol=0.1 * opts.tol_kkt)
     return Field(grid, u)
 
@@ -225,7 +222,8 @@ def solve_step(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinearit
     contact set, from which a sweep or two usually suffice), each sweep
     fixes the active nodes on the obstacle, Newton-solves the force balance
     on the rest, recovers the multiplier on the active set and
-    re-predicts it from ``eta + c*(u - psi) > 0``.  Terminates when the set
+    re-predicts it from ``eta + (u - psi) > 0`` (only signs enter, so a
+    scaling constant on ``u - psi`` would select the same set).  Terminates when the set
     is stable and the recomputed KKT residual is within ``tol_kkt``.
 
     A node sitting exactly on the obstacle with zero multiplier is
@@ -237,7 +235,7 @@ def solve_step(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinearit
     psi = as_values(grid, obstacle)
     fv = as_values(grid, source)
     wv = as_values(grid, weight)
-    _require_coercive(wv, lam, nl, opts)
+    _require_coercive(wv, lam, nl)
     lap = laplacian_diagonals(grid)
     tol_inner = 0.1 * opts.tol_kkt
 
@@ -252,7 +250,7 @@ def solve_step(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinearit
     best: Optional[ObstacleResult] = None
     for outer in range(1, opts.max_outer + 1):
         u[active] = psi[active]
-        u = _newton_on_subset(grid, u, ~active, fv, wv, lam, nl, opts, lap, tol_inner)
+        u = _newton_on_subset(grid, u, ~active, fv, wv, lam, nl, lap, tol_inner)
         G = _residual(grid, u, fv, wv, lam, nl, lap)
         eta = np.where(active, -G, 0.0)
         kkt = _natural_residual(-G, psi - u)
@@ -261,7 +259,7 @@ def solve_step(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinearit
             active=np.flatnonzero(active), iters=outer, kkt_residual=kkt)
         if best is None or kkt < best.kkt_residual:
             best = result
-        new_active = (eta + opts.pdas_c * (u - psi)) > 0.0
+        new_active = (eta + (u - psi)) > 0.0
         if np.array_equal(new_active, active) and kkt <= opts.tol_kkt:
             return result
         active = new_active
@@ -284,13 +282,14 @@ def solve_step_pg(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinea
     nonincreasing along accepted iterates.  Terminates when the nodewise
     residual ``|min(eta, psi - u)|`` (``eta = f - gradient part``) is within
     ``tol_kkt`` -- the same certificate the active-set solver reports, which
-    makes the two directly comparable.
+    makes the two directly comparable.  A test reference for
+    :func:`solve_step`, not a production path.
     """
     opts = opts or SolverOptions()
     psi = as_values(grid, obstacle)
     fv = as_values(grid, source)
     wv = as_values(grid, weight)
-    _require_coercive(wv, lam, nl, opts)
+    _require_coercive(wv, lam, nl)
     lap = laplacian_diagonals(grid)
     h = grid.h
 
@@ -307,7 +306,7 @@ def solve_step_pg(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinea
     kkt = _natural_residual(-g, psi - u)
 
     it = 0
-    while kkt > opts.tol_kkt and it < opts.pg_max_iters:
+    while kkt > opts.tol_kkt and it < PG_MAX_ITERS:
         it += 1
         s = s_fallback
         if prev_u is not None:
@@ -335,7 +334,7 @@ def solve_step_pg(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinea
             if J_try <= J - 1e-4 * dd / s + noise or s <= s_safe:
                 moved = True
                 break
-            s *= opts.newton_damping
+            s *= NEWTON_DAMPING
         if not moved:
             break
         prev_u, prev_g = u, g
@@ -390,8 +389,7 @@ def oracle_enumerate(grid: Grid, obstacle, source, weight, lam: float,
     psi = as_values(grid, obstacle)
     fv = as_values(grid, source)
     wv = as_values(grid, weight)
-    opts = SolverOptions()
-    _require_coercive(wv, lam, nl, opts)
+    _require_coercive(wv, lam, nl)
 
     sub, diag, sup = laplacian_diagonals(grid)
     lap_dense = np.diag(diag)

@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import Field, Grid
-from .model import Nonlinearity, TimeProfile, constant_profile
+from .model import ZERO_NONLINEARITY, Nonlinearity, TimeProfile, constant_profile
 from .obstacle import solve_unconstrained
 
 
@@ -42,9 +42,7 @@ def nonlinearity(spec: dict) -> Nonlinearity:
     kind = spec.get("preset")
     if kind == "zero":
         _take(spec, "gamma:zero")
-        zero = lambda s: np.zeros_like(np.asarray(s, dtype=float))
-        return Nonlinearity(fn=zero, primitive=zero, deriv=zero,
-                            slope_bound=0.0, growth=1.0)
+        return ZERO_NONLINEARITY
     if kind == "linear":
         p = _take(spec, "gamma:linear", required=("slope",))
         g = float(p["slope"])

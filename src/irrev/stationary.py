@@ -33,7 +33,7 @@ class StationaryProblem:
     nl: Nonlinearity
 
     def __post_init__(self) -> None:
-        margin = self.lam - self.nl.slope_bound * float(self.weight.values.max(initial=0.0))
+        margin = self.nl.convexity_margin(self.lam, self.weight.values)
         if margin <= 0:
             raise ValueError(f"convexity margin {margin:.6g} is not positive")
 

@@ -1,0 +1,109 @@
+import csv
+import json
+
+import pytest
+
+from irrev import cli, load_trajectory
+
+from test_cli import LONGTIME, RUN, fracture_config, run_cli
+
+
+def with_blocks(cfg, **blocks):
+    out = json.loads(json.dumps(cfg))
+    out.update(blocks)
+    return out
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_check_exit_codes(tmp_path, capsys):
+    assert run_cli(tmp_path, "check", RUN, "ok")[0] == cli.EXIT_OK
+    assert "coercivity margin: " in capsys.readouterr().out
+    nonconvex = with_blocks(RUN)
+    nonconvex["problem"]["gamma"] = {"preset": "linear", "slope": -2.0}
+    nonconvex["problem"]["sigma"] = {"preset": "constant", "value": 1.0}
+    nonconvex["problem"]["z0"] = {"preset": "zero"}
+    assert run_cli(tmp_path, "check", nonconvex, "bad")[0] == cli.EXIT_CHECK_FAILED
+    assert "FAIL  coercivity_margin: " in capsys.readouterr().out
+
+
+def test_refine_writes_refinement_csv(tmp_path):
+    cfg = with_blocks(RUN, refine={"m_list": [5, 10], "n_list": [21, 41]})
+    rc, out = run_cli(tmp_path, "refine", cfg)
+    assert rc == cli.EXIT_OK
+    rows = read_csv(out / "refinement.csv")
+    assert rows[0] == ["kind", "m", "n", "gap_V", "balance_sum", "order_estimate",
+                       "step_rate"]
+    assert [r[:3] for r in rows[1:]] == [["tau", "5", "41"], ["tau", "10", "41"],
+                                         ["h", "10", "21"], ["h", "10", "41"]]
+    # a gap needs a coarser run of the same kind
+    assert [r[3] == "" for r in rows[1:]] == [True, False, True, False]
+
+
+def test_stationary_writes_z_inf_csv(tmp_path):
+    cfg = with_blocks(LONGTIME, stationary={"f_inf": {"preset": "constant", "value": 0.5}})
+    rc, out = run_cli(tmp_path, "stationary", cfg)
+    assert rc == cli.EXIT_OK
+    rows = read_csv(out / "z_inf.csv")
+    assert rows[0] == ["x", "z", "eta"]
+    assert len(rows) == 1 + 21
+    assert json.loads((out / "stationary.json").read_text())["kkt_residual"] <= 1e-10
+
+
+def test_longtime_writes_gap_csv(tmp_path):
+    rc, out = run_cli(tmp_path, "longtime", LONGTIME)
+    assert rc == cli.EXIT_OK
+    rows = read_csv(out / "gap.csv")
+    assert rows[0] == ["t", "gap_V"]
+    assert len(rows) == 1 + 161
+    assert not (out / "trajectory.partial").exists()
+
+
+def test_fracture_writes_displacement_and_energy_csv(tmp_path):
+    rc, out = run_cli(tmp_path, "fracture", fracture_config(0.005, n=41, m=5))
+    assert rc == cli.EXIT_OK
+    rows = read_csv(out / "displacement.csv")
+    assert rows[0] == ["t", "x", "u", "u_x"]
+    assert len(rows) == 1 + 6 * 43
+    rows = read_csv(out / "at_energy.csv")
+    assert rows[0] == ["t", "at_energy"]
+    assert len(rows) == 1 + 6
+
+
+def test_longtime_keeps_partial_trajectory_on_solver_failure(tmp_path, capsys):
+    # the source drops, then rises past the state at t in (1/2, 1]: the
+    # contact set that forms there needs a second sweep
+    n = 21
+    cfg = with_blocks(LONGTIME, solver={"max_outer": 1})
+    cfg["problem"]["f"] = {"preset": "tabulated", "times": [0.0, 0.5, 1.0],
+                           "values": [[1.0] * n, [0.5] * n, [2.0] * n]}
+    rc, out = run_cli(tmp_path, "longtime", cfg)
+    assert rc == cli.EXIT_SOLVER_FAILED
+    assert capsys.readouterr().out.startswith("solver failure: step ")
+    assert (out / "trajectory.partial").read_text().startswith("step ")
+    assert not (out / "gap.csv").exists()
+    partial = load_trajectory(out)
+    assert 2 <= partial.times.size <= 5
+
+
+@pytest.mark.parametrize("blocks", [
+    {"solver": {"method": "pdas"}},
+    {"solver": {"method": "projected_gradient"}},
+    {"solver": {"pdas_c": 1.0}},
+    {"solver": {"max_outer": 0}},
+    {"tolerances": {"irreversibilty": 1e-12}},
+    {"output": {"stride": 0}},
+    {"output": {"stride": "2"}},
+    {"refine": {"n_lst": [11]}},
+    {"problem": dict(RUN["problem"], grid={"n": 41, "bc": "neumann"})},
+    {"solver": []},
+], ids=["method-pdas", "method-pg", "pdas_c", "max_outer-0", "tolerances-key",
+        "stride-0", "stride-str", "refine-key", "grid-key", "solver-list"])
+def test_config_errors_exit_3_and_write_nothing(tmp_path, capsys, blocks):
+    rc, out = run_cli(tmp_path, "run", with_blocks(RUN, **blocks))
+    assert rc == cli.EXIT_CONFIG_ERROR
+    assert "config error: " in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
