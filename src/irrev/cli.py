@@ -2,8 +2,10 @@
 
 One JSON configuration file drives one experiment; command-line flags only
 override the output directory and the seed, so every run is reproducible
-from a single artifact.  Unknown configuration keys and an output stride
-below 1 abort before any computation (fail-closed).
+from a single artifact.  Every key and the domain of every value are
+checked against one table, :data:`SCHEMA`, before any computation
+(fail-closed).  A setting the library has a default for is passed only
+when the configuration sets it.
 
 Commands and exit codes::
 
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -44,9 +47,9 @@ from .evolution import (EvolutionError, Trajectory, run_evolution, save_trajecto
                         write_csv)
 from .fracture import ATParams, FractureSetupError, run_fracture
 from .grid import BC, Field, Grid
-from .model import ProblemData, validate
+from .model import QUAD_PTS, ProblemData, ValidationError, validate
 from .obstacle import ObstacleError, SolverOptions
-from .stationary import StationaryProblem, run_longtime, solve_stationary
+from .stationary import M_PER_UNIT, StationaryProblem, run_longtime, solve_stationary
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -71,32 +74,61 @@ def _print_steps(traj: Trajectory) -> None:
 # config parsing (fail-closed)
 # --------------------------------------------------------------------------
 
-#: the keys each configuration block accepts
-_BLOCK_KEYS = {
-    "problem": {"grid", "lambda", "gamma", "sigma", "f", "z0", "T", "m", "quad_pts"},
-    "solver": {"tol_kkt", "max_outer"},
-    "output": {"directory", "stride"},
-    "tolerances": {"irreversibility", "lewy_stampacchia", "minimality", "dissipation"},
-    "refine": {"m_list", "n_list"},
-    "longtime": {"horizon", "m_per_unit", "final_gap_tol"},
-    "stationary": {"f_inf", "sigma"},
-    "fracture": {"eps", "delta_eps", "load", "z0", "n", "T", "m", "quad_pts",
-                 "scan_range"},
+def _number(v) -> bool:
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+def _count(v) -> bool:
+    return type(v) is int and v >= 1
+
+
+#: value domains: what a value must be, and the test for it
+COUNT = ("an integer >= 1", _count)
+POSITIVE = ("a number > 0", lambda v: _number(v) and v > 0)
+NUMBER = ("a finite number", _number)
+SEED = ("an integer >= 0", lambda v: type(v) is int and v >= 0)
+TEXT = ("a string", lambda v: isinstance(v, str))
+PRESET = ("a preset object", lambda v: isinstance(v, dict))
+COUNTS = ("a list of integers >= 1", lambda v: isinstance(v, list) and all(map(_count, v)))
+
+#: every key a configuration accepts, with the domain of its value; a nested
+#: dict is a block whose keys are checked the same way
+SCHEMA = {
+    "seed": SEED,
+    "problem": {
+        "grid": {"a": NUMBER, "b": NUMBER, "n": COUNT, "bc_left": TEXT, "bc_right": TEXT},
+        "lambda": NUMBER, "gamma": PRESET, "sigma": PRESET, "f": PRESET, "z0": PRESET,
+        "T": POSITIVE, "m": COUNT, "quad_pts": COUNT},
+    "solver": {"tol_kkt": POSITIVE, "max_outer": COUNT},
+    "output": {"directory": TEXT, "stride": COUNT},
+    "tolerances": {"irreversibility": NUMBER, "lewy_stampacchia": NUMBER,
+                   "minimality": NUMBER, "dissipation": NUMBER},
+    "refine": {"m_list": COUNTS, "n_list": COUNTS},
+    "longtime": {"horizon": POSITIVE, "m_per_unit": COUNT, "final_gap_tol": NUMBER},
+    "stationary": {"f_inf": PRESET, "sigma": PRESET},
+    "fracture": {"eps": POSITIVE, "delta_eps": POSITIVE, "load": PRESET, "z0": PRESET,
+                 "n": COUNT, "T": POSITIVE, "m": COUNT, "quad_pts": COUNT},
 }
-_GRID_KEYS = {"a", "b", "n", "bc_left", "bc_right"}
 
 
-def _check_block(block, allowed: set[str], where: str) -> None:
+def _check(block, schema: dict, where: str) -> None:
+    """Refuse a non-object block, an unknown key or a value outside its domain."""
     if not isinstance(block, dict):
         raise ConfigError(f"{where} must be an object")
-    unknown = sorted(set(block) - allowed)
+    unknown = sorted(set(block) - set(schema))
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
+    for key, value in block.items():
+        path = key if where == "config" else f"{where}.{key}"
+        if isinstance(schema[key], dict):
+            _check(value, schema[key], path)
+        elif not schema[key][1](value):
+            raise ConfigError(f"{path} must be {schema[key][0]}, got {value!r}")
 
 
 def load_config(path: str | Path) -> dict:
-    """Read a configuration and check the keys of every block and the
-    output stride, before any computation."""
+    """Read a configuration and check every key and the domain of every
+    value against :data:`SCHEMA`, before any computation."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -104,26 +136,14 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    _check_block(cfg, set(_BLOCK_KEYS) | {"seed"}, "config")
-    for name, allowed in _BLOCK_KEYS.items():
-        if name in cfg:
-            _check_block(cfg[name], allowed, name)
-    if "grid" in cfg.get("problem", {}):
-        _check_block(cfg["problem"]["grid"], _GRID_KEYS, "problem.grid")
-    stride = cfg.get("output", {}).get("stride", 1)
-    if type(stride) is not int or stride < 1:
-        raise ConfigError(f"output.stride must be an integer >= 1, got {stride!r}")
+    _check(cfg, SCHEMA, "config")
     return cfg
 
 
-def _build_grid(spec: dict) -> Grid:
-    try:
-        return Grid(a=float(spec.get("a", 0.0)), b=float(spec.get("b", 1.0)),
-                    n=int(spec["n"]),
-                    bc_left=BC(spec.get("bc_left", BC.DIRICHLET)),
-                    bc_right=BC(spec.get("bc_right", BC.DIRICHLET)))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"problem.grid: {exc}") from exc
+def _given(block: dict, key: str, name: str | None = None) -> dict:
+    """``{name: block[key]}`` (``name`` defaults to ``key``) when the config
+    sets ``key``, else ``{}``, so that the library's own default applies."""
+    return {name or key: block[key]} if key in block else {}
 
 
 def build_problem(cfg: dict):
@@ -133,8 +153,8 @@ def build_problem(cfg: dict):
     except KeyError:
         raise ConfigError("config needs a 'problem' block") from None
     try:
-        grid = _build_grid(prob.get("grid", {"n": 101}))
-        lam = float(prob.get("lambda", 1.0))
+        grid = Grid(**{"a": 0.0, "b": 1.0, **prob.get("grid", {"n": 101})})
+        lam = prob.get("lambda", 1.0)
         nl = presets.nonlinearity(prob.get("gamma", {"preset": "zero"}))
         weight = presets.time_profile(grid, prob.get("sigma", {"preset": "constant", "value": 0.0}),
                                       "problem.sigma")
@@ -143,25 +163,14 @@ def build_problem(cfg: dict):
         z0 = presets.initial_state(grid, prob.get("z0", {"preset": "zero"}),
                                    lam, nl, source, weight)
         data = ProblemData(grid=grid, lam=lam, weight=weight, source=source,
-                           initial=z0, horizon=float(prob.get("T", 1.0)))
-    except presets.PresetError as exc:
-        raise ConfigError(str(exc)) from exc
+                           initial=z0, horizon=prob.get("T", 1.0))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"problem block: {exc}") from exc
-    m = int(prob.get("m", 100))
-    quad_pts = int(prob.get("quad_pts", 8))
-    if m < 1 or quad_pts < 1:
-        raise ConfigError("problem.m and problem.quad_pts must be >= 1")
-    return data, nl, m, quad_pts
+    return data, nl, prob.get("m", 100), prob.get("quad_pts", QUAD_PTS)
 
 
 def build_solver_options(cfg: dict) -> SolverOptions:
-    block = cfg.get("solver", {})
-    try:
-        return SolverOptions(tol_kkt=float(block.get("tol_kkt", 1e-10)),
-                             max_outer=int(block.get("max_outer", 100)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"solver block: {exc}") from exc
+    return SolverOptions(**cfg.get("solver", {}))
 
 
 def _output_dir(cfg: dict, override: str | None) -> Path:
@@ -171,8 +180,10 @@ def _output_dir(cfg: dict, override: str | None) -> Path:
     return directory
 
 
-def _stride(cfg: dict) -> int:
-    return cfg.get("output", {}).get("stride", 1)
+def _save(traj: Trajectory, cfg: dict, out_dir: Path) -> None:
+    """Print the per-step lines when verbose, then write the trajectory."""
+    _print_steps(traj)
+    save_trajectory(traj, out_dir, **_given(cfg.get("output", {}), "stride"))
 
 
 # --------------------------------------------------------------------------
@@ -181,8 +192,7 @@ def _stride(cfg: dict) -> int:
 
 def _solver_failed(exc: EvolutionError, cfg: dict, out_dir: Path) -> int:
     """Keep a failed run's partial trajectory, with a ``.partial`` marker."""
-    _print_steps(exc.partial)
-    save_trajectory(exc.partial, out_dir, stride=_stride(cfg))
+    _save(exc.partial, cfg, out_dir)
     (out_dir / "trajectory.partial").write_text(f"{exc}\n")
     print(f"solver failure: {exc}")
     return EXIT_SOLVER_FAILED
@@ -238,8 +248,7 @@ def cmd_run(cfg: dict, out_dir: Path, seed: int, force: bool = False) -> int:
     except EvolutionError as exc:
         return _solver_failed(exc, cfg, out_dir)
 
-    _print_steps(traj)
-    save_trajectory(traj, out_dir, stride=_stride(cfg))
+    _save(traj, cfg, out_dir)
     energy_report = balance_residual(traj, data, nl, quad_pts=quad_pts)
     with open(out_dir / "energy_report.json", "w") as fh:
         json.dump({"energies": list(map(float, energy_report.energies)),
@@ -251,17 +260,16 @@ def cmd_run(cfg: dict, out_dir: Path, seed: int, force: bool = False) -> int:
 
     tol = cfg.get("tolerances", {})
     verdicts = [
-        check_irreversibility(traj, tol=float(tol.get("irreversibility", 1e-12))),
+        check_irreversibility(traj, **_given(tol, "irreversibility", "tol")),
         check_lewy_stampacchia(traj, traj.disc, data.lam, nl,
-                               tol=float(tol.get("lewy_stampacchia", 1e-8))),
-        check_dissipation_sign(traj, nl, data.lam,
-                               tol=float(tol.get("dissipation", 1e-12))),
+                               **_given(tol, "lewy_stampacchia", "tol")),
+        check_dissipation_sign(traj, nl, data.lam, **_given(tol, "dissipation", "tol")),
     ]
     stamp_ids = np.unique(np.linspace(0, traj.m, 5).round().astype(int))
     for k in stamp_ids:
         verdicts.append(check_unilateral_minimality(
             traj, data, nl, traj.times[k], n_samples=200, seed=seed + int(k),
-            tol=float(tol.get("minimality", 1e-10))))
+            **_given(tol, "minimality", "tol")))
     return _report(out_dir, traj, verdicts,
                    f"balance: max|residual|={energy_report.max_abs:.3g} "
                    f"total={energy_report.total_abs:.3g}")
@@ -271,9 +279,8 @@ def cmd_refine(cfg: dict, out_dir: Path, seed: int) -> int:
     data, nl, _, quad_pts = build_problem(cfg)
     opts = build_solver_options(cfg)
     block = cfg.get("refine", {})
-    m_list = [int(v) for v in block.get("m_list", [50, 100, 200])]
-    n_list = [int(v) for v in block.get("n_list", [])]
-    rows = refinement_study(data, nl, m_list, n_list, opts=opts, quad_pts=quad_pts)
+    rows = refinement_study(data, nl, block.get("m_list", [50, 100, 200]),
+                            block.get("n_list", []), opts=opts, quad_pts=quad_pts)
     write_refinement_csv(rows, out_dir / "refinement.csv")
 
     ok = True
@@ -292,9 +299,11 @@ def cmd_longtime(cfg: dict, out_dir: Path, seed: int) -> int:
     data, nl, _, quad_pts = build_problem(cfg)
     opts = build_solver_options(cfg)
     block = cfg.get("longtime", {})
-    horizon = float(block.get("horizon", 40.0))
-    m_per_unit = int(block.get("m_per_unit", 16))
-    final_tol = float(block.get("final_gap_tol", 1e-6))
+    horizon = block.get("horizon", 40.0)
+    m_per_unit = block.get("m_per_unit", M_PER_UNIT)
+    if round(horizon * m_per_unit) < 1:
+        raise ConfigError(f"longtime.horizon * longtime.m_per_unit = "
+                          f"{horizon * m_per_unit:.3g} rounds to no step")
 
     try:
         result = run_longtime(data, nl, horizon, m_per_unit, opts=opts,
@@ -302,8 +311,7 @@ def cmd_longtime(cfg: dict, out_dir: Path, seed: int) -> int:
     except EvolutionError as exc:
         return _solver_failed(exc, cfg, out_dir)
 
-    _print_steps(result.traj)
-    save_trajectory(result.traj, out_dir, stride=_stride(cfg))
+    _save(result.traj, cfg, out_dir)
     write_csv(out_dir / "gap.csv", ("t", "gap_V"), [(result.traj.times, result.gaps)])
 
     print(f"final gap: {result.final_gap:.17g}")
@@ -316,7 +324,7 @@ def cmd_longtime(cfg: dict, out_dir: Path, seed: int) -> int:
               f"(weight constant in t: {result.weight_time_independent}, "
               f"source above limit: {result.source_above_limit})")
     ok = (result.gap_monotone and result.sandwich_ok
-          and result.final_gap <= final_tol)
+          and result.final_gap <= block.get("final_gap_tol", 1e-6))
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -326,10 +334,13 @@ def cmd_stationary(cfg: dict, out_dir: Path, seed: int) -> int:
     block = cfg.get("stationary", {})
     g = data.grid
     x = g.nodes
-    f_inf = Field(g, presets.space_values(g, block["f_inf"], "stationary.f_inf")) \
-        if "f_inf" in block else Field(g, data.source(x, data.horizon))
-    weight = Field(g, presets.space_values(g, block["sigma"], "stationary.sigma")) \
-        if "sigma" in block else Field(g, data.weight(x, 0.0))
+    try:
+        f_inf = Field(g, presets.space_values(g, block["f_inf"], "stationary.f_inf")) \
+            if "f_inf" in block else Field(g, data.source(x, data.horizon))
+        weight = Field(g, presets.space_values(g, block["sigma"], "stationary.sigma")) \
+            if "sigma" in block else Field(g, data.weight(x, 0.0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"stationary block: {exc}") from exc
 
     try:
         res = solve_stationary(StationaryProblem(
@@ -350,29 +361,22 @@ def cmd_stationary(cfg: dict, out_dir: Path, seed: int) -> int:
 
 def cmd_fracture(cfg: dict, out_dir: Path, seed: int) -> int:
     block = cfg.get("fracture", {})
+    missing = [key for key in ("eps", "delta_eps") if key not in block]
+    if missing:
+        raise ConfigError(f"fracture block: missing {missing}")
+    grid = Grid(a=-1.0, b=1.0, n=block.get("n", 101), bc_left=BC.DIRICHLET,
+                bc_right=BC.DIRICHLET)
     try:
-        eps = float(block["eps"])
-        delta = float(block["delta_eps"])
-        load = presets.fracture_load(block.get("load", {"preset": "zero"}))
-        n = int(block.get("n", 101))
-        horizon = float(block.get("T", 1.0))
-        m = int(block.get("m", 100))
-        quad_pts = int(block.get("quad_pts", 8))
-        scan_range = float(block.get("scan_range", 10.0))
-    except KeyError as exc:
-        raise ConfigError(f"fracture block: missing {exc}") from exc
-    except presets.PresetError as exc:
-        raise ConfigError(str(exc)) from exc
-    grid = Grid(a=-1.0, b=1.0, n=n, bc_left=BC.DIRICHLET, bc_right=BC.DIRICHLET)
-    params = ATParams(eps=eps, delta=delta, load=load)
-
-    z0 = None
-    if "z0" in block:
-        z0 = Field(grid, presets.space_values(grid, block["z0"], "fracture.z0"))
-    opts = build_solver_options(cfg)
+        params = ATParams(eps=block["eps"], delta=block["delta_eps"],
+                          load=presets.fracture_load(block.get("load", {"preset": "zero"})))
+        z0 = Field(grid, presets.space_values(grid, block["z0"], "fracture.z0")) \
+            if "z0" in block else None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"fracture block: {exc}") from exc
     try:
-        result = run_fracture(params, grid, horizon, m, z0=z0, opts=opts,
-                              quad_pts=quad_pts, scan_range=scan_range)
+        result = run_fracture(params, grid, block.get("T", 1.0), block.get("m", 100), z0=z0,
+                              opts=build_solver_options(cfg),
+                              quad_pts=block.get("quad_pts", QUAD_PTS))
     except FractureSetupError as exc:
         print(exc)
         return EXIT_CHECK_FAILED
@@ -380,8 +384,7 @@ def cmd_fracture(cfg: dict, out_dir: Path, seed: int) -> int:
         return _solver_failed(exc, cfg, out_dir)
 
     traj = result.traj
-    _print_steps(traj)
-    save_trajectory(traj, out_dir, stride=_stride(cfg))
+    _save(traj, cfg, out_dir)
     write_csv(out_dir / "displacement.csv", ("t", "x", "u", "u_x"),
               ((np.full(st.x_full.size, st.t), st.x_full, st.u_full, st.ux_full)
                for st in result.coupled))
@@ -427,7 +430,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         out_dir = _output_dir(cfg, args.output_dir)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
         if args.command == "check":
             return cmd_check(cfg, out_dir, seed)
         if args.command == "run":
@@ -442,6 +445,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except ValidationError as exc:
+        for line in exc.report.lines():
+            if line.startswith("FAIL"):
+                print(line)
+        return EXIT_CHECK_FAILED
     except ObstacleError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILED

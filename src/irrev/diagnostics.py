@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import Field, Grid, full_values, neg_laplacian, norm_h1
-from .model import DiscretizedData, Nonlinearity, ProblemData, discretize_time
+from .model import QUAD_PTS, DiscretizedData, Nonlinearity, ProblemData, discretize_time
 from .obstacle import SolverOptions, step_energy
 
 
@@ -46,8 +46,7 @@ class EnergyReport:
     data along the piecewise constant interpolant, integrated by the
     midpoint rule.  The identity is exact in the time-continuous limit, so
     the meaningful statement is the decay of ``total_abs`` under step
-    refinement; ``order_vs`` fills the measured order when a halving study
-    produced this report.
+    refinement.
     """
 
     energies: np.ndarray
@@ -55,7 +54,6 @@ class EnergyReport:
     max_abs: float
     total_abs: float
     used_fd_derivatives: bool
-    order_vs: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -82,7 +80,7 @@ def _verdict(name: str, violation: float, tol: float, worst=(), note="") -> Chec
 # --------------------------------------------------------------------------
 
 def balance_residual(traj, data: ProblemData, nl: Nonlinearity,
-                     quad_pts: int = 8) -> EnergyReport:
+                     quad_pts: int = QUAD_PTS) -> EnergyReport:
     """Residual of the energy balance over each step interval.
 
     For each interval the left side is the stored energy increment; the
@@ -116,7 +114,7 @@ def balance_residual(traj, data: ProblemData, nl: Nonlinearity,
 
 
 def balance_order(data: ProblemData, nl: Nonlinearity, m_list,
-                  opts: Optional[SolverOptions] = None, quad_pts: int = 8):
+                  opts: Optional[SolverOptions] = None, quad_pts: int = QUAD_PTS):
     """Total balance residual under step refinement plus measured orders.
 
     Runs the evolution for each step count, sums the per-interval residual
@@ -267,7 +265,7 @@ def check_dissipation_sign(traj, nl: Nonlinearity, lam: float,
 
 def check_comparison(data_a: ProblemData, data_b: ProblemData, nl: Nonlinearity,
                      m: int, opts: Optional[SolverOptions] = None,
-                     quad_pts: int = 8, tol: float = 1e-10) -> CheckVerdict:
+                     quad_pts: int = QUAD_PTS, tol: float = 1e-10) -> CheckVerdict:
     """Ordered data must produce ordered trajectories.
 
     Requires ``initial_a <= initial_b`` nodewise and ``source_a <= source_b``
@@ -338,7 +336,7 @@ class RefinementRow:
 
 def refinement_study(data: ProblemData, nl: Nonlinearity, m_list, n_list,
                      opts: Optional[SolverOptions] = None,
-                     quad_pts: int = 8) -> list[RefinementRow]:
+                     quad_pts: int = QUAD_PTS) -> list[RefinementRow]:
     """Gap-between-refinements table in the step count and in the mesh size.
 
     For consecutive step refinements the gap is the sup over the coarser

@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grid import BC, Field, Grid
-from .model import (DiscretizedData, Nonlinearity, ProblemData, ValidationError,
-                    discretize_time, validate)
+from .model import (QUAD_PTS, DiscretizedData, Nonlinearity, ProblemData,
+                    ValidationError, discretize_time, validate)
 from .obstacle import ObstacleError, SolverOptions, solve_step
 
 
@@ -78,7 +78,7 @@ class Trajectory:
 
 
 def run_evolution(data: ProblemData, nl: Nonlinearity, m: int,
-                  opts: Optional[SolverOptions] = None, quad_pts: int = 8,
+                  opts: Optional[SolverOptions] = None, quad_pts: int = QUAD_PTS,
                   validate_first: bool = True) -> Trajectory:
     """Run the implicit scheme for ``m`` uniform steps up to the horizon.
 

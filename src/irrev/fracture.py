@@ -26,8 +26,8 @@ from typing import Optional
 import numpy as np
 
 from .grid import BC, Field, Grid, as_values, forward_jumps, full_values
-from .model import (ZERO_NONLINEARITY, Nonlinearity, ProblemData, TimeProfile,
-                    constant_profile, validate)
+from .model import (QUAD_PTS, ZERO_NONLINEARITY, Nonlinearity, ProblemData,
+                    TimeProfile, constant_profile, validate)
 from .obstacle import SolverOptions, solve_unconstrained
 
 
@@ -85,16 +85,14 @@ class CoupledState:
     t: float
 
 
-def at_nonlinearity(params: ATParams, scan_range: float = 10.0,
-                    scan_pts: int = 200_001) -> Nonlinearity:
+def at_nonlinearity(params: ATParams) -> Nonlinearity:
     """Degradation nonlinearity ``fn(s) = s / (eps*(s^2+delta)^2)``.
 
-    The primitive is analytic (normalized to vanish at 0) and the one-sided
-    slope bound is ``max(0, -min fn')`` over ``[-scan_range, scan_range]``,
-    found on a dense sample augmented with the interior critical points of
-    ``fn'`` at ``s = +-sqrt(delta)`` (where the global minimum
-    ``-1/(4*eps*delta^2)`` sits).  The bound is certified only over the
-    scanned range; phase fields in practice live in [0, 1].
+    The primitive is analytic (normalized to vanish at 0).  The one-sided
+    slope bound is global: ``fn'(s) = (delta - 3s^2)/(eps*(s^2+delta)^3)``
+    is smallest at ``s = +-sqrt(delta)``, where it equals
+    ``-1/(4*eps*delta^2)``, and it tends to 0 from below as ``|s|`` grows,
+    so ``L = -fn'(sqrt(delta))`` holds on the whole real line.
     """
     eps, delta = params.eps, params.delta
 
@@ -110,11 +108,7 @@ def at_nonlinearity(params: ATParams, scan_range: float = 10.0,
         s = np.asarray(s, dtype=float)
         return (delta - 3.0 * s * s) / (eps * (s * s + delta) ** 3)
 
-    samples = np.linspace(-scan_range, scan_range, scan_pts)
-    crit = np.sqrt(delta)
-    if crit <= scan_range:
-        samples = np.concatenate((samples, [-crit, crit]))
-    slope_bound = float(max(0.0, -deriv(samples).min()))
+    slope_bound = float(-deriv(np.sqrt(delta)))
 
     # |fn| attains its maximum at s = +-sqrt(delta/3)
     s_peak = np.sqrt(delta / 3.0)
@@ -201,12 +195,12 @@ def relaxed_profile(grid: Grid, params: ATParams,
     return solve_unconstrained(grid, ones, zeros, lam, ZERO_NONLINEARITY, opts=opts)
 
 
-def build_problem(grid: Grid, params: ATParams, z0: Optional[Field], horizon: float,
-                  scan_range: float = 10.0) -> tuple[ProblemData, Nonlinearity]:
+def build_problem(grid: Grid, params: ATParams, z0: Optional[Field],
+                  horizon: float) -> tuple[ProblemData, Nonlinearity]:
     """Assemble the scalar evolution equivalent to the coupled system."""
     if grid.bc_left is not BC.DIRICHLET or grid.bc_right is not BC.DIRICHLET:
         raise ValueError("the fracture reduction pins the phase field at both ends")
-    nl = at_nonlinearity(params, scan_range=scan_range)
+    nl = at_nonlinearity(params)
     if z0 is None:
         z0 = relaxed_profile(grid, params)
     data = ProblemData(grid=grid, lam=params.lam, weight=load_to_sigma(grid, params),
@@ -240,8 +234,8 @@ def at_energy(grid: Grid, state: CoupledState, params: ATParams) -> float:
 
 def run_fracture(params: ATParams, grid: Grid, horizon: float, m: int,
                  z0: Optional[Field] = None,
-                 opts: Optional[SolverOptions] = None, quad_pts: int = 8,
-                 scan_range: float = 10.0) -> FractureResult:
+                 opts: Optional[SolverOptions] = None,
+                 quad_pts: int = QUAD_PTS) -> FractureResult:
     """Coupled quasistatic run: evolve the phase field, recover displacements.
 
     Builds the derived scalar problem, validates it (reporting the load
@@ -251,17 +245,16 @@ def run_fracture(params: ATParams, grid: Grid, horizon: float, m: int,
     """
     from .evolution import run_evolution
 
-    data, nl = build_problem(grid, params, z0, horizon, scan_range=scan_range)
+    data, nl = build_problem(grid, params, z0, horizon)
     report = validate(data, nl)
     if not report.ok:
         msg = "; ".join(ln for ln in report.lines() if ln.startswith("FAIL"))
         if report.lambda0 <= 0:
-            # weight scales with the square of the load amplitude
-            sup_w = (data.lam - report.lambda0) / nl.slope_bound
-            if sup_w > 0:
-                admissible = float(np.sqrt(data.lam / (nl.slope_bound * sup_w)))
-                msg += (f"; convexity would hold for load amplitudes scaled "
-                        f"below {0.99 * admissible:.4g} of the current one")
+            # the weight scales with the square of the load amplitude, and
+            # L*sup(weight) = lam - margin must fall below lam
+            admissible = float(np.sqrt(data.lam / (data.lam - report.lambda0)))
+            msg += (f"; convexity would hold for load amplitudes scaled "
+                    f"below {0.99 * admissible:.4g} of the current one")
         raise FractureSetupError(msg)
 
     traj = run_evolution(data, nl, m, opts=opts, quad_pts=quad_pts,

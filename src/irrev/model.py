@@ -21,9 +21,14 @@ import numpy as np
 
 from .grid import Field, Grid, neg_laplacian
 
-#: default absolute tolerance for the nodewise admissibility check of the
-#: initial state
+#: absolute tolerance for the nodewise admissibility check of the initial state
 TOL_ADMISS = 1e-9
+#: time samples of the weight and the source in :func:`validate`
+N_TIME_SAMPLES = 65
+#: the structural bounds on ``fn`` are sampled on ``[-SAMPLE_RANGE, SAMPLE_RANGE]``
+SAMPLE_RANGE = 10.0
+#: midpoint-rule subintervals per step for every time average of the data
+QUAD_PTS = 8
 
 
 class ValidationError(RuntimeError):
@@ -51,16 +56,15 @@ class Nonlinearity:
         ``lam - L*sup(weight)`` that every solve requires to be positive.
     growth : float
         Constant ``C > 0`` with ``|fn(s)| <= C*(|s|+1)`` for all ``s``.
-    deriv : callable, optional
-        Vectorized derivative, used by the Newton inner solver.  When absent
-        a centered difference with step ``1e-6*(1+|s|)`` is substituted.
+    deriv : callable
+        Vectorized derivative, used by the Newton inner solver.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     primitive: Callable[[np.ndarray], np.ndarray]
     slope_bound: float
     growth: float
-    deriv: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    deriv: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self) -> None:
         if self.slope_bound < 0:
@@ -71,12 +75,6 @@ class Nonlinearity:
     def convexity_margin(self, lam: float, weight) -> float:
         """``lam - L*max(weight, 0)``, which every step solve requires to be positive."""
         return lam - self.slope_bound * float(np.max(weight, initial=0.0))
-
-    def deriv_or_fd(self, s: np.ndarray) -> np.ndarray:
-        if self.deriv is not None:
-            return np.asarray(self.deriv(s), dtype=float)
-        e = 1e-6 * (1.0 + np.abs(s))
-        return (np.asarray(self.fn(s + e), float) - np.asarray(self.fn(s - e), float)) / (2.0 * e)
 
     # sampled surrogates for the structural hypotheses ------------------
 
@@ -253,9 +251,7 @@ class ValidationReport:
         return out
 
 
-def validate(data: ProblemData, nl: Nonlinearity, tol_admiss: float = TOL_ADMISS,
-             n_time_samples: int = 65, sample_range: float = 10.0,
-             seed: int = 0) -> ValidationReport:
+def validate(data: ProblemData, nl: Nonlinearity, seed: int = 0) -> ValidationReport:
     """Check the solvability hypotheses; report, never abort.
 
     Items checked:
@@ -265,18 +261,19 @@ def validate(data: ProblemData, nl: Nonlinearity, tol_admiss: float = TOL_ADMISS
       per-step minimization is not convex and every solver refuses to run.
     * ``initial_admissibility``: nodewise residual of the force balance at
       the initial state, ``max(-z0'' + lam*z0 + weight(.,0)*fn(z0) -
-      source(.,0)) <= tol_admiss``.
+      source(.,0)) <= TOL_ADMISS``.
     * ``weight_nonnegative`` and ``source_above_floor``: sampled sign and
       envelope conditions on the data.
     * ``nonlinearity_one_sided`` / ``nonlinearity_growth``: sampled
-      surrogates for the structural bounds on ``fn``.
+      surrogates for the structural bounds on ``fn`` on ``[-SAMPLE_RANGE,
+      SAMPLE_RANGE]``.
 
     Callers decide whether to abort on failure; drivers raise
     :class:`ValidationError` when the report is not clean.
     """
     g = data.grid
     x = g.nodes
-    ts = np.linspace(0.0, data.horizon, n_time_samples)
+    ts = np.linspace(0.0, data.horizon, N_TIME_SAMPLES)
 
     w_samples = np.array([data.weight(x, t) for t in ts])
     f_samples = np.array([data.source(x, t) for t in ts])
@@ -306,14 +303,14 @@ def validate(data: ProblemData, nl: Nonlinearity, tol_admiss: float = TOL_ADMISS
     floor_gap = float((f_samples - floor[None, :]).min())
     w_min = float(w_samples.min())
 
-    lo, hi = -sample_range, sample_range
+    lo, hi = -SAMPLE_RANGE, SAMPLE_RANGE
     one_sided = nl.max_one_sided_violation(lo, hi, seed=seed)
     growth = nl.max_growth_violation(lo, hi, seed=seed)
 
     items = (
         CheckItem("coercivity_margin", lambda0, 0.0, lambda0 > 0.0,
                   "lam - L*sup(weight) must be positive"),
-        CheckItem("initial_admissibility", r, tol_admiss, r <= tol_admiss,
+        CheckItem("initial_admissibility", r, TOL_ADMISS, r <= TOL_ADMISS,
                   "force-balance residual of the initial state"),
         CheckItem("weight_nonnegative", w_min, 0.0, w_min >= -1e-14),
         CheckItem("source_above_floor", floor_gap, floor_tol,
@@ -326,7 +323,7 @@ def validate(data: ProblemData, nl: Nonlinearity, tol_admiss: float = TOL_ADMISS
     return ValidationReport(items=items, lambda0=lambda0, admissibility_residual=r)
 
 
-def discretize_time(data: ProblemData, m: int, quad_pts: int = 8) -> DiscretizedData:
+def discretize_time(data: ProblemData, m: int, quad_pts: int = QUAD_PTS) -> DiscretizedData:
     """Average the time-dependent data over the step intervals.
 
     ``source_avg[k-1](x) = (1/tau) * integral of source(x, .) over

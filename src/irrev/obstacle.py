@@ -60,6 +60,8 @@ NEWTON_DAMPING = 0.5       # backtracking shrink factor
 MAX_NEWTON = 60            # Newton iterations per inner solve
 PG_MAX_ITERS = 200_000     # projected-gradient iteration budget
 EPS_COERCE = 1e-12         # reject convexity margins below this
+ORACLE_FEAS_TOL = 1e-12    # oracle: slack allowed in the sign of eta and in u <= psi
+ORACLE_AMB_TOL = 1e-9      # oracle: largest spread tolerated among accepted KKT points
 
 
 @dataclass(frozen=True)
@@ -164,7 +166,7 @@ def _newton_on_subset(grid: Grid, u: np.ndarray, free: np.ndarray,
     for _ in range(MAX_NEWTON):
         if r <= tol:
             return u
-        jd = diag[idx] + lam + wv[idx] * nl.deriv_or_fd(u[idx])
+        jd = diag[idx] + lam + wv[idx] * nl.deriv(u[idx])
         ab = np.zeros((3, nfree))
         ab[1] = jd
         if nfree > 1:
@@ -320,7 +322,7 @@ def solve_step_pg(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinea
         # steps at or below 1/curvature descend in exact arithmetic, so the
         # Armijo test only gates the aggressive spectral proposals; a noise
         # floor keeps it meaningful once energy decrements reach roundoff
-        slope = np.abs(nl.deriv_or_fd(u))
+        slope = np.abs(nl.deriv(u))
         s_safe = 0.5 / (4.0 / h ** 2 + lam + float((wv * slope).max(initial=0.0)) + 1.0)
         moved = False
         while True:
@@ -371,14 +373,13 @@ class AmbiguousCandidates(ObstacleError):
 
 
 def oracle_enumerate(grid: Grid, obstacle, source, weight, lam: float,
-                     nl: Nonlinearity, feas_tol: float = 1e-12,
-                     amb_tol: float = 1e-9) -> ObstacleResult:
+                     nl: Nonlinearity) -> ObstacleResult:
     """Try every subset of nodes as the contact set and keep the KKT-admissible one.
 
     For each of the 2^n subsets: pin ``u = psi`` there, solve the force
     balance on the complement with a self-contained dense Newton iteration,
     recover the multiplier on the subset, and accept iff the multiplier is
-    nonnegative and the state is below the obstacle (within ``feas_tol``).
+    nonnegative and the state is below the obstacle (within ``ORACLE_FEAS_TOL``).
     Strict convexity makes the KKT point unique, so all accepted candidates
     must agree up to tolerance ties; the one with the smallest recomputed
     KKT residual is returned.  Quadratic cost in 2^n: refuses ``n > 12``.
@@ -406,7 +407,7 @@ def oracle_enumerate(grid: Grid, obstacle, source, weight, lam: float,
             if r <= 1e-13 * (1.0 + float(np.abs(fv).max())):
                 return u
             jac = lap_dense[np.ix_(free_idx, free_idx)].copy()
-            jac[np.diag_indices_from(jac)] += lam + wv[free_idx] * nl.deriv_or_fd(u[free_idx])
+            jac[np.diag_indices_from(jac)] += lam + wv[free_idx] * nl.deriv(u[free_idx])
             try:
                 delta = np.linalg.solve(jac, -G[free_idx])
             except np.linalg.LinAlgError:
@@ -435,9 +436,9 @@ def oracle_enumerate(grid: Grid, obstacle, source, weight, lam: float,
             u = solved
         G = dense_residual(u)
         eta = np.where(active, -G, 0.0)
-        if eta.min(initial=0.0) < -feas_tol:
+        if eta.min(initial=0.0) < -ORACLE_FEAS_TOL:
             continue
-        if (u - psi).max() > feas_tol:
+        if (u - psi).max() > ORACLE_FEAS_TOL:
             continue
         kkt = _natural_residual(-G, psi - u)
         accepted.append(ObstacleResult(
@@ -448,7 +449,7 @@ def oracle_enumerate(grid: Grid, obstacle, source, weight, lam: float,
         raise NoCandidate("no active set yields an admissible KKT point")
     zs = np.array([res.z.values for res in accepted])
     spread = float(np.abs(zs - zs[0]).max())
-    if spread > amb_tol:
+    if spread > ORACLE_AMB_TOL:
         raise AmbiguousCandidates(
             f"{len(accepted)} KKT points differ by {spread:.3g} in max norm")
     return min(accepted, key=lambda res: res.kkt_residual)

@@ -38,7 +38,7 @@ def _take(spec: dict, where: str, required=(), optional=()) -> dict:
 
 def nonlinearity(spec: dict) -> Nonlinearity:
     """Presets: ``zero``, ``linear`` (slope), ``tanh`` (amplitude), ``at``
-    (eps, delta, optional scan_range)."""
+    (eps, delta).  Every preset's slope bound holds on the whole real line."""
     kind = spec.get("preset")
     if kind == "zero":
         _take(spec, "gamma:zero")
@@ -67,10 +67,10 @@ def nonlinearity(spec: dict) -> Nonlinearity:
             slope_bound=0.0, growth=max(a, 1e-12))
     if kind == "at":
         from .fracture import ATParams, at_nonlinearity
-        p = _take(spec, "gamma:at", required=("eps", "delta"), optional=("scan_range",))
+        p = _take(spec, "gamma:at", required=("eps", "delta"))
         params = ATParams(eps=float(p["eps"]), delta=float(p["delta"]),
                           load=constant_profile(0.0))
-        return at_nonlinearity(params, scan_range=float(p.get("scan_range", 10.0)))
+        return at_nonlinearity(params)
     raise PresetError(f"unknown gamma preset {kind!r}")
 
 

@@ -19,8 +19,12 @@ from typing import Optional
 import numpy as np
 
 from .grid import Field, Grid, norm_h1
-from .model import Nonlinearity, ProblemData
+from .model import QUAD_PTS, Nonlinearity, ProblemData
 from .obstacle import ObstacleResult, SolverOptions, solve_step
+
+M_PER_UNIT = 16            # steps per unit time of a long run
+JITTER_TOL = 1e-10         # largest upward step of a gap series still called monotone
+SANDWICH_TOL = 1e-10       # largest amount the limit may exceed a state
 
 
 @dataclass(frozen=True)
@@ -60,21 +64,19 @@ class LongtimeResult:
 
 
 def run_longtime(data: ProblemData, nl: Nonlinearity, horizon: float,
-                 m_per_unit: int = 16, f_inf: Optional[Field] = None,
-                 opts: Optional[SolverOptions] = None, quad_pts: int = 8,
-                 jitter_tol: float = 1e-10,
-                 sandwich_tol: float = 1e-10) -> LongtimeResult:
+                 m_per_unit: int = M_PER_UNIT, opts: Optional[SolverOptions] = None,
+                 quad_pts: int = QUAD_PTS) -> LongtimeResult:
     """Run to a long horizon and compare against the stationary solution.
 
     Preconditions for the limit characterization, flagged in the result
     rather than enforced: the weight must not depend on time and the source
-    must stay above its limit.  ``f_inf`` defaults to the source sampled at
-    the horizon (adequate whenever the decay has died out by then; pass the
-    exact limit if it is known, e.g. from a relaxation preset).
+    must stay above its limit.  The limit source is the profile's known
+    ``limit`` when it has one, and otherwise the source sampled at the
+    horizon (adequate whenever the decay has died out by then).
 
     The gap series ``|z_k - z_inf|_H1`` is checked for monotone decay up to
-    ``jitter_tol`` and the limit is checked to stay below every state up to
-    ``sandwich_tol``.
+    ``JITTER_TOL`` and the limit is checked to stay below every state up to
+    ``SANDWICH_TOL``.
     """
     from .evolution import run_evolution
 
@@ -84,11 +86,10 @@ def run_longtime(data: ProblemData, nl: Nonlinearity, horizon: float,
     if m < 1:
         raise ValueError("horizon * m_per_unit must be at least one step")
 
-    if f_inf is None:
-        if data.source.limit is not None:
-            f_inf = Field(g, data.source.limit)
-        else:
-            f_inf = Field(g, data.source(x, horizon))
+    if data.source.limit is not None:
+        f_inf = Field(g, data.source.limit)
+    else:
+        f_inf = Field(g, data.source(x, horizon))
 
     # precondition flags
     t_samples = np.linspace(0.0, horizon, 33)
@@ -111,7 +112,7 @@ def run_longtime(data: ProblemData, nl: Nonlinearity, horizon: float,
 
     return LongtimeResult(
         traj=traj, stationary=limit, gaps=gaps, final_gap=float(gaps[-1]),
-        max_gap_increase=max(max_inc, 0.0), gap_monotone=max_inc <= jitter_tol,
-        sandwich_violation=max(sandwich, 0.0), sandwich_ok=sandwich <= sandwich_tol,
+        max_gap_increase=max(max_inc, 0.0), gap_monotone=max_inc <= JITTER_TOL,
+        sandwich_violation=max(sandwich, 0.0), sandwich_ok=sandwich <= SANDWICH_TOL,
         weight_time_independent=w_dev <= 1e-12,
         source_above_limit=f_above >= -1e-12)

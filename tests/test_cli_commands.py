@@ -100,10 +100,96 @@ def test_longtime_keeps_partial_trajectory_on_solver_failure(tmp_path, capsys):
     {"refine": {"n_lst": [11]}},
     {"problem": dict(RUN["problem"], grid={"n": 41, "bc": "neumann"})},
     {"solver": []},
+    {"tolerances": {"minimality": "tight"}},
+    {"seed": "x"},
+    {"fracture": {"eps": "abc", "delta_eps": 1e-3}},
+    {"fracture": {"eps": -0.1, "delta_eps": 1e-3}},
+    {"fracture": {"eps": 0.1, "delta_eps": 1e-3, "T": -1}},
+    {"fracture": {"eps": 0.1, "delta_eps": 1e-3, "m": 0}},
+    {"fracture": {"eps": 0.1, "delta_eps": 1e-3, "n": 0}},
+    {"refine": {"m_list": [0, 5]}},
+    {"refine": {"n_list": [0, 11]}},
+    {"problem": dict(RUN["problem"], m=2.5)},
+    {"problem": dict(RUN["problem"], m="3")},
+    {"problem": dict(RUN["problem"], grid={"n": True})},
+    {"refine": {"m_list": [5.7, 10.2]}},
+    {"fracture": {"eps": 0.1, "delta_eps": 1e-3, "n": "41"}},
+    {"solver": {"tol_kkt": "1e-9"}},
+    {"fracture": {"eps": 0.1, "delta_eps": 1e-3, "scan_range": 10}},
+    {"problem": dict(RUN["problem"], gamma={"preset": "at", "eps": 0.1, "delta": 1e-3,
+                                            "scan_range": 10})},
 ], ids=["method-pdas", "method-pg", "pdas_c", "max_outer-0", "tolerances-key",
-        "stride-0", "stride-str", "refine-key", "grid-key", "solver-list"])
+        "stride-0", "stride-str", "refine-key", "grid-key", "solver-list",
+        "minimality-str", "seed-str", "eps-str", "eps-negative", "fracture-T-negative",
+        "fracture-m-0", "fracture-n-0", "m_list-0", "n_list-0", "m-float", "m-str",
+        "grid-n-bool", "m_list-float", "fracture-n-str", "tol_kkt-str", "scan_range",
+        "gamma-at-scan_range"])
 def test_config_errors_exit_3_and_write_nothing(tmp_path, capsys, blocks):
     rc, out = run_cli(tmp_path, "run", with_blocks(RUN, **blocks))
     assert rc == cli.EXIT_CONFIG_ERROR
     assert "config error: " in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("fracture", {"fracture": {"eps": 0.1, "delta_eps": 1e-3,
+                               "load": {"preset": "ramp_sine", "scale": "abc"}}}),
+    ("fracture", {"fracture": {"eps": 0.1, "delta_eps": 1e-3, "z0": {"preset": "nope"}}}),
+    ("stationary", with_blocks(LONGTIME, stationary={"f_inf": {"preset": "nope"}})),
+    ("longtime", with_blocks(LONGTIME, longtime={"m_per_unit": 4.9})),
+    ("longtime", with_blocks(LONGTIME, longtime={"horizon": 0.01})),
+], ids=["load-scale-str", "fracture-z0-preset", "stationary-f_inf-preset",
+        "m_per_unit-float", "longtime-no-step"])
+def test_command_config_errors_exit_3_and_write_nothing(tmp_path, capsys, command, cfg):
+    rc, out = run_cli(tmp_path, command, cfg)
+    assert rc == cli.EXIT_CONFIG_ERROR
+    assert "config error: " in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def nonconvex(cfg):
+    """``cfg`` with gamma(s) = -2s under a unit weight: margin 1 - 2 = -1."""
+    out = with_blocks(cfg)
+    out["problem"].update(gamma={"preset": "linear", "slope": -2.0},
+                          sigma={"preset": "constant", "value": 1.0}, z0={"preset": "zero"})
+    return out
+
+
+def test_longtime_exits_1_on_data_that_fails_validation(tmp_path, capsys):
+    rc, out = run_cli(tmp_path, "longtime", nonconvex(LONGTIME))
+    assert rc == cli.EXIT_CHECK_FAILED
+    assert capsys.readouterr().out.startswith("FAIL  coercivity_margin: ")
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_stationary_exits_1_on_nonpositive_margin(tmp_path, capsys):
+    # convex evolution data, but the stationary weight 4 gives 1 - 0.5*4 = -1
+    cfg = with_blocks(LONGTIME, stationary={"sigma": {"preset": "constant", "value": 4.0}})
+    cfg["problem"]["gamma"] = {"preset": "linear", "slope": -0.5}
+    rc, out = run_cli(tmp_path, "stationary", cfg)
+    assert rc == cli.EXIT_CHECK_FAILED
+    assert capsys.readouterr().out.startswith("FAIL  convexity margin -1 ")
+    assert not any(out.iterdir())
+
+
+def test_run_force(tmp_path, capsys):
+    def run_forced(cfg, name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / name
+        return cli.main(["run", str(path), "--output-dir", str(out), "--force"]), out
+
+    inadmissible = with_blocks(RUN)
+    inadmissible["problem"]["z0"] = {"preset": "constant", "value": 5.0}
+    rc, out = run_forced(inadmissible, "forced")
+    assert rc in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED)
+    text = capsys.readouterr().out
+    assert "FAIL  initial_admissibility: " in text
+    assert "validation failed; continuing under --force" in text
+    assert sorted(p.name for p in out.iterdir()) == [
+        "energy_report.json", "trajectory.csv", "trajectory.json", "verdicts.json"]
+
+    rc, out = run_forced(nonconvex(RUN), "refused")
+    assert rc == cli.EXIT_CHECK_FAILED
+    assert "(convexity margin not positive)" in capsys.readouterr().out
+    assert not any(out.iterdir())

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from irrev import ATParams, Grid, constant_profile, recover_displacement, run_fracture
+from irrev import (ATParams, Grid, at_nonlinearity, constant_profile, recover_displacement,
+                   run_fracture)
 from irrev.fracture import at_energy, cumulative_load
 from irrev.presets import fracture_load
 
@@ -59,3 +60,12 @@ def test_at_energy_is_finite(fracture_run):
     assert np.all(result.at_energies > 0.0)
     st = result.coupled[-1]
     assert at_energy(st.z.grid, st, params) == result.at_energies[-1]
+
+
+def test_at_slope_bound_is_global():
+    # fn' is smallest at s = +-sqrt(delta); far from [0, 1] a scan would miss it
+    eps, delta = 0.1, 200.0
+    nl = at_nonlinearity(ATParams(eps=eps, delta=delta, load=constant_profile(0.0)))
+    exact = 1.0 / (4.0 * eps * delta ** 2)
+    assert abs(nl.slope_bound - exact) <= 1e-15 * exact
+    assert nl.max_one_sided_violation(-50, 50) == 0.0
