@@ -254,8 +254,7 @@ def cmd_run(cfg: dict, out_dir: Path, seed: int, force: bool = False) -> int:
         json.dump({"energies": list(map(float, energy_report.energies)),
                    "residuals": list(map(float, energy_report.residuals)),
                    "max_abs": energy_report.max_abs,
-                   "total_abs": energy_report.total_abs,
-                   "used_fd_derivatives": energy_report.used_fd_derivatives},
+                   "total_abs": energy_report.total_abs},
                   fh, sort_keys=True, indent=1)
 
     tol = cfg.get("tolerances", {})
@@ -429,8 +428,10 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        out_dir = _output_dir(cfg, args.output_dir)
         seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+        if not SEED[1](seed):
+            raise ConfigError(f"--seed must be {SEED[0]}, got {seed!r}")
+        out_dir = _output_dir(cfg, args.output_dir)
         if args.command == "check":
             return cmd_check(cfg, out_dir, seed)
         if args.command == "run":

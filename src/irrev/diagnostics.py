@@ -18,7 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .grid import Field, Grid, full_values, neg_laplacian, norm_h1
-from .model import QUAD_PTS, DiscretizedData, Nonlinearity, ProblemData, discretize_time
+from .model import (QUAD_PTS, DiscretizedData, Nonlinearity, ProblemData, discretize_time,
+                    time_blocks)
 from .obstacle import SolverOptions, step_energy
 
 
@@ -37,6 +38,21 @@ def energy(data: ProblemData, nl: Nonlinearity, u: Field, t: float) -> float:
                        data.lam, nl)
 
 
+def energies(data: ProblemData, nl: Nonlinearity, states: np.ndarray,
+             times: np.ndarray) -> np.ndarray:
+    """:func:`energy` of ``states[k]`` at ``times[k]`` for every ``k``, with
+    the data evaluated in one call per block of times (equal to the last
+    bit, by the array contract of :class:`~irrev.model.TimeProfile`)."""
+    g = data.grid
+    x = g.nodes
+    out = np.empty(len(times))
+    for sl in time_blocks(len(times), g.n):
+        f, w = data.source(x, times[sl]), data.weight(x, times[sl])
+        for i, k in enumerate(range(sl.start, sl.stop)):
+            out[k] = step_energy(g, states[k], f[i], w[i], data.lam, nl)
+    return out
+
+
 @dataclass(frozen=True)
 class EnergyReport:
     """Per-interval balance residuals of one run.
@@ -53,7 +69,6 @@ class EnergyReport:
     residuals: np.ndarray
     max_abs: float
     total_abs: float
-    used_fd_derivatives: bool
 
 
 @dataclass(frozen=True)
@@ -87,30 +102,31 @@ def balance_residual(traj, data: ProblemData, nl: Nonlinearity,
     right side integrates ``sum(d/dt weight * primitive(z)) - (d/dt source,
     z)`` in time by the composite midpoint rule, holding the state at its
     end-of-interval value (the constant interpolant, matching the scheme's
-    own accuracy).  Falls back to finite-difference time derivatives when a
-    profile has no analytic one, and flags the report.
+    own accuracy).  The time derivatives are evaluated in one call per
+    block of quadrature points.
     """
     g = traj.grid
     x = g.nodes
     h = g.h
     m = traj.m
-    residuals = np.empty(m)
-    used_fd = not (data.source.has_exact_dt and data.weight.has_exact_dt)
-    for k in range(1, m + 1):
-        t0, t1 = traj.times[k - 1], traj.times[k]
-        z = traj.states[k]
-        gz = np.asarray(nl.primitive(z), float)
-        pts = t0 + (np.arange(quad_pts) + 0.5) * ((t1 - t0) / quad_pts)
-        rhs = 0.0
-        for t in pts:
-            rhs += h * float(np.dot(data.weight.dt(x, t), gz))
-            rhs -= h * float(np.dot(data.source.dt(x, t), z))
-        rhs *= (t1 - t0) / quad_pts
-        residuals[k - 1] = (traj.energies[k] - traj.energies[k - 1]) - rhs
+    t0, t1 = traj.times[:-1], traj.times[1:]
+    # quadrature point j of step k is entry k*quad_pts + j
+    pts = (t0[:, None] + (np.arange(quad_pts) + 0.5) * ((t1 - t0) / quad_pts)[:, None]).ravel()
+    rhs = np.zeros(m)
+    for sl in time_blocks(pts.size, g.n):
+        wd, fd = data.weight.dt(x, pts[sl]), data.source.dt(x, pts[sl])
+        for i, r in enumerate(range(sl.start, sl.stop)):
+            k, j = divmod(r, quad_pts)
+            z = traj.states[k + 1]
+            if j == 0:
+                gz = np.asarray(nl.primitive(z), float)
+            rhs[k] += h * float(np.dot(wd[i], gz))
+            rhs[k] -= h * float(np.dot(fd[i], z))
+    rhs *= (t1 - t0) / quad_pts
+    residuals = (traj.energies[1:] - traj.energies[:-1]) - rhs
     abs_res = np.abs(residuals)
     return EnergyReport(energies=traj.energies.copy(), residuals=residuals,
-                        max_abs=float(abs_res.max()), total_abs=float(abs_res.sum()),
-                        used_fd_derivatives=used_fd)
+                        max_abs=float(abs_res.max()), total_abs=float(abs_res.sum()))
 
 
 def balance_order(data: ProblemData, nl: Nonlinearity, m_list,
@@ -188,11 +204,13 @@ def check_unilateral_minimality(traj, data: ProblemData, nl: Nonlinearity,
     z = traj.states[k]
     e_z = traj.energies[k]
     perts = admissible_perturbations(traj.grid, n_samples, seed)
+    x = data.grid.nodes
+    # the data at the stamp, shared by every competitor
+    f, w = data.source(x, traj.times[k]), data.weight(x, traj.times[k])
     worst = -np.inf
     worst_j = -1
     for j in range(n_samples):
-        v = Field(traj.grid, z - perts[j])
-        viol = e_z - energy(data, nl, v, traj.times[k])
+        viol = e_z - step_energy(data.grid, z - perts[j], f, w, data.lam, nl)
         if viol > worst:
             worst, worst_j = viol, j
     return _verdict("unilateral_minimality", max(worst, 0.0), tol,

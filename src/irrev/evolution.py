@@ -47,8 +47,8 @@ class Trajectory:
 
     ``states[k]`` is the state at ``times[k]`` (``k = 0..m``),
     ``multipliers[k-1]`` the step multiplier produced on ``(t_{k-1}, t_k]``,
-    ``energies[k]`` the energy at ``(states[k], times[k])`` evaluated through
-    the single evaluation path in :mod:`irrev.diagnostics`.
+    ``energies[k]`` the energy at ``(states[k], times[k])``, equal to the
+    last bit to :func:`irrev.diagnostics.energy`.
     """
 
     grid: Grid
@@ -88,9 +88,10 @@ def run_evolution(data: ProblemData, nl: Nonlinearity, m: int,
     obstacle.  The first active-set solve starts cold; each later one starts
     from the contact set of the step before.  On a per-step solver failure
     the partial trajectory built so far is attached to the raised
-    :class:`EvolutionError`.
+    :class:`EvolutionError`.  The stored energies are evaluated after the
+    steps, with the data at all stamps in one call per block of times.
     """
-    from .diagnostics import energy  # single evaluation path for stored energies
+    from .diagnostics import energies
 
     if validate_first:
         report = validate(data, nl)
@@ -103,11 +104,9 @@ def run_evolution(data: ProblemData, nl: Nonlinearity, m: int,
 
     states = np.empty((m + 1, n))
     multipliers = np.zeros((m, n))
-    energies = np.empty(m + 1)
     meta: list[StepMeta] = []
 
     states[0] = data.initial.values
-    energies[0] = energy(data, nl, data.initial, 0.0)
 
     active = None
     for k in range(1, m + 1):
@@ -118,18 +117,19 @@ def run_evolution(data: ProblemData, nl: Nonlinearity, m: int,
         except ObstacleError as exc:
             partial = Trajectory(
                 grid=g, times=disc.times[:k], states=states[:k].copy(),
-                multipliers=multipliers[:k - 1].copy(), energies=energies[:k].copy(),
+                multipliers=multipliers[:k - 1].copy(),
+                energies=energies(data, nl, states, disc.times[:k]),
                 tau=disc.tau, step_meta=tuple(meta), disc=disc)
             raise EvolutionError(k, partial, exc) from exc
         active = res.active
         states[k] = res.z.values
         multipliers[k - 1] = res.eta.values
-        energies[k] = energy(data, nl, res.z, disc.times[k])
         meta.append(StepMeta(k=k, iters=res.iters, kkt_residual=res.kkt_residual,
                              n_active=int(res.active.size)))
 
     return Trajectory(grid=g, times=disc.times, states=states,
-                      multipliers=multipliers, energies=energies,
+                      multipliers=multipliers,
+                      energies=energies(data, nl, states, disc.times),
                       tau=disc.tau, step_meta=tuple(meta), disc=disc)
 
 

@@ -16,6 +16,14 @@ the generic model with
 
 This module builds those ingredients, recovers the displacement from a
 phase field, and drives coupled quasistatic runs.
+
+Known limitation: the convexity margin ``lam - L*sup(weight)`` uses the
+global slope bound ``L = 1/(4*eps*delta^2)`` of ``fn``, while the weight
+grows with the square of the load.  For a ``ramp_sine`` load at eps = 0.1,
+delta = 1e-3 the margin is positive only for load scales below
+``pi*sqrt(1e-5)``, about 0.0099, and under such a load the phase field
+barely moves: the front end validates that run but cannot crack.  The
+bound is sharp on the real line, so the margin is not loosened.
 """
 
 from __future__ import annotations
@@ -119,48 +127,62 @@ def at_nonlinearity(params: ATParams) -> Nonlinearity:
 
 
 def _cumtrapz(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cumulative trapezoid of ``y`` along its last axis."""
     out = np.zeros_like(y)
-    out[1:] = np.cumsum(0.5 * np.diff(x) * (y[:-1] + y[1:]))
+    out[..., 1:] = np.cumsum(0.5 * np.diff(x) * (y[..., :-1] + y[..., 1:]), axis=-1)
     return out
 
 
-def cumulative_load(grid: Grid, params: ATParams, t: float) -> np.ndarray:
+def cumulative_load(grid: Grid, params: ATParams, t) -> np.ndarray:
     """H on all nodes: trapezoid integral of the load from the left end.
 
-    Checks the zero-average requirement (``|H(right end)|`` must vanish
-    within quadrature tolerance) and raises on violation.
+    A scalar ``t`` gives shape ``(n+2,)``, an array of times one row per
+    time.  Checks the zero-average requirement on every row (``|H(right
+    end)|`` must vanish within quadrature tolerance) and raises on the
+    first violation.
     """
     x_full = grid.nodes_full
-    h_vals = params.load(x_full, t)
-    H = _cumtrapz(x_full, h_vals)
-    scale = float(np.abs(H).max())
-    if abs(H[-1]) > 1e-8 * scale + 1e-14:
+    H = _cumtrapz(x_full, params.load(x_full, t))
+    rows = np.atleast_2d(H)
+    scale = np.abs(rows).max(axis=1)
+    bad = np.flatnonzero(np.abs(rows[:, -1]) > 1e-8 * scale + 1e-14)
+    if bad.size:
+        i = int(bad[0])
         raise ValueError(
-            f"load has nonzero spatial average at t={t:.6g}: "
-            f"H(end)={H[-1]:.3g} vs scale {scale:.3g}")
+            f"load has nonzero spatial average at t={np.atleast_1d(t)[i]:.6g}: "
+            f"H(end)={rows[i, -1]:.3g} vs scale {scale[i]:.3g}")
     return H
 
 
+def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """``np.interp(x[i], xp, fp[i])`` row by row (a single row when 1-D)."""
+    if fp.ndim == 1:
+        return np.interp(x, xp, fp)
+    return np.array([np.interp(xr, xp, fr) for xr, fr in zip(x, fp)])
+
+
 def load_to_sigma(grid: Grid, params: ATParams) -> TimeProfile:
-    """Weight profile ``H(x,t)^2`` induced by the load.
+    """Weight profile ``H(x,t)^2`` induced by the load, with its exact time
+    derivative ``2*H*dH/dt``.
 
     Grid-bound: H is integrated on the construction grid and linearly
     interpolated at requested coordinates (exact at the grid's own nodes).
-    The time derivative is analytic whenever the load's is.
+    The evaluators are row-wise rather than elementwise: each row of the
+    broadcast ``t`` holds one time, read from its first entry, whose H is
+    integrated over the whole grid.
     """
     x_full = grid.nodes_full
 
     def evaluator(x, t):
-        H = cumulative_load(grid, params, t)
-        return np.interp(np.asarray(x, float), x_full, H) ** 2
+        H = cumulative_load(grid, params, t[..., 0])
+        return _interp_rows(x, x_full, H) ** 2
 
     def dt_evaluator(x, t):
-        H = cumulative_load(grid, params, t)
-        dH = _cumtrapz(x_full, params.load.dt(x_full, t))
-        xq = np.asarray(x, float)
-        return 2.0 * np.interp(xq, x_full, H) * np.interp(xq, x_full, dH)
+        H = cumulative_load(grid, params, t[..., 0])
+        dH = _cumtrapz(x_full, params.load.dt(x_full, t[..., 0]))
+        return 2.0 * _interp_rows(x, x_full, H) * _interp_rows(x, x_full, dH)
 
-    return TimeProfile(evaluator, dt_evaluator if params.load.has_exact_dt else None)
+    return TimeProfile(evaluator, dt_evaluator)
 
 
 def recover_displacement(grid: Grid, z: Field | np.ndarray, params: ATParams,

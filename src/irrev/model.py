@@ -29,6 +29,8 @@ N_TIME_SAMPLES = 65
 SAMPLE_RANGE = 10.0
 #: midpoint-rule subintervals per step for every time average of the data
 QUAD_PTS = 8
+#: most (time, node) values one evaluation of the data holds; see :class:`TimeProfile`
+EVAL_BLOCK = 16384
 
 
 class ValidationError(RuntimeError):
@@ -121,13 +123,21 @@ def estimate_slope_bound(fn: Callable[[np.ndarray], np.ndarray], lo: float,
 
 
 class TimeProfile:
-    """Space-time coefficient ``(x, t) -> value`` with a time derivative.
+    """Space-time coefficient ``(x, t) -> value`` with its exact time derivative.
 
-    ``evaluator(x, t)`` must accept a 1-D coordinate array and a scalar time
-    and return an array of the same shape (scalar broadcasting is handled).
-    If no analytic time derivative is supplied a centered difference with
-    step ``1e-6 * max(1, |t|)`` is used and ``has_exact_dt`` is False; the
-    energy-balance diagnostics flag their reports in that case.
+    ``profile(x, t)`` and ``profile.dt(x, t)`` take 1-D node coordinates
+    ``x`` of length ``n``.  A scalar ``t`` gives shape ``(n,)``; a 1-D array
+    of times gives one row per time, shape ``(len(t), n)``.  Both go through
+    one code path: ``evaluator(x, t)`` and ``dt_evaluator(x, t)`` receive
+    ``x`` and ``t`` broadcast to the shape of the result and work
+    elementwise, so a pointwise formula such as ``np.full(np.shape(x),
+    f(t))`` serves both, and row ``i`` of an array evaluation equals the
+    evaluation at ``t[i]`` to the last bit.
+
+    One call holds every value it returns.  The stages that walk long time
+    arrays therefore evaluate them in blocks of at most :data:`EVAL_BLOCK`
+    (time, node) values, the slices of :func:`time_blocks`: that bounds the
+    evaluators' temporaries and so the peak memory of a long run.
 
     Evaluators must be pure functions: no hidden state, same output for the
     same input.  That contract is what makes problem data shareable across
@@ -135,28 +145,36 @@ class TimeProfile:
     """
 
     def __init__(self,
-                 evaluator: Callable[[np.ndarray, float], np.ndarray],
-                 dt_evaluator: Optional[Callable[[np.ndarray, float], np.ndarray]] = None,
+                 evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 dt_evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray],
                  limit: Optional[np.ndarray] = None):
         self._eval = evaluator
         self._dt = dt_evaluator
         #: known t -> infinity limit on the grid nodes, when the profile has one
         self.limit = None if limit is None else np.asarray(limit, dtype=float)
 
-    @property
-    def has_exact_dt(self) -> bool:
-        return self._dt is not None
+    def __call__(self, x: np.ndarray, t) -> np.ndarray:
+        return _evaluate(self._eval, x, t)
 
-    def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
-        out = np.asarray(self._eval(np.asarray(x, dtype=float), float(t)), dtype=float)
-        return np.broadcast_to(out, np.shape(x)).astype(float, copy=False)
+    def dt(self, x: np.ndarray, t) -> np.ndarray:
+        return _evaluate(self._dt, x, t)
 
-    def dt(self, x: np.ndarray, t: float) -> np.ndarray:
-        if self._dt is not None:
-            out = np.asarray(self._dt(np.asarray(x, dtype=float), float(t)), dtype=float)
-            return np.broadcast_to(out, np.shape(x)).astype(float, copy=False)
-        e = 1e-6 * max(1.0, abs(float(t)))
-        return (self(x, t + e) - self(x, t - e)) / (2.0 * e)
+
+def _evaluate(fn, x, t) -> np.ndarray:
+    """``fn`` on ``x`` and ``t`` broadcast to ``t.shape + x.shape``."""
+    xb, tb = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                 np.asarray(t, dtype=float)[..., None])
+    out = np.asarray(fn(xb, tb), dtype=float)
+    return np.broadcast_to(out, xb.shape).astype(float, copy=False)
+
+
+def time_blocks(n_times: int, n_nodes: int) -> list[slice]:
+    """Consecutive slices of ``range(n_times)`` holding ``EVAL_BLOCK //
+    n_nodes`` times each (at least one), so that evaluating a profile over
+    one slice holds at most :data:`EVAL_BLOCK` values, unless one time row
+    alone is larger."""
+    step = max(1, EVAL_BLOCK // max(n_nodes, 1))
+    return [slice(i, min(i + step, n_times)) for i in range(0, n_times, step)]
 
 
 def constant_profile(value: float) -> TimeProfile:
@@ -275,8 +293,9 @@ def validate(data: ProblemData, nl: Nonlinearity, seed: int = 0) -> ValidationRe
     x = g.nodes
     ts = np.linspace(0.0, data.horizon, N_TIME_SAMPLES)
 
-    w_samples = np.array([data.weight(x, t) for t in ts])
-    f_samples = np.array([data.source(x, t) for t in ts])
+    blocks = time_blocks(ts.size, g.n)
+    w_samples = np.concatenate([data.weight(x, ts[sl]) for sl in blocks])
+    f_samples = np.concatenate([data.source(x, ts[sl]) for sl in blocks])
     if not np.all(np.isfinite(w_samples)) or not np.all(np.isfinite(f_samples)):
         raise ValueError("weight/source evaluator returned non-finite values")
 
@@ -341,19 +360,21 @@ def discretize_time(data: ProblemData, m: int, quad_pts: int = QUAD_PTS) -> Disc
     times = tau * np.arange(m + 1)
 
     def averages(profile: TimeProfile, label: str) -> np.ndarray:
-        out = np.empty((m, g.n))
-        for k in range(1, m + 1):
-            pts = times[k - 1] + (np.arange(quad_pts) + 0.5) * (tau / quad_pts)
-            acc = np.zeros(g.n)
-            for t in pts:
-                v = profile(x, t)
+        # quadrature point j of every step in one call per block of steps,
+        # summed over j in order as a per-step loop would
+        out = np.zeros((m, g.n))
+        for sl in time_blocks(m, g.n):
+            for j in range(quad_pts):
+                ts = times[sl] + (j + 0.5) * (tau / quad_pts)
+                v = profile(x, ts)
                 if not np.all(np.isfinite(v)):
-                    bad = int(np.flatnonzero(~np.isfinite(v))[0])
+                    i, bad = np.unravel_index(int(np.flatnonzero(~np.isfinite(v))[0]),
+                                              v.shape)
                     raise ValueError(
                         f"{label} evaluator returned a non-finite value at "
-                        f"x={x[bad]:.6g}, t={t:.6g}")
-                acc += v
-            out[k - 1] = acc / quad_pts
+                        f"x={x[bad]:.6g}, t={ts[i]:.6g}")
+                out[sl] += v
+        out /= quad_pts
         return out
 
     f0 = data.source(x, 0.0)
@@ -381,9 +402,11 @@ def default_lower_envelope(data: ProblemData, n_quad: int = 1024) -> Field:
     T = data.horizon
     pts = (np.arange(n_quad) + 0.5) * (T / n_quad)
     acc = np.zeros(g.n)
-    for t in pts:
-        d = np.abs(data.source.dt(x, t))
+    for sl in time_blocks(n_quad, g.n):
+        d = np.abs(data.source.dt(x, pts[sl]))
         if not np.all(np.isfinite(d)):
-            raise ValueError(f"source time derivative non-finite at t={t:.6g}")
-        acc += d
+            i = int(np.flatnonzero(~np.all(np.isfinite(d), axis=1))[0])
+            raise ValueError(f"source time derivative non-finite at t={pts[sl][i]:.6g}")
+        # cumsum adds the rows one after another, as a per-time loop would
+        acc = np.cumsum(np.vstack((acc, d)), axis=0)[-1]
     return Field(g, data.source(x, 0.0) - acc * (T / n_quad))

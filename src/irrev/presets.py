@@ -115,7 +115,12 @@ def space_values(grid: Grid, spec: dict, where: str = "space") -> np.ndarray:
 def time_profile(grid: Grid, spec: dict, where: str = "profile") -> TimeProfile:
     """Presets: ``constant`` (value or space), ``linear_t`` (base, rate),
     ``exp_relax`` (limit, bump, optional rate), ``step_t`` (before, after,
-    t_switch), ``tabulated`` (times, values)."""
+    t_switch), ``tabulated`` (times, values).
+
+    Every preset has its exact time derivative.  ``tabulated`` is linear in
+    t between its knots and constant outside them, so its derivative is
+    piecewise constant: at a knot the slope of the interval to its right
+    applies, and at the last knot and beyond it is 0."""
     kind = spec.get("preset")
     x_nodes = grid.nodes
 
@@ -163,7 +168,7 @@ def time_profile(grid: Grid, spec: dict, where: str = "profile") -> TimeProfile:
         ts = float(p["t_switch"])
 
         def ev(x, t):
-            return np.full(np.shape(x), after if t > ts else before)
+            return np.where(t > ts, after, before)
 
         # derivative is zero away from the switch; the jump itself carries
         # the change and is invisible to pointwise sampling
@@ -181,16 +186,32 @@ def time_profile(grid: Grid, spec: dict, where: str = "profile") -> TimeProfile:
         if np.any(np.diff(times) <= 0):
             raise PresetError(f"{where}: tabulated times must increase")
 
-        def ev(x, t):
-            xq = np.asarray(x, float)
-            t = float(np.clip(t, times[0], times[-1]))
-            j = int(np.searchsorted(times, t, side="right")) - 1
-            j = min(max(j, 0), times.size - 2)
-            theta = (t - times[j]) / (times[j + 1] - times[j])
-            row = (1 - theta) * table[j] + theta * table[j + 1]
-            return np.interp(xq, x_nodes, row)
+        def bracket(x, t):
+            """Each t clamped to the table, the index j of its interval
+            [times[j], times[j+1]), and rows j and j+1 interpolated at x."""
+            tc = np.clip(t, times[0], times[-1])
+            j = np.clip(np.searchsorted(times, tc, side="right") - 1, 0, times.size - 2)
+            lo, hi = np.empty(np.shape(x)), np.empty(np.shape(x))
+            for u in np.unique(j):
+                sel = j == u
+                lo[sel] = np.interp(x[sel], x_nodes, table[u])
+                hi[sel] = np.interp(x[sel], x_nodes, table[u + 1])
+            return tc, j, lo, hi
 
-        return TimeProfile(ev, limit=table[-1])
+        def ev(x, t):
+            tc, j, lo, hi = bracket(x, t)
+            theta = (tc - times[j]) / (times[j + 1] - times[j])
+            return (1 - theta) * lo + theta * hi
+
+        def dev(x, t):
+            # piecewise constant: at a knot the slope of the interval that
+            # starts there applies; 0 before the first time and from the
+            # last time on, where the table is held constant
+            _, j, lo, hi = bracket(x, t)
+            inside = (t >= times[0]) & (t < times[-1])
+            return np.where(inside, (hi - lo) / (times[j + 1] - times[j]), 0.0)
+
+        return TimeProfile(ev, dev, limit=table[-1])
 
     raise PresetError(f"unknown {where} preset {kind!r}")
 
@@ -233,11 +254,10 @@ def fracture_load(spec: dict) -> TimeProfile:
             else (lambda x: np.sin(np.pi * np.asarray(x, float)))
 
         def ev(x, t):
-            return scale * min(t / ramp, 1.0) * shape(x)
+            return scale * np.minimum(t / ramp, 1.0) * shape(x)
 
         def dev(x, t):
-            c = scale / ramp if t < ramp else 0.0
-            return c * shape(x)
+            return np.where(t < ramp, scale / ramp, 0.0) * shape(x)
 
         return TimeProfile(ev, dev)
     raise PresetError(f"unknown load preset {kind!r}")

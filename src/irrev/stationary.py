@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import Field, Grid, norm_h1
-from .model import QUAD_PTS, Nonlinearity, ProblemData
+from .model import QUAD_PTS, Nonlinearity, ProblemData, time_blocks
 from .obstacle import ObstacleResult, SolverOptions, solve_step
 
 M_PER_UNIT = 16            # steps per unit time of a long run
@@ -94,8 +94,10 @@ def run_longtime(data: ProblemData, nl: Nonlinearity, horizon: float,
     # precondition flags
     t_samples = np.linspace(0.0, horizon, 33)
     w0 = data.weight(x, 0.0)
-    w_dev = max(float(np.abs(data.weight(x, t) - w0).max()) for t in t_samples)
-    f_above = min(float((data.source(x, t) - f_inf.values).min()) for t in t_samples)
+    blocks = time_blocks(t_samples.size, g.n)
+    w_dev = max(float(np.abs(data.weight(x, t_samples[sl]) - w0).max()) for sl in blocks)
+    f_above = min(float((data.source(x, t_samples[sl]) - f_inf.values).min())
+                  for sl in blocks)
 
     run_data = replace(data, horizon=float(horizon))
     traj = run_evolution(run_data, nl, m, opts=opts, quad_pts=quad_pts)

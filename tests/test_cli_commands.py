@@ -43,6 +43,28 @@ def test_refine_writes_refinement_csv(tmp_path):
     assert [r[3] == "" for r in rows[1:]] == [True, False, True, False]
 
 
+def test_refine_exits_1_when_tau_gaps_do_not_decrease(tmp_path, capsys):
+    # the weight of RUN switches at t = 1/2, a stamp for m = 10 but not for
+    # m = 5 or 11, so the gap from 10 to 11 exceeds the gap from 5 to 10
+    cfg = with_blocks(RUN, refine={"m_list": [5, 10, 11], "n_list": []})
+    rc, out = run_cli(tmp_path, "refine", cfg)
+    assert rc == cli.EXIT_CHECK_FAILED
+    assert "refinement gaps do NOT decrease" in capsys.readouterr().out
+    rows = read_csv(out / "refinement.csv")
+    gaps = [float(r[3]) for r in rows[2:]]
+    assert len(gaps) == 2 and gaps[1] >= gaps[0]
+
+
+def test_command_line_seed_outside_its_domain_exits_3(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(RUN))
+    out = tmp_path / "out"
+    rc = cli.main(["check", str(path), "--output-dir", str(out), "--seed", "-1"])
+    assert rc == cli.EXIT_CONFIG_ERROR
+    assert "config error: --seed must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stationary_writes_z_inf_csv(tmp_path):
     cfg = with_blocks(LONGTIME, stationary={"f_inf": {"preset": "constant", "value": 0.5}})
     rc, out = run_cli(tmp_path, "stationary", cfg)

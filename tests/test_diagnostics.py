@@ -70,17 +70,6 @@ def test_balance_vanishes_on_stationary_run(stationary_traj):
     data, traj = stationary_traj
     rep = balance_residual(traj, data, TANH)
     assert rep.max_abs <= 1e-10
-    assert not rep.used_fd_derivatives
-
-
-def test_balance_flags_fd_fallback():
-    g = Grid(0.0, 1.0, 5)
-    from irrev.model import TimeProfile
-    src = TimeProfile(lambda x, t: np.full(np.shape(x), 1.0))  # no analytic dt
-    data = ProblemData(grid=g, lam=1.0, weight=constant_profile(0.0),
-                       source=src, initial=Field(g, np.zeros(5)), horizon=1.0)
-    traj = run_evolution(data, ZERO, m=3)
-    assert balance_residual(traj, data, ZERO).used_fd_derivatives
 
 
 def test_balance_hand_ledger_scalar_two_step():

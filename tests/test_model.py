@@ -142,7 +142,8 @@ def test_averages_telescope_to_total_integral():
 
 
 def test_nonfinite_evaluator_reports_location():
-    bad = TimeProfile(lambda x, t: np.full(np.shape(x), np.inf if t > 0.5 else 0.0))
+    bad = TimeProfile(lambda x, t: np.full(np.shape(x), np.where(t > 0.5, np.inf, 0.0)),
+                      lambda x, t: np.zeros(np.shape(x)))
     data = make_data(source=bad)
     with pytest.raises(ValueError, match="non-finite"):
         discretize_time(data, 4, quad_pts=2)
@@ -171,9 +172,3 @@ def test_envelope_of_sine_source():
     env = default_lower_envelope(data, n_quad=20000)
     np.testing.assert_allclose(env.values, -2.0, atol=1e-6)
 
-
-def test_time_profile_fd_fallback():
-    prof = TimeProfile(lambda x, t: np.full(np.shape(x), t ** 2))
-    assert not prof.has_exact_dt
-    x = np.array([0.3])
-    assert prof.dt(x, 1.7)[0] == pytest.approx(3.4, rel=1e-6)

@@ -14,7 +14,8 @@ def one_stamp_partial() -> EvolutionError:
     g = Grid(0.0, 1.0, 7, "dirichlet", "neumann")
     z0 = smooth_values(np.random.default_rng(3), g, amplitude=0.7)
     data = ProblemData(grid=g, lam=1.0,
-                       weight=TimeProfile(lambda x, t: np.full(np.shape(x), 2.0)),
+                       weight=TimeProfile(lambda x, t: np.full(np.shape(x), 2.0),
+                                          lambda x, t: np.zeros(np.shape(x))),
                        source=constant_profile(0.0), initial=Field(g, z0), horizon=1.0)
     nl = nonlinearity({"preset": "linear", "slope": -1.0})  # L = 1 > lam / weight
     with pytest.raises(EvolutionError) as err:
