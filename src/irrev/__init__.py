@@ -8,7 +8,7 @@ stepping driver with interpolants, post-hoc structural diagnostics, the
 stationary limit problem, and a phase-field fracture front end.
 """
 
-from .grid import BC, Field, Grid, GridMismatchError, inner_l2, neg_laplacian, norm_h1, norm_l2
+from .grid import BC, Field, Grid, GridMismatchError, inner_l2, neg_laplacian, norm_h1
 from .model import (DiscretizedData, Nonlinearity, ProblemData, TimeProfile,
                     ValidationError, ValidationReport, constant_profile,
                     default_lower_envelope, discretize_time, estimate_slope_bound,

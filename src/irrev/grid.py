@@ -161,10 +161,6 @@ def inner_l2(grid: Grid, u: Field | np.ndarray, v: Field | np.ndarray) -> float:
     return grid.h * float(np.dot(uv, vv))
 
 
-def norm_l2(grid: Grid, u: Field | np.ndarray) -> float:
-    return float(np.sqrt(max(inner_l2(grid, u, u), 0.0)))
-
-
 def forward_jumps(grid: Grid, u: Field | np.ndarray) -> np.ndarray:
     """Forward differences ``(u_{i+1} - u_i)/h`` including the boundary jumps.
 

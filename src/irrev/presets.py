@@ -183,8 +183,8 @@ def time_profile(grid: Grid, spec: dict, where: str = "profile") -> TimeProfile:
             raise PresetError(
                 f"{where}: tabulated values must be (len(times), n) = "
                 f"({times.size}, {grid.n})")
-        if np.any(np.diff(times) <= 0):
-            raise PresetError(f"{where}: tabulated times must increase")
+        if times.size < 2 or np.any(np.diff(times) <= 0):
+            raise PresetError(f"{where}: tabulated times must be at least two, increasing")
 
         def bracket(x, t):
             """Each t clamped to the table, the index j of its interval

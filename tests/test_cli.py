@@ -56,7 +56,7 @@ def test_run_writes_trajectory_and_verdicts(tmp_path, monkeypatch):
 
     verdicts = json.loads((out / "verdicts.json").read_text())
     assert [v["name"] for v in verdicts] == \
-        ["irreversibility", "lewy_stampacchia", "dissipation_sign"] + ["unilateral_minimality"] * 5
+        ["irreversibility", "lewy_stampacchia", "dissipation_sign", "unilateral_minimality"]
     assert all(v["passed"] for v in verdicts)
 
     meta = json.loads((out / "trajectory.json").read_text())["step_meta"]
@@ -66,6 +66,31 @@ def test_run_writes_trajectory_and_verdicts(tmp_path, monkeypatch):
     switch = meta[5]
     assert switch["iters"] > 2 and switch["n_active"] > 0
     assert all(s["iters"] == 1 for s in meta[:5] + meta[6:])
+
+
+def test_run_certifies_minimality_where_the_source_falls(tmp_path, capsys):
+    # the source rises on (0, 1/2) and falls on (1/2, 1), where the data at a
+    # stamp differ from the averaged data the step minimized
+    cfg = {
+        "problem": {
+            "grid": {"n": 301, "a": 0.0, "b": 1.0},
+            "lambda": 1.0,
+            "gamma": {"preset": "tanh", "amplitude": 1.0},
+            "sigma": {"preset": "constant", "value": 1.0},
+            "f": {"preset": "linear_t", "base": {"preset": "constant", "value": 1.0},
+                  "rate": {"preset": "sine", "amplitude": 1.0, "mode": 2}},
+            "z0": {"preset": "equilibrium"},
+            "T": 1.0, "m": 50, "quad_pts": 8},
+        "output": {"stride": 1},
+        "seed": 0,
+    }
+    rc, out = run_cli(tmp_path, "run", cfg)
+    assert rc == cli.EXIT_OK
+    assert "FAIL" not in capsys.readouterr().out
+    [v] = [v for v in json.loads((out / "verdicts.json").read_text())
+           if v["name"] == "unilateral_minimality"]
+    assert v["max_violation"] <= 1e-10 and v["tolerance"] == 1e-10
+    assert v["note"] == "averaged-data certificate over 50 steps"
 
 
 @pytest.mark.parametrize("command,cfg,steps", [

@@ -140,12 +140,17 @@ def test_longtime_keeps_partial_trajectory_on_solver_failure(tmp_path, capsys):
     {"fracture": {"eps": 0.1, "delta_eps": 1e-3, "scan_range": 10}},
     {"problem": dict(RUN["problem"], gamma={"preset": "at", "eps": 0.1, "delta": 1e-3,
                                             "scan_range": 10})},
+    # with z0 zero no data is evaluated while the problem is built
+    {"problem": dict(RUN["problem"], z0={"preset": "zero"},
+                     sigma={"preset": "constant", "value": float("nan")})},
+    {"problem": dict(RUN["problem"], z0={"preset": "zero"},
+                     f={"preset": "tabulated", "times": [0.0], "values": [[1.0] * 41]})},
 ], ids=["method-pdas", "method-pg", "pdas_c", "max_outer-0", "tolerances-key",
         "stride-0", "stride-str", "refine-key", "grid-key", "solver-list",
         "minimality-str", "seed-str", "eps-str", "eps-negative", "fracture-T-negative",
         "fracture-m-0", "fracture-n-0", "m_list-0", "n_list-0", "m-float", "m-str",
         "grid-n-bool", "m_list-float", "fracture-n-str", "tol_kkt-str", "scan_range",
-        "gamma-at-scan_range"])
+        "gamma-at-scan_range", "nan-literal", "tabulated-one-knot"])
 def test_config_errors_exit_3_and_write_nothing(tmp_path, capsys, blocks):
     rc, out = run_cli(tmp_path, "run", with_blocks(RUN, **blocks))
     assert rc == cli.EXIT_CONFIG_ERROR

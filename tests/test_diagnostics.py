@@ -4,8 +4,8 @@ import pytest
 from irrev import (Field, Grid, ProblemData, Trajectory, balance_order,
                    balance_residual, check_comparison, check_irreversibility,
                    check_lewy_stampacchia, check_unilateral_minimality,
-                   constant_profile, energy, refinement_study, run_evolution,
-                   step_energy)
+                   constant_profile, energy, load_trajectory, refinement_study,
+                   run_evolution, save_trajectory, step_energy)
 from irrev.diagnostics import check_dissipation_sign, verdicts_to_json
 from irrev.presets import nonlinearity, time_profile
 
@@ -101,16 +101,17 @@ def test_balance_decays_linearly_under_step_refinement():
 
 def test_minimality_on_stationary_run(stationary_traj):
     data, traj = stationary_traj
-    v = check_unilateral_minimality(traj, data, TANH, traj.times[-1],
-                                    n_samples=1000, seed=3)
+    v = check_unilateral_minimality(traj, TANH, data.lam)
     assert v.passed
     assert v.max_violation <= 1e-10
+    assert v.note == f"averaged-data certificate over {traj.m} steps"
 
 
-def test_minimality_rejects_non_stamp_time(stationary_traj):
+def test_minimality_needs_averaged_data(stationary_traj, tmp_path):
     data, traj = stationary_traj
+    save_trajectory(traj, tmp_path)
     with pytest.raises(ValueError):
-        check_unilateral_minimality(traj, data, TANH, traj.times[1] * 1.01)
+        check_unilateral_minimality(load_trajectory(tmp_path), TANH, data.lam)
 
 
 def test_minimality_detects_injected_fault(stationary_traj):
@@ -123,17 +124,14 @@ def test_minimality_detects_injected_fault(stationary_traj):
                            states=corrupted_states, multipliers=traj.multipliers,
                            energies=energies, tau=traj.tau,
                            step_meta=traj.step_meta, disc=traj.disc)
-    v = check_unilateral_minimality(corrupted, data, TANH, traj.times[-1],
-                                    n_samples=1000, seed=3)
+    v = check_unilateral_minimality(corrupted, TANH, data.lam)
     assert not v.passed
 
 
-def test_minimality_deterministic_given_seed(stationary_traj):
-    data, traj = stationary_traj
-    a = check_unilateral_minimality(traj, data, TANH, traj.times[2],
-                                    n_samples=64, seed=11)
-    b = check_unilateral_minimality(traj, data, TANH, traj.times[2],
-                                    n_samples=64, seed=11)
+def test_minimality_deterministic(moving):
+    data, traj = moving
+    a = check_unilateral_minimality(traj, TANH, data.lam)
+    b = check_unilateral_minimality(traj, TANH, data.lam)
     assert a.to_json() == b.to_json()
     assert verdicts_to_json([a]) == verdicts_to_json([b])
 

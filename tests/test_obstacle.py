@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from irrev import (CoercivityLost, Field, Grid, SolverOptions, inner_l2,
-                   neg_laplacian, oracle_enumerate, solve_step, solve_step_pg,
-                   solve_unconstrained, step_energy)
+from irrev import (CoercivityLost, DiscretizedData, Field, Grid, SolverOptions,
+                   Trajectory, check_unilateral_minimality, inner_l2, neg_laplacian,
+                   oracle_enumerate, solve_step, solve_step_pg, solve_unconstrained,
+                   step_energy)
 from irrev.grid import laplacian_diagonals
 from irrev.presets import nonlinearity
 
@@ -186,6 +187,19 @@ def test_kkt_certificate(seed):
         assert kkt_violation(grid, res, obstacle, source, weight, lam, nl) <= opts.tol_kkt
 
 
+def minimality_certificate(grid, state, source, weight, lam, nl):
+    """``check_unilateral_minimality``'s bound for ``state`` as the one step
+    of a trajectory with data ``(source, weight)``."""
+    one = np.ones((1, grid.n))
+    disc = DiscretizedData(m=1, tau=1.0, times=np.array([0.0, 1.0]),
+                           source_avg=source * one, weight_avg=weight * one,
+                           source_init=source, weight_init=weight)
+    traj = Trajectory(grid=grid, times=disc.times, states=np.stack([state, state]),
+                      multipliers=np.zeros((1, grid.n)), energies=np.zeros(2),
+                      tau=1.0, step_meta=(), disc=disc)
+    return check_unilateral_minimality(traj, nl, lam).max_violation
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_minimality_against_random_admissible_states(seed):
     grid, obstacle, source, weight, lam, nl = random_step_instance(seed + 200)
@@ -195,6 +209,17 @@ def test_minimality_against_random_admissible_states(seed):
     for _ in range(100):
         v = obstacle.values - np.abs(smooth_values(rng, grid, rng.uniform(0.05, 1.5)))
         assert j_star <= step_energy(grid, v, source, weight, lam, nl) + 1e-10
+
+    # the certificate bounds the gain of every competitor below a state: the
+    # solved one (a bound near 0) and one lifted off it (a bound far from 0)
+    lifted = res.z.values + np.abs(smooth_values(rng, grid, 0.1))
+    for state in (res.z.values, lifted):
+        bound = minimality_certificate(grid, state, source, weight, lam, nl)
+        j_state = step_energy(grid, state, source, weight, lam, nl)
+        for _ in range(100):
+            p = np.abs(smooth_values(rng, grid, 10.0 ** rng.uniform(-4, 0.2)))
+            gain = j_state - step_energy(grid, state - p, source, weight, lam, nl)
+            assert gain <= bound + 1e-14
 
 
 @pytest.mark.parametrize("seed", range(10))
