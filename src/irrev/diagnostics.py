@@ -4,6 +4,10 @@ Everything here is pure post-processing over an immutable trajectory and is
 deterministic given its inputs.  Tolerances follow two regimes: algebraic
 identities are asserted at 1e-10..1e-12, discretization-limited statements
 are reported as refinement trends rather than absolute numbers.
+
+The minimality and two-sided verdicts apply the solver's step operator to
+all step states in one array pass; the energies, the balance and the
+dissipation sign keep one evaluation per stamp, equal to :func:`energy`.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import Field, Grid, full_values, neg_laplacian, norm_h1
-from .model import (QUAD_PTS, DiscretizedData, Nonlinearity, ProblemData, discretize_time,
-                    time_blocks)
+from .grid import Field, Grid, full_values, laplacian_diagonals, norm_h1
+from .model import (QUAD_PTS, ZERO_NONLINEARITY, DiscretizedData, Nonlinearity, ProblemData,
+                    _step_residual, discretize_time, time_blocks)
 from .obstacle import SolverOptions, step_energy
 
 
@@ -152,6 +156,12 @@ def balance_order(data: ProblemData, nl: Nonlinearity, m_list,
 # unilateral minimality
 # --------------------------------------------------------------------------
 
+def _averaged_data(traj) -> DiscretizedData:
+    if traj.disc is None:
+        raise ValueError("trajectory carries no interval-averaged data")
+    return traj.disc
+
+
 def check_unilateral_minimality(traj, nl: Nonlinearity, lam: float,
                                 tol: float = 1e-10) -> CheckVerdict:
     """Certified bound on how far each step state is from minimal below itself.
@@ -167,23 +177,17 @@ def check_unilateral_minimality(traj, nl: Nonlinearity, lam: float,
 
     Violation is the largest bound over all steps; ``worst`` is that step
     and the node of its most negative ``eta_k``.  Needs the trajectory's
-    averaged data, ``traj.disc``.
+    averaged data, ``traj.disc``; all steps are evaluated in one pass.
     """
-    g = traj.grid
-    disc = traj.disc
-    if disc is None:
-        raise ValueError("trajectory carries no interval-averaged data")
-    worst = -np.inf
-    worst_loc = (0, 0)
-    for k in range(1, traj.m + 1):
-        zk = traj.states[k]
-        fk, wk = disc.source_avg[k - 1], disc.weight_avg[k - 1]
-        eta = fk - (neg_laplacian(g, zk).values + lam * zk + wk * np.asarray(nl.fn(zk), float))
-        neg = np.minimum(eta, 0.0)
-        bound = g.h * float(np.dot(neg, neg)) / (2.0 * nl.convexity_margin(lam, wk))
-        if bound > worst:
-            worst, worst_loc = bound, (k, int(np.argmin(eta)))
-    return _verdict("unilateral_minimality", worst, tol, worst=worst_loc,
+    disc = _averaged_data(traj)
+    eta = -_step_residual(traj.states[1:], disc.source_avg, disc.weight_avg, lam, nl,
+                          laplacian_diagonals(traj.grid))
+    neg = np.minimum(eta, 0.0)
+    bounds = (traj.grid.h * (neg * neg).sum(axis=1)
+              / (2.0 * nl.convexity_margin(lam, disc.weight_avg)))
+    k = int(np.argmax(bounds))
+    return _verdict("unilateral_minimality", bounds[k], tol,
+                    worst=(k + 1, int(np.argmin(eta[k]))),
                     note=f"averaged-data certificate over {traj.m} steps")
 
 
@@ -191,8 +195,8 @@ def check_unilateral_minimality(traj, nl: Nonlinearity, lam: float,
 # two-sided operator bound per step
 # --------------------------------------------------------------------------
 
-def check_lewy_stampacchia(traj, disc: DiscretizedData, lam: float,
-                           nl: Nonlinearity, tol: float = 1e-8) -> CheckVerdict:
+def check_lewy_stampacchia(traj, lam: float, nl: Nonlinearity,
+                           tol: float = 1e-8) -> CheckVerdict:
     """Nodewise two-sided bound pinning the step operator output.
 
     At every step the elliptic output of the new state must lie between the
@@ -202,23 +206,20 @@ def check_lewy_stampacchia(traj, disc: DiscretizedData, lam: float,
 
         min(f_k, -Lap z_{k-1} + lam z_{k-1} + w_k fn(z_k))
             <= -Lap z_k + lam z_k + w_k fn(z_k) <= f_k.
+
+    With the step residual ``G_k`` and ``A = -Lap + lam`` that reads ``G_k
+    <= 0`` and ``min(-G_k, A(z_{k-1} - z_k)) <= 0``, checked for all steps
+    in one pass.  Needs the trajectory's averaged data, ``traj.disc``.
     """
-    g = traj.grid
-    worst = -np.inf
-    worst_loc = (0, 0)
-    for k in range(1, traj.m + 1):
-        zk = traj.states[k]
-        zp = traj.states[k - 1]
-        fk = disc.source_avg[k - 1]
-        wk = disc.weight_avg[k - 1]
-        react = wk * np.asarray(nl.fn(zk), float)
-        mid = neg_laplacian(g, zk).values + lam * zk + react
-        low = np.minimum(fk, neg_laplacian(g, zp).values + lam * zp + react)
-        viol = np.maximum(low - mid, mid - fk)
-        i = int(np.argmax(viol))
-        if viol[i] > worst:
-            worst, worst_loc = float(viol[i]), (k, i)
-    return _verdict("lewy_stampacchia", max(worst, 0.0), tol, worst=worst_loc)
+    disc = _averaged_data(traj)
+    lap = laplacian_diagonals(traj.grid)
+    z = traj.states[1:]
+    G = _step_residual(z, disc.source_avg, disc.weight_avg, lam, nl, lap)
+    drop = _step_residual(traj.states[:-1] - z, 0.0, 0.0, lam, ZERO_NONLINEARITY, lap)
+    viol = np.maximum(np.minimum(-G, drop), G)
+    k, i = np.unravel_index(int(np.argmax(viol)), viol.shape)
+    return _verdict("lewy_stampacchia", max(float(viol[k, i]), 0.0), tol,
+                    worst=(int(k) + 1, int(i)))
 
 
 def check_irreversibility(traj, tol: float = 1e-12) -> CheckVerdict:
@@ -233,9 +234,7 @@ def check_dissipation_sign(traj, nl: Nonlinearity, lam: float,
                            tol: float = 1e-12) -> CheckVerdict:
     """Each step must not increase its own frozen-data step energy."""
     g = traj.grid
-    disc = traj.disc
-    if disc is None:
-        raise ValueError("trajectory carries no interval-averaged data")
+    disc = _averaged_data(traj)
     worst = -np.inf
     worst_k = 0
     for k in range(1, traj.m + 1):

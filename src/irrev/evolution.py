@@ -67,11 +67,6 @@ class Trajectory:
     def state(self, k: int) -> Field:
         return Field(self.grid, self.states[k])
 
-    def multiplier(self, k: int) -> Field:
-        if not 1 <= k <= self.m:
-            raise IndexError(f"multiplier index {k} outside 1..{self.m}")
-        return Field(self.grid, self.multipliers[k - 1])
-
     def max_movement(self) -> float:
         """Largest nodewise total movement over the run."""
         return float(np.abs(self.states - self.states[0]).max())
@@ -189,8 +184,8 @@ def write_csv(path: str | Path, header: Sequence[str], blocks) -> None:
 
 
 def save_trajectory(traj: Trajectory, directory: str | Path,
-                    stem: str = "trajectory", stride: int = 1) -> tuple[Path, Path]:
-    """Write ``<stem>.csv`` (long format: t, x, z, eta) and ``<stem>.json``.
+                    stride: int = 1) -> tuple[Path, Path]:
+    """Write ``trajectory.csv`` (long format: t, x, z, eta) and ``trajectory.json``.
 
     Values are printed with 17 significant digits so a round trip through
     :func:`load_trajectory` reproduces them to the last bit.  ``stride``
@@ -202,8 +197,8 @@ def save_trajectory(traj: Trajectory, directory: str | Path,
         raise ValueError("stride must be >= 1")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    csv_path = directory / f"{stem}.csv"
-    json_path = directory / f"{stem}.json"
+    csv_path = directory / "trajectory.csv"
+    json_path = directory / "trajectory.json"
 
     keep = sorted(set(range(0, traj.m + 1, stride)) | {0, traj.m})
     n, x = traj.grid.n, traj.grid.nodes
@@ -229,14 +224,14 @@ def save_trajectory(traj: Trajectory, directory: str | Path,
     return csv_path, json_path
 
 
-def load_trajectory(directory: str | Path, stem: str = "trajectory") -> Trajectory:
+def load_trajectory(directory: str | Path) -> Trajectory:
     """Rebuild a trajectory from :func:`save_trajectory` output.
 
     Only the serialized content is restored (no problem data, no interval
     averages); a thinned save loads as a trajectory over the kept stamps.
     """
     directory = Path(directory)
-    with open(directory / f"{stem}.json") as fh:
+    with open(directory / "trajectory.json") as fh:
         manifest = json.load(fh)
     gspec = manifest["grid"]
     grid = Grid(a=gspec["a"], b=gspec["b"], n=gspec["n"],
@@ -244,7 +239,7 @@ def load_trajectory(directory: str | Path, stem: str = "trajectory") -> Trajecto
 
     times = np.asarray(manifest["times"], dtype=float)
     n, m1 = grid.n, times.size
-    rows = np.loadtxt(directory / f"{stem}.csv", delimiter=",", skiprows=1, ndmin=2)
+    rows = np.loadtxt(directory / "trajectory.csv", delimiter=",", skiprows=1, ndmin=2)
     if rows.shape != (m1 * n, 4):
         raise ValueError("trajectory CSV does not match the manifest")
     states = rows[:, 2].reshape(m1, n).copy()

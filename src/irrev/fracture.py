@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import BC, Field, Grid, as_values, forward_jumps, full_values
+from .grid import BC, Field, Grid, full_values
 from .model import (QUAD_PTS, ZERO_NONLINEARITY, Nonlinearity, ProblemData,
                     TimeProfile, constant_profile, validate)
 from .obstacle import SolverOptions, solve_unconstrained
@@ -78,19 +78,20 @@ class ATParams:
 
 @dataclass(frozen=True)
 class CoupledState:
-    """Phase field plus recovered displacement at one instant.
+    """Phase field plus recovered displacement at one instant ``t``, or one
+    row per stamp when ``t`` holds several times.
 
     The displacement solves a pure zero-flux problem, hence is determined
     only up to a constant; the gauge here pins ``u`` to 0 at the left end.
     ``u_full``/``ux_full`` live on all nodes including the endpoints.
     """
 
-    z: Field
+    z: np.ndarray
     x_full: np.ndarray
     u_full: np.ndarray
     ux_full: np.ndarray
     sigma: np.ndarray       # weight H^2 on the interior nodes
-    t: float
+    t: float | np.ndarray
 
 
 def at_nonlinearity(params: ATParams) -> Nonlinearity:
@@ -186,21 +187,21 @@ def load_to_sigma(grid: Grid, params: ATParams) -> TimeProfile:
 
 
 def recover_displacement(grid: Grid, z: Field | np.ndarray, params: ATParams,
-                         t: float) -> CoupledState:
+                         t: float | np.ndarray) -> CoupledState:
     """Displacement from a phase field: ``u_x = -H/(z^2+delta)``, ``u(-1)=0``.
 
     The sign follows from integrating the displacement equation from the
     left end; ``u`` itself is the cumulative trapezoid of ``u_x``.  The
-    residual stiffness keeps the division regular even at ``z = 0``.
+    residual stiffness keeps the division regular even at ``z = 0``.  A
+    stack ``(k, n)`` at ``k`` times gives the single-stamp results as rows,
+    to the last bit, from one evaluation of the load.
     """
-    zv = as_values(grid, z)
     x_full = grid.nodes_full
+    z_full = full_values(grid, z)
     H = cumulative_load(grid, params, t)
-    z_full = full_values(grid, zv)
     ux = -H / (z_full * z_full + params.delta)
-    u = _cumtrapz(x_full, ux)
-    return CoupledState(z=Field(grid, zv), x_full=x_full, u_full=u, ux_full=ux,
-                        sigma=H[1:-1] ** 2, t=t)
+    return CoupledState(z=z_full[..., 1:-1], x_full=x_full, u_full=_cumtrapz(x_full, ux),
+                        ux_full=ux, sigma=H[..., 1:-1] ** 2, t=t)
 
 
 def relaxed_profile(grid: Grid, params: ATParams,
@@ -237,21 +238,21 @@ class FractureResult:
     data: ProblemData
     nl: Nonlinearity
     params: ATParams
-    coupled: tuple            # CoupledState at every stored stamp
+    coupled: CoupledState     # one row per stored stamp
     at_energies: np.ndarray   # surrogate fracture energy trace
 
 
-def at_energy(grid: Grid, state: CoupledState, params: ATParams) -> float:
+def at_energy(grid: Grid, state: CoupledState, params: ATParams):
     """Surrogate fracture energy: degraded elastic part + gradient part +
-    deviation-from-intact part.  Logged along runs; finiteness is the only
-    contract."""
+    deviation-from-intact part, one value per stamp of ``state``.  Logged
+    along runs; finiteness is the only contract."""
     x_full = state.x_full
     z_full = full_values(grid, state.z)
     elastic = 0.5 * _trapz((z_full ** 2 + params.delta) * state.ux_full ** 2, x_full)
-    dz = forward_jumps(grid, state.z)
-    gradient = 0.5 * params.eps * grid.h * float(np.dot(dz, dz))
+    dz = np.diff(z_full) / grid.h
+    gradient = 0.5 * params.eps * grid.h * (dz * dz).sum(axis=-1)
     tightness = _trapz((1.0 - z_full) ** 2, x_full) / (2.0 * params.eps)
-    return float(elastic + gradient + tightness)
+    return elastic + gradient + tightness
 
 
 def run_fracture(params: ATParams, grid: Grid, horizon: float, m: int,
@@ -281,9 +282,8 @@ def run_fracture(params: ATParams, grid: Grid, horizon: float, m: int,
 
     traj = run_evolution(data, nl, m, opts=opts, quad_pts=quad_pts,
                          validate_first=False)
-    coupled = tuple(recover_displacement(grid, traj.states[k], params, traj.times[k])
-                    for k in range(traj.m + 1))
-    energies = np.array([at_energy(grid, st, params) for st in coupled])
+    coupled = recover_displacement(grid, traj.states, params, traj.times)
+    energies = at_energy(grid, coupled, params)
     if not np.all(np.isfinite(energies)):
         raise FractureSetupError("FAIL  at_energy: surrogate fracture energy is not finite")
     return FractureResult(traj=traj, data=data, nl=nl, params=params,

@@ -109,38 +109,36 @@ def as_values(grid: Grid, u) -> np.ndarray:
 
 
 def full_values(grid: Grid, u: Field | np.ndarray) -> np.ndarray:
-    """Values on all ``n+2`` nodes; the ghost value is 0 at a Dirichlet end
-    and the adjacent interior value at a Neumann end."""
-    vals = as_values(grid, u)
-    left = 0.0 if grid.bc_left is BC.DIRICHLET else vals[0]
-    right = 0.0 if grid.bc_right is BC.DIRICHLET else vals[-1]
-    return np.concatenate(([left], vals, [right]))
+    """Values on all ``n+2`` nodes, of one state or of each row of a stack
+    ``(k, n)``; the ghost value is 0 at a Dirichlet end and the adjacent
+    interior value at a Neumann end."""
+    vals = u if isinstance(u, np.ndarray) and u.ndim == 2 else as_values(grid, u)
+    if vals.shape[-1] != grid.n:
+        raise GridMismatchError(f"rows of {vals.shape[-1]} values, {grid.n} interior nodes")
+    out = np.empty(vals.shape[:-1] + (grid.n + 2,))
+    out[..., 1:-1] = vals
+    out[..., 0] = 0.0 if grid.bc_left is BC.DIRICHLET else vals[..., 0]
+    out[..., -1] = 0.0 if grid.bc_right is BC.DIRICHLET else vals[..., -1]
+    return out
 
 
 def neg_laplacian(grid: Grid, u: Field | np.ndarray) -> Field:
-    """Second-difference operator ``(-u_{i-1} + 2 u_i - u_{i+1}) / h^2``.
-
-    Ghost values: 0 beyond a Dirichlet endpoint, mirror of the adjacent
-    interior value beyond a Neumann endpoint (so the boundary stencil there
-    degenerates to ``(u_1 - u_2)/h^2``).
-    """
+    """Second-difference operator ``(-u_{i-1} + 2 u_i - u_{i+1}) / h^2``:
+    the tridiagonal matrix of :func:`laplacian_diagonals` applied to ``u``,
+    so its endpoint rule is that function's."""
     vals = as_values(grid, u)
-    h2 = grid.h ** 2
-    w = 2.0 * vals
-    w[:-1] -= vals[1:]
-    w[1:] -= vals[:-1]
-    if grid.bc_left is BC.NEUMANN:
-        w[0] -= vals[0]
-    if grid.bc_right is BC.NEUMANN:
-        w[-1] -= vals[-1]
-    return Field(grid, w / h2)
+    sub, diag, sup = laplacian_diagonals(grid)
+    out = diag * vals
+    out[:-1] += sup * vals[1:]
+    out[1:] += sub * vals[:-1]
+    return Field(grid, out)
 
 
 def laplacian_diagonals(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tridiagonal representation of :func:`neg_laplacian`.
+    """Tridiagonal matrix of the second-difference operator.
 
     Returns ``(sub, diag, sup)`` with ``sub``/``sup`` of length ``n-1``
-    (empty for ``n == 1``).
+    (empty for ``n == 1``); the one operator encoding of the endpoint rule.
     """
     h2 = grid.h ** 2
     diag = np.full(grid.n, 2.0 / h2)

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import Field, Grid, neg_laplacian
+from .grid import Field, Grid, laplacian_diagonals
 
 #: absolute tolerance for the nodewise admissibility check of the initial state
 TOL_ADMISS = 1e-9
@@ -74,9 +74,10 @@ class Nonlinearity:
         if self.growth <= 0:
             raise ValueError("growth must be > 0")
 
-    def convexity_margin(self, lam: float, weight) -> float:
-        """``lam - L*max(weight, 0)``, which every step solve requires to be positive."""
-        return lam - self.slope_bound * float(np.max(weight, initial=0.0))
+    def convexity_margin(self, lam: float, weight):
+        """``lam - L*max(weight, 0)`` over the last axis (one per row of a stack),
+        which every step solve requires to be positive."""
+        return lam - self.slope_bound * np.max(weight, axis=-1, initial=0.0)
 
     # sampled surrogates for the structural hypotheses ------------------
 
@@ -98,6 +99,21 @@ class Nonlinearity:
         s = rng.uniform(lo, hi, n)
         expr = self.growth * (np.abs(s) + 1.0) - np.abs(np.asarray(self.fn(s), float))
         return float(max(0.0, -expr.min(initial=0.0)))
+
+
+def _step_residual(u: np.ndarray, f, w, lam: float, nl: Nonlinearity,
+                   lap: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """G(u) = -Lap u + lam*u + w*fn(u) - f, the l2 gradient of the step energy,
+    with ``lap`` from :func:`~irrev.grid.laplacian_diagonals`.  The solver,
+    :func:`validate` and the step verdicts all evaluate it here, on one state
+    ``(n,)`` or on a stack ``(k, n)`` whose rows match single states bit for bit.
+    """
+    sub, diag, sup = lap
+    out = diag * u
+    out[..., :-1] += sup * u[..., 1:]
+    out[..., 1:] += sub * u[..., :-1]
+    out += lam * u + w * np.asarray(nl.fn(u), float) - f
+    return out
 
 
 def _zeros(s):
@@ -274,6 +290,9 @@ def validate(data: ProblemData, nl: Nonlinearity, seed: int = 0) -> ValidationRe
 
     Items checked:
 
+    * ``data_finite``: the weight and the source at the sampled times.  If a
+      sampled value is not finite, this failed item is the whole report,
+      with ``lambda0`` and the residual ``nan``.
     * ``coercivity_margin``: :meth:`Nonlinearity.convexity_margin` of the
       weight sampled over (x, t) must be strictly positive, otherwise the
       per-step minimization is not convex and every solver refuses to run.
@@ -296,16 +315,17 @@ def validate(data: ProblemData, nl: Nonlinearity, seed: int = 0) -> ValidationRe
     blocks = time_blocks(ts.size, g.n)
     w_samples = np.concatenate([data.weight(x, ts[sl]) for sl in blocks])
     f_samples = np.concatenate([data.source(x, ts[sl]) for sl in blocks])
-    if not np.all(np.isfinite(w_samples)) or not np.all(np.isfinite(f_samples)):
-        raise ValueError("weight/source evaluator returned non-finite values")
+    finite = np.all(np.isfinite(w_samples) & np.isfinite(f_samples), axis=1)
+    if not finite.all():
+        item = CheckItem("data_finite", float(ts[~finite][0]), 0.0, False,
+                         "first sampled time with a non-finite weight or source value")
+        return ValidationReport(items=(item,), lambda0=np.nan, admissibility_residual=np.nan)
 
-    lambda0 = nl.convexity_margin(data.lam, w_samples)
+    lambda0 = float(nl.convexity_margin(data.lam, w_samples).min())
 
-    z0 = data.initial.values
-    resid = (neg_laplacian(g, z0).values + data.lam * z0
-             + data.weight(x, 0.0) * np.asarray(nl.fn(z0), float)
-             - data.source(x, 0.0))
-    r = float(resid.max())
+    # ts[0] == 0, so the first sampled rows are the data at t = 0
+    r = float(_step_residual(data.initial.values, f_samples[0], w_samples[0], data.lam,
+                             nl, laplacian_diagonals(g)).max())
 
     if data.source_floor is not None:
         floor = data.source_floor.values

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .grid import Field, Grid, as_values, forward_jumps, laplacian_diagonals
-from .model import Nonlinearity
+from .model import Nonlinearity, _step_residual
 
 
 class ObstacleError(RuntimeError):
@@ -95,7 +95,7 @@ class ObstacleResult:
 
 
 # --------------------------------------------------------------------------
-# step energy and residual
+# step energy
 # --------------------------------------------------------------------------
 
 def step_energy(grid: Grid, u, source, weight, lam: float, nl: Nonlinearity) -> float:
@@ -109,19 +109,6 @@ def step_energy(grid: Grid, u, source, weight, lam: float, nl: Nonlinearity) -> 
     react = h * float(np.dot(wv, np.asarray(nl.primitive(uv), float)))
     work = h * float(np.dot(fv, uv))
     return quad + react - work
-
-
-def _residual(grid: Grid, u: np.ndarray, fv: np.ndarray, wv: np.ndarray,
-              lam: float, nl: Nonlinearity,
-              lap: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-    """G(u) = -u'' + lam*u + w*fn(u) - f;  the l2 gradient of the step energy."""
-    sub, diag, sup = lap
-    out = diag * u
-    if u.size > 1:
-        out[:-1] += sup * u[1:]
-        out[1:] += sub * u[:-1]
-    out += lam * u + wv * np.asarray(nl.fn(u), float) - fv
-    return out
 
 
 def _require_coercive(wv: np.ndarray, lam: float, nl: Nonlinearity) -> None:
@@ -141,7 +128,7 @@ def _natural_residual(eta: np.ndarray, slack: np.ndarray) -> float:
 # Newton inner solve on a node subset
 # --------------------------------------------------------------------------
 
-def _newton_on_subset(grid: Grid, u: np.ndarray, free: np.ndarray,
+def _newton_on_subset(u: np.ndarray, free: np.ndarray,
                       fv: np.ndarray, wv: np.ndarray, lam: float,
                       nl: Nonlinearity,
                       lap: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -159,7 +146,7 @@ def _newton_on_subset(grid: Grid, u: np.ndarray, free: np.ndarray,
     nfree = idx.size
     consec = (idx[1:] - idx[:-1]) == 1 if nfree > 1 else np.zeros(0, bool)
 
-    G = _residual(grid, u, fv, wv, lam, nl, lap)
+    G = _step_residual(u, fv, wv, lam, nl, lap)
     r = float(np.abs(G[idx]).max())
     alpha_floor = NEWTON_DAMPING ** 40
 
@@ -181,7 +168,7 @@ def _newton_on_subset(grid: Grid, u: np.ndarray, free: np.ndarray,
         while True:
             u_try = u.copy()
             u_try[idx] += alpha * delta
-            G_try = _residual(grid, u_try, fv, wv, lam, nl, lap)
+            G_try = _step_residual(u_try, fv, wv, lam, nl, lap)
             r_try = float(np.abs(G_try[idx]).max())
             if r_try <= (1.0 - 1e-4 * alpha) * r or r_try <= tol:
                 u, G, r = u_try, G_try, r_try
@@ -196,16 +183,14 @@ def _newton_on_subset(grid: Grid, u: np.ndarray, free: np.ndarray,
 
 
 def solve_unconstrained(grid: Grid, source, weight, lam: float, nl: Nonlinearity,
-                        opts: Optional[SolverOptions] = None,
-                        start: Optional[np.ndarray] = None) -> Field:
+                        opts: Optional[SolverOptions] = None) -> Field:
     """Plain Newton solve of -u'' + lam*u + w*fn(u) = f on all nodes."""
     opts = opts or SolverOptions()
     fv = as_values(grid, source)
     wv = as_values(grid, weight)
     _require_coercive(wv, lam, nl)
     lap = laplacian_diagonals(grid)
-    u = np.zeros(grid.n) if start is None else np.array(start, dtype=float)
-    u = _newton_on_subset(grid, u, np.ones(grid.n, bool), fv, wv, lam, nl,
+    u = _newton_on_subset(np.zeros(grid.n), np.ones(grid.n, bool), fv, wv, lam, nl,
                           lap, tol=0.1 * opts.tol_kkt)
     return Field(grid, u)
 
@@ -252,8 +237,8 @@ def solve_step(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinearit
     best: Optional[ObstacleResult] = None
     for outer in range(1, opts.max_outer + 1):
         u[active] = psi[active]
-        u = _newton_on_subset(grid, u, ~active, fv, wv, lam, nl, lap, tol_inner)
-        G = _residual(grid, u, fv, wv, lam, nl, lap)
+        u = _newton_on_subset(u, ~active, fv, wv, lam, nl, lap, tol_inner)
+        G = _step_residual(u, fv, wv, lam, nl, lap)
         eta = np.where(active, -G, 0.0)
         kkt = _natural_residual(-G, psi - u)
         result = ObstacleResult(
@@ -301,7 +286,7 @@ def solve_step_pg(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinea
 
     u = psi.copy()
     J = step_energy(grid, u, fv, wv, lam, nl)
-    g = _residual(grid, u, fv, wv, lam, nl, lap)
+    g = _step_residual(u, fv, wv, lam, nl, lap)
     history = [J] if record_energy else None
     prev_u: Optional[np.ndarray] = None
     prev_g: Optional[np.ndarray] = None
@@ -341,7 +326,7 @@ def solve_step_pg(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinea
             break
         prev_u, prev_g = u, g
         u, J = u_try, J_try
-        g = _residual(grid, u, fv, wv, lam, nl, lap)
+        g = _step_residual(u, fv, wv, lam, nl, lap)
         if record_energy:
             history.append(J)
         kkt = _natural_residual(-g, psi - u)

@@ -65,6 +65,30 @@ def test_command_line_seed_outside_its_domain_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_check_creates_no_output_directory(tmp_path):
+    rc, out = run_cli(tmp_path, "check", RUN)
+    assert rc == cli.EXIT_OK
+    assert not out.exists()
+
+
+#: a source whose exp(1000 t) term overflows from t = 0.71 on
+NONFINITE = with_blocks(LONGTIME)
+NONFINITE["problem"]["f"]["rate"] = -1000.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+@pytest.mark.parametrize("argv", [["check"], ["run"], ["run", "--force"], ["longtime"]],
+                         ids=["check", "run", "run-force", "longtime"])
+def test_nonfinite_data_exit_1_and_write_nothing(tmp_path, capsys, argv):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(NONFINITE))
+    out = tmp_path / "out"
+    rc = cli.main([argv[0], str(path), "--output-dir", str(out), *argv[1:]])
+    assert rc == cli.EXIT_CHECK_FAILED
+    assert "FAIL  data_finite: " in capsys.readouterr().out
+    assert not out.exists()
+
+
 def test_stationary_writes_z_inf_csv(tmp_path):
     cfg = with_blocks(LONGTIME, stationary={"f_inf": {"preset": "constant", "value": 0.5}})
     rc, out = run_cli(tmp_path, "stationary", cfg)
@@ -196,7 +220,7 @@ def test_stationary_exits_1_on_nonpositive_margin(tmp_path, capsys):
     rc, out = run_cli(tmp_path, "stationary", cfg)
     assert rc == cli.EXIT_CHECK_FAILED
     assert capsys.readouterr().out.startswith("FAIL  convexity margin -1 ")
-    assert not any(out.iterdir())
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_run_force(tmp_path, capsys):
@@ -219,4 +243,4 @@ def test_run_force(tmp_path, capsys):
     rc, out = run_forced(nonconvex(RUN), "refused")
     assert rc == cli.EXIT_CHECK_FAILED
     assert "(convexity margin not positive)" in capsys.readouterr().out
-    assert not any(out.iterdir())
+    assert not out.exists() or not any(out.iterdir())

@@ -128,6 +128,20 @@ def test_minimality_detects_injected_fault(stationary_traj):
     assert not v.passed
 
 
+@pytest.mark.parametrize("run", ["stationary_traj", "moving"])
+def test_step_verdicts_name_the_faulty_step_and_node(run, request):
+    data, traj = request.getfixturevalue(run)
+    k, i = traj.m // 2, traj.grid.n // 2
+    states = traj.states.copy()
+    states[k, i] += 1e-3
+    bad = Trajectory(grid=traj.grid, times=traj.times, states=states,
+                     multipliers=traj.multipliers, energies=traj.energies,
+                     tau=traj.tau, step_meta=traj.step_meta, disc=traj.disc)
+    for v in (check_unilateral_minimality(bad, TANH, data.lam),
+              check_lewy_stampacchia(bad, data.lam, TANH)):
+        assert not v.passed and v.worst == (k, i), v
+
+
 def test_minimality_deterministic(moving):
     data, traj = moving
     a = check_unilateral_minimality(traj, TANH, data.lam)
@@ -142,7 +156,7 @@ def test_minimality_deterministic(moving):
 
 def test_lewy_stampacchia_on_runs(stationary_traj, moving):
     for data, traj in (stationary_traj, moving):
-        v = check_lewy_stampacchia(traj, traj.disc, data.lam, TANH)
+        v = check_lewy_stampacchia(traj, data.lam, TANH)
         assert v.passed, v
 
 
@@ -155,7 +169,7 @@ def test_lewy_stampacchia_scalar_hand_cases():
                            source_floor=Field(g, [min(f_val, 0.0)]))
         traj = run_evolution(data, ZERO, m=1, validate_first=False)
         assert traj.states[1, 0] == pytest.approx(z_expect, abs=1e-12)
-        v = check_lewy_stampacchia(traj, traj.disc, 1.0, ZERO)
+        v = check_lewy_stampacchia(traj, 1.0, ZERO)
         assert v.passed
 
 

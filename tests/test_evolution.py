@@ -230,8 +230,8 @@ def test_trajectory_round_trip(tmp_path, moving_traj):
 
 
 def test_trajectory_stride_keeps_ends(tmp_path, moving_traj):
-    save_trajectory(moving_traj, tmp_path, stem="thin", stride=5)
-    back = load_trajectory(tmp_path, stem="thin")
+    save_trajectory(moving_traj, tmp_path / "thin", stride=5)
+    back = load_trajectory(tmp_path / "thin")
     np.testing.assert_array_equal(back.states[0], moving_traj.states[0])
     np.testing.assert_array_equal(back.states[-1], moving_traj.states[-1])
     assert back.times.size < moving_traj.times.size

@@ -31,6 +31,21 @@ def test_displacement_matches_closed_form_for_constant_phase_field():
     assert st.ux_full[0] == -H[0] / DELTA and st.ux_full[-1] == -H[-1] / DELTA
 
 
+def test_recovery_of_a_stack_equals_its_rows():
+    grid = Grid(-1.0, 1.0, 31)
+    params = sine_params(0.5)
+    rng = np.random.default_rng(2)
+    z = rng.uniform(0.0, 1.0, size=(4, grid.n))
+    t = np.array([0.0, 0.3, 0.8, 1.0])
+    stack = recover_displacement(grid, z, params, t)
+    rows = [recover_displacement(grid, z[k], params, t[k]) for k in range(4)]
+    for name in ("z", "u_full", "ux_full", "sigma"):
+        np.testing.assert_array_equal(getattr(stack, name),
+                                      np.array([getattr(r, name) for r in rows]))
+    np.testing.assert_array_equal(at_energy(grid, stack, params),
+                                  [at_energy(grid, r, params) for r in rows])
+
+
 def test_cumulative_load_rejects_nonzero_mean():
     params = ATParams(eps=EPS, delta=DELTA, load=constant_profile(1.0))
     with pytest.raises(ValueError, match="nonzero spatial average"):
@@ -46,11 +61,12 @@ def fracture_run():
 def test_reduction_consistency_identity(fracture_run):
     # weight*fn(z) == z*u_x^2/eps on the interior nodes at every stamp
     params, result = fracture_run
-    assert len(result.coupled) == result.traj.m + 1
-    for st in result.coupled:
-        z = st.z.values
-        lhs = st.sigma * np.asarray(result.nl.fn(z), float)
-        rhs = z * st.ux_full[1:-1] ** 2 / params.eps
+    st = result.coupled
+    assert st.z.shape == (result.traj.m + 1, result.traj.grid.n)
+    for k in range(result.traj.m + 1):
+        z = st.z[k]
+        lhs = st.sigma[k] * np.asarray(result.nl.fn(z), float)
+        rhs = z * st.ux_full[k, 1:-1] ** 2 / params.eps
         assert np.abs(lhs - rhs).max() <= 1e-10
 
 
@@ -58,8 +74,9 @@ def test_at_energy_is_finite(fracture_run):
     params, result = fracture_run
     assert np.all(np.isfinite(result.at_energies))
     assert np.all(result.at_energies > 0.0)
-    st = result.coupled[-1]
-    assert at_energy(st.z.grid, st, params) == result.at_energies[-1]
+    traj = result.traj
+    st = recover_displacement(traj.grid, traj.states[-1], params, traj.times[-1])
+    assert at_energy(traj.grid, st, params) == result.at_energies[-1]
 
 
 def test_at_slope_bound_is_global():

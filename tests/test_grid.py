@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from irrev import BC, Field, Grid, GridMismatchError, inner_l2, neg_laplacian, norm_h1
-from irrev.grid import forward_jumps, grad_inner, laplacian_diagonals
+from irrev.grid import forward_jumps, full_values, grad_inner, laplacian_diagonals
 
 BC_COMBOS = [("dirichlet", "dirichlet"), ("dirichlet", "neumann"),
              ("neumann", "dirichlet"), ("neumann", "neumann")]
@@ -159,3 +159,14 @@ def test_neumann_jumps_vanish_at_end():
     assert d.shape == (5,)
     assert d[0] == 0.0                      # mirror ghost
     assert d[-1] == pytest.approx(-4.0 / g.h)  # zero ghost
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+@pytest.mark.parametrize("bcs", BC_COMBOS)
+def test_full_values_of_a_stack_equals_its_rows(bcs, n):
+    g = Grid(0.0, 1.0, n, *bcs)
+    u = np.random.default_rng(5).normal(size=(4, n))
+    np.testing.assert_array_equal(full_values(g, u),
+                                  np.array([full_values(g, row) for row in u]))
+    with pytest.raises(GridMismatchError):
+        full_values(g, np.zeros((4, n + 1)))

@@ -5,6 +5,8 @@ from scipy.integrate import quad
 from irrev import (Field, Grid, ProblemData, TimeProfile, constant_profile,
                    default_lower_envelope, discretize_time, estimate_slope_bound,
                    validate)
+from irrev.grid import laplacian_diagonals
+from irrev.model import _step_residual
 from irrev.presets import nonlinearity
 
 G = Grid(0.0, 1.0, 5)
@@ -55,8 +57,42 @@ def test_estimate_slope_bound():
 
 
 # --------------------------------------------------------------------------
+# the step operator and the convexity margin on stacks
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+@pytest.mark.parametrize("bcs", [("dirichlet", "dirichlet"), ("dirichlet", "neumann"),
+                                 ("neumann", "dirichlet"), ("neumann", "neumann")])
+def test_step_residual_of_a_stack_equals_its_rows(bcs, n):
+    grid = Grid(0.0, 1.3, n, *bcs)
+    lap = laplacian_diagonals(grid)
+    nl = nonlinearity({"preset": "tanh", "amplitude": 0.7})
+    rng = np.random.default_rng(11)
+    u, f, w = rng.normal(size=(3, 5, n))
+    rows = np.array([_step_residual(u[k], f[k], w[k], 1.5, nl, lap) for k in range(5)])
+    np.testing.assert_array_equal(_step_residual(u, f, w, 1.5, nl, lap), rows)
+
+
+def test_convexity_margin_is_per_row():
+    nl = nonlinearity({"preset": "linear", "slope": -2.0})  # L = 2
+    w = np.array([[0.1, 0.3], [-1.0, -2.0], [0.5, 0.0]])
+    np.testing.assert_array_equal(nl.convexity_margin(1.0, w), [0.4, 1.0, 0.0])
+    assert nl.convexity_margin(1.0, w[0]) == 1.0 - 2.0 * 0.3
+
+
+# --------------------------------------------------------------------------
 # validate
 # --------------------------------------------------------------------------
+
+def test_validate_reports_nonfinite_data_as_one_failed_item():
+    # 65 samples on [0, 1]: the first one past t = 0.5 is t = 33/64
+    bad = TimeProfile(lambda x, t: np.full(np.shape(x), np.where(t > 0.5, np.inf, 0.0)),
+                      lambda x, t: np.zeros(np.shape(x)))
+    rep = validate(make_data(source=bad), nonlinearity({"preset": "zero"}))
+    assert [(it.name, it.passed) for it in rep.items] == [("data_finite", False)]
+    assert rep.items[0].value == 33 / 64
+    assert np.isnan(rep.lambda0) and np.isnan(rep.admissibility_residual)
+
 
 def test_validate_trivial_passes():
     nl = nonlinearity({"preset": "zero"})

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from irrev import (CoercivityLost, DiscretizedData, Field, Grid, SolverOptions,
@@ -158,6 +160,41 @@ def test_enumeration_agrees_with_pdas_n3(seed):
     a = solve_step(grid, obstacle, source, weight, lam, nl)
     b = oracle_enumerate(grid, obstacle, source, weight, lam, nl)
     np.testing.assert_allclose(a.z.values, b.z.values, atol=1e-9)
+
+
+@st.composite
+def step_instances(draw, n_max=8, margin=0.3):
+    """One well-posed obstacle step with at most ``n_max`` nodes, any pair of
+    endpoint conditions, a convexity margin of at least ``margin``, and a
+    random contact-set guess to warm-start from."""
+    n = draw(st.integers(1, n_max))
+    bcs = draw(st.sampled_from([("dirichlet", "dirichlet"), ("dirichlet", "neumann"),
+                                ("neumann", "dirichlet"), ("neumann", "neumann")]))
+    grid = Grid(0.0, draw(st.floats(0.8, 1.6)), n, *bcs)
+
+    def values(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+    lam = draw(st.floats(0.7, 2.0))
+    nl = nonlinearity(draw(st.one_of(
+        st.just({"preset": "zero"}),
+        st.builds(lambda g: {"preset": "linear", "slope": g}, st.floats(-0.4, 0.6)),
+        st.builds(lambda a: {"preset": "tanh", "amplitude": a}, st.floats(0.0, 0.5)))))
+    weight = values(0.0, 1.0)
+    if nl.slope_bound * weight.max() > lam - margin:
+        weight *= (lam - margin) / (nl.slope_bound * weight.max())
+    active = np.array(draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True)), int)
+    return grid, values(-1.0, 1.0), values(-2.0, 2.0), weight, lam, nl, active
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(step_instances())
+def test_pdas_matches_enumeration_oracle_cold_and_warm(instance):
+    grid, obstacle, source, weight, lam, nl, active = instance
+    ref = oracle_enumerate(grid, obstacle, source, weight, lam, nl).z.values
+    for guess in (None, active):
+        res = solve_step(grid, obstacle, source, weight, lam, nl, initial_active=guess)
+        np.testing.assert_allclose(res.z.values, ref, rtol=0.0, atol=1e-10)
 
 
 # --------------------------------------------------------------------------
