@@ -3,24 +3,21 @@ inequalities on a 1-D interval.
 
 The state can only move down: each implicit step minimizes a convex energy
 under the previous state as an upper obstacle.  The library provides the
-mesh and operators, the step solvers with their KKT certificates, the
+mesh and operators, the step solver with its KKT certificate, the
 stepping driver with interpolants, post-hoc structural diagnostics, the
 stationary limit problem, and a phase-field fracture front end.
 """
 
-from .grid import BC, Field, Grid, GridMismatchError, inner_l2, neg_laplacian, norm_h1
+from .grid import BC, Field, Grid, GridMismatchError, norm_h1
 from .model import (DiscretizedData, Nonlinearity, ProblemData, TimeProfile,
                     ValidationError, ValidationReport, constant_profile,
-                    default_lower_envelope, discretize_time, estimate_slope_bound,
-                    validate)
-from .obstacle import (AmbiguousCandidates, CoercivityLost, MaxIterations,
-                       NewtonFailure, NoCandidate, ObstacleError, ObstacleResult,
-                       SolverOptions, oracle_enumerate, solve_step, solve_step_pg,
-                       solve_unconstrained, step_energy)
-from .evolution import (EvolutionError, Trajectory, interp_constant, interp_linear,
-                        load_trajectory, run_evolution, save_trajectory)
-from .diagnostics import (CheckVerdict, EnergyReport, balance_order,
-                          balance_residual, check_comparison,
+                    default_lower_envelope, discretize_time, validate)
+from .obstacle import (CoercivityLost, MaxIterations, NewtonFailure, ObstacleError,
+                       ObstacleResult, SolverOptions, solve_step, solve_unconstrained,
+                       step_energy)
+from .evolution import (EvolutionError, Trajectory, interp_constant, load_trajectory,
+                        run_evolution, save_trajectory)
+from .diagnostics import (CheckVerdict, EnergyReport, balance_residual,
                           check_irreversibility, check_lewy_stampacchia,
                           check_unilateral_minimality, energy, refinement_study)
 from .stationary import LongtimeResult, StationaryProblem, run_longtime, solve_stationary

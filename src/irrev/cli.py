@@ -47,7 +47,7 @@ from .evolution import (EvolutionError, Trajectory, run_evolution, save_trajecto
                         write_csv)
 from .fracture import ATParams, FractureSetupError, run_fracture
 from .grid import BC, Field, Grid
-from .model import QUAD_PTS, ProblemData, ValidationError, validate
+from .model import MARGIN_FLOOR, QUAD_PTS, ProblemData, ValidationError, validate
 from .obstacle import ObstacleError, SolverOptions
 from .stationary import M_PER_UNIT, StationaryProblem, run_longtime, solve_stationary
 
@@ -238,10 +238,11 @@ def cmd_run(cfg: dict, out_dir: Path, seed: int, force: bool = False) -> int:
     if not report.ok:
         for line in report.lines():
             print(line)
-        if not force or not report.lambda0 > 0:     # a nan margin refuses too
+        convex = report.lambda0 >= MARGIN_FLOOR        # a nan margin refuses too
+        if not force or not convex:
             # a nonconvex step problem is never attempted, --force or not
             print("validation failed; not running" +
-                  ("" if report.lambda0 > 0 else " (convexity margin not positive)"))
+                  ("" if convex else " (convexity margin not positive)"))
             return EXIT_CHECK_FAILED
         print("validation failed; continuing under --force")
 
@@ -272,9 +273,14 @@ def cmd_run(cfg: dict, out_dir: Path, seed: int, force: bool = False) -> int:
                    f"total={energy_report.total_abs:.3g}")
 
 
-def cmd_refine(cfg: dict, out_dir: Path) -> int:
+def cmd_refine(cfg: dict, out_dir: Path, seed: int) -> int:
     data, nl, _, quad_pts = build_problem(cfg)
     opts = build_solver_options(cfg)
+    # the regridded runs skip this gate (see refinement_study); the base
+    # problem does not
+    report = validate(data, nl, seed=seed)
+    if not report.ok:
+        raise ValidationError(report)
     block = cfg.get("refine", {})
     rows = refinement_study(data, nl, block.get("m_list", [50, 100, 200]),
                             block.get("n_list", []), opts=opts, quad_pts=quad_pts)
@@ -332,16 +338,21 @@ def cmd_stationary(cfg: dict, out_dir: Path) -> int:
     g = data.grid
     x = g.nodes
     try:
-        f_inf = Field(g, presets.space_values(g, block["f_inf"], "stationary.f_inf")) \
-            if "f_inf" in block else Field(g, data.source(x, data.horizon))
-        weight = Field(g, presets.space_values(g, block["sigma"], "stationary.sigma")) \
-            if "sigma" in block else Field(g, data.weight(x, 0.0))
+        given = {key: presets.space_values(g, block[key], f"stationary.{key}")
+                 for key in ("f_inf", "sigma") if key in block}
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"stationary block: {exc}") from exc
+    # the problem's own data at its settled times: a fault there is a data fault
+    f_inf = given["f_inf"] if "f_inf" in given else data.source(x, data.horizon)
+    weight = given["sigma"] if "sigma" in given else data.weight(x, 0.0)
 
+    for name, values in (("settled source", f_inf), ("weight", weight)):
+        if not np.all(np.isfinite(values)):
+            print(f"FAIL  data_finite: the stationary {name} is not finite")
+            return EXIT_CHECK_FAILED
     try:
         res = solve_stationary(StationaryProblem(
-            grid=g, obstacle=data.initial, source=f_inf, weight=weight,
+            grid=g, obstacle=data.initial, source=Field(g, f_inf), weight=Field(g, weight),
             lam=data.lam, nl=nl), opts=opts)
     except ValueError as exc:
         print(f"FAIL  {exc}")
@@ -418,8 +429,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the configured seed")
     parser.add_argument("--force", action="store_true",
-                        help="run even if validation fails (a nonpositive "
-                             "convexity margin still refuses)")
+                        help="run even if validation fails (a convexity "
+                             "margin below its floor still refuses)")
     args = parser.parse_args(argv)
 
     try:
@@ -433,7 +444,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(cfg, out_dir, seed, force=args.force)
         if args.command == "refine":
-            return cmd_refine(cfg, out_dir)
+            return cmd_refine(cfg, out_dir, seed)
         if args.command == "longtime":
             return cmd_longtime(cfg, out_dir)
         if args.command == "stationary":

@@ -22,7 +22,7 @@ import numpy as np
 
 from .grid import Field, Grid, full_values, laplacian_diagonals, norm_h1
 from .model import (QUAD_PTS, ZERO_NONLINEARITY, DiscretizedData, Nonlinearity, ProblemData,
-                    _step_residual, discretize_time, time_blocks)
+                    _step_residual, time_blocks)
 from .obstacle import SolverOptions, step_energy
 
 
@@ -132,26 +132,6 @@ def balance_residual(traj, data: ProblemData, nl: Nonlinearity,
                         max_abs=float(abs_res.max()), total_abs=float(abs_res.sum()))
 
 
-def balance_order(data: ProblemData, nl: Nonlinearity, m_list,
-                  opts: Optional[SolverOptions] = None, quad_pts: int = QUAD_PTS):
-    """Total balance residual under step refinement plus measured orders.
-
-    Runs the evolution for each step count, sums the per-interval residual
-    magnitudes, and returns ``(totals, orders)`` where ``orders[j-1] =
-    log2(totals[j-1]/totals[j])`` for consecutive halvings.
-    """
-    from .evolution import run_evolution
-
-    totals = []
-    for m in m_list:
-        traj = run_evolution(data, nl, m, opts=opts, quad_pts=quad_pts)
-        totals.append(balance_residual(traj, data, nl, quad_pts=quad_pts).total_abs)
-    totals = np.asarray(totals)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        orders = np.log2(totals[:-1] / totals[1:])
-    return totals, orders
-
-
 # --------------------------------------------------------------------------
 # unilateral minimality
 # --------------------------------------------------------------------------
@@ -244,45 +224,6 @@ def check_dissipation_sign(traj, nl: Nonlinearity, lam: float,
         if jk_new - jk_old > worst:
             worst, worst_k = jk_new - jk_old, k
     return _verdict("dissipation_sign", max(worst, 0.0), tol, worst=(worst_k,))
-
-
-# --------------------------------------------------------------------------
-# comparison principle
-# --------------------------------------------------------------------------
-
-def check_comparison(data_a: ProblemData, data_b: ProblemData, nl: Nonlinearity,
-                     m: int, opts: Optional[SolverOptions] = None,
-                     quad_pts: int = QUAD_PTS, tol: float = 1e-10) -> CheckVerdict:
-    """Ordered data must produce ordered trajectories.
-
-    Requires ``initial_a <= initial_b`` nodewise and ``source_a <= source_b``
-    on the interval averages actually used by the scheme (same weight,
-    coefficient and nonlinearity are the caller's responsibility).  When the
-    ordering precondition fails the verdict is marked inapplicable instead
-    of failing.  Ordering is the only hypothesis used, so the runs skip the
-    initial-admissibility gate (the per-step convexity guard still applies).
-    """
-    from .evolution import run_evolution
-
-    if data_a.grid != data_b.grid:
-        raise ValueError("comparison requires a common grid")
-    disc_a = discretize_time(data_a, m, quad_pts)
-    disc_b = discretize_time(data_b, m, quad_pts)
-    pre_gap = max(float((data_a.initial.values - data_b.initial.values).max()),
-                  float((disc_a.source_avg - disc_b.source_avg).max()))
-    if pre_gap > 1e-12:
-        return CheckVerdict(name="comparison", max_violation=np.inf, tolerance=tol,
-                            passed=False, applicable=False,
-                            note="data pair is not ordered; check not applicable")
-
-    traj_a = run_evolution(data_a, nl, m, opts=opts, quad_pts=quad_pts,
-                           validate_first=False)
-    traj_b = run_evolution(data_b, nl, m, opts=opts, quad_pts=quad_pts,
-                           validate_first=False)
-    gap = traj_a.states - traj_b.states
-    worst = float(gap.max())
-    k, i = np.unravel_index(int(np.argmax(gap)), gap.shape)
-    return _verdict("comparison", max(worst, 0.0), tol, worst=(int(k), int(i)))
 
 
 # --------------------------------------------------------------------------

@@ -144,17 +144,6 @@ def _locate(traj: Trajectory, t: float) -> int:
     return min(max(k, 1), traj.m)
 
 
-def interp_linear(traj: Trajectory, t: float) -> Field:
-    """Piecewise linear-in-time interpolant of the stored states."""
-    k = _locate(traj, t)
-    if k == 0:
-        return traj.state(0)
-    t0, t1 = traj.times[k - 1], traj.times[k]
-    theta = (min(max(t, t0), t1) - t0) / (t1 - t0)
-    vals = traj.states[k - 1] + theta * (traj.states[k] - traj.states[k - 1])
-    return Field(traj.grid, vals)
-
-
 def interp_constant(traj: Trajectory, t: float) -> Field:
     """Piecewise constant interpolant: the value on ``(t_{k-1}, t_k]`` is
     ``states[k]``.  At ``t == 0`` the initial state is returned (the natural

@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import BC, Field, Grid, full_values
-from .model import (QUAD_PTS, ZERO_NONLINEARITY, Nonlinearity, ProblemData,
+from .model import (MARGIN_FLOOR, QUAD_PTS, ZERO_NONLINEARITY, Nonlinearity, ProblemData,
                     TimeProfile, constant_profile, validate)
 from .obstacle import SolverOptions, solve_unconstrained
 
@@ -272,7 +272,7 @@ def run_fracture(params: ATParams, grid: Grid, horizon: float, m: int,
     report = validate(data, nl)
     if not report.ok:
         msg = "; ".join(ln for ln in report.lines() if ln.startswith("FAIL"))
-        if report.lambda0 <= 0:
+        if report.lambda0 < MARGIN_FLOOR:
             # the weight scales with the square of the load amplitude, and
             # L*sup(weight) = lam - margin must fall below lam
             admissible = float(np.sqrt(data.lam / (data.lam - report.lambda0)))

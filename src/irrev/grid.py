@@ -122,18 +122,6 @@ def full_values(grid: Grid, u: Field | np.ndarray) -> np.ndarray:
     return out
 
 
-def neg_laplacian(grid: Grid, u: Field | np.ndarray) -> Field:
-    """Second-difference operator ``(-u_{i-1} + 2 u_i - u_{i+1}) / h^2``:
-    the tridiagonal matrix of :func:`laplacian_diagonals` applied to ``u``,
-    so its endpoint rule is that function's."""
-    vals = as_values(grid, u)
-    sub, diag, sup = laplacian_diagonals(grid)
-    out = diag * vals
-    out[:-1] += sup * vals[1:]
-    out[1:] += sub * vals[:-1]
-    return Field(grid, out)
-
-
 def laplacian_diagonals(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tridiagonal matrix of the second-difference operator.
 
@@ -152,13 +140,6 @@ def laplacian_diagonals(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return off, diag, off.copy()
 
 
-def inner_l2(grid: Grid, u: Field | np.ndarray, v: Field | np.ndarray) -> float:
-    """Discrete L2 pairing ``h * sum(u_i v_i)`` over the interior nodes."""
-    uv = as_values(grid, u)
-    vv = as_values(grid, v)
-    return grid.h * float(np.dot(uv, vv))
-
-
 def forward_jumps(grid: Grid, u: Field | np.ndarray) -> np.ndarray:
     """Forward differences ``(u_{i+1} - u_i)/h`` including the boundary jumps.
 
@@ -167,17 +148,6 @@ def forward_jumps(grid: Grid, u: Field | np.ndarray) -> np.ndarray:
     ``-u_n/h``), mirror beyond a Neumann endpoint (zero jump there).
     """
     return np.diff(full_values(grid, u)) / grid.h
-
-
-def grad_inner(grid: Grid, u: Field | np.ndarray, v: Field | np.ndarray) -> float:
-    """Discrete Dirichlet form ``h * sum(D+u * D+v)`` over all jumps.
-
-    Summation by parts makes this identical to ``inner_l2(neg_laplacian(u), v)``
-    up to rounding, for every combination of endpoint tags.
-    """
-    du = forward_jumps(grid, u)
-    dv = forward_jumps(grid, v)
-    return grid.h * float(np.dot(du, dv))
 
 
 def norm_h1(grid: Grid, u: Field | np.ndarray) -> float:

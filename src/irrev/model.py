@@ -23,6 +23,9 @@ from .grid import Field, Grid, laplacian_diagonals
 
 #: absolute tolerance for the nodewise admissibility check of the initial state
 TOL_ADMISS = 1e-9
+#: smallest convexity margin ``lam - L*max(weight)`` accepted; every check
+#: of the margin (validation, the step solver, the front ends) uses this one
+MARGIN_FLOOR = 1e-12
 #: time samples of the weight and the source in :func:`validate`
 N_TIME_SAMPLES = 65
 #: the structural bounds on ``fn`` are sampled on ``[-SAMPLE_RANGE, SAMPLE_RANGE]``
@@ -55,7 +58,8 @@ class Nonlinearity:
     slope_bound : float
         Constant ``L >= 0`` such that ``s -> fn(s) + L*s`` is nondecreasing
         (one-sided slope bound from below).  Enters the convexity margin
-        ``lam - L*sup(weight)`` that every solve requires to be positive.
+        ``lam - L*sup(weight)`` that every solve requires to reach
+        :data:`MARGIN_FLOOR`.
     growth : float
         Constant ``C > 0`` with ``|fn(s)| <= C*(|s|+1)`` for all ``s``.
     deriv : callable
@@ -76,7 +80,7 @@ class Nonlinearity:
 
     def convexity_margin(self, lam: float, weight):
         """``lam - L*max(weight, 0)`` over the last axis (one per row of a stack),
-        which every step solve requires to be positive."""
+        which every step solve requires to reach :data:`MARGIN_FLOOR`."""
         return lam - self.slope_bound * np.max(weight, axis=-1, initial=0.0)
 
     # sampled surrogates for the structural hypotheses ------------------
@@ -122,20 +126,6 @@ def _zeros(s):
 
 ZERO_NONLINEARITY = Nonlinearity(fn=_zeros, primitive=_zeros, deriv=_zeros,
                                  slope_bound=0.0, growth=1.0)
-
-
-def estimate_slope_bound(fn: Callable[[np.ndarray], np.ndarray], lo: float,
-                         hi: float, n: int = 20001) -> float:
-    """Sampled estimate of the one-sided slope bound ``L`` of ``fn`` on ``[lo, hi]``.
-
-    Not certified: it scans difference quotients of ``fn`` on a fine grid and
-    returns ``max(0, -min slope)``.  Useful for black-box nonlinearities; the
-    validation report labels any use of it accordingly.
-    """
-    s = np.linspace(lo, hi, n)
-    v = np.asarray(fn(s), dtype=float)
-    slopes = np.diff(v) / np.diff(s)
-    return float(max(0.0, -slopes.min()))
 
 
 class TimeProfile:
@@ -294,8 +284,9 @@ def validate(data: ProblemData, nl: Nonlinearity, seed: int = 0) -> ValidationRe
       sampled value is not finite, this failed item is the whole report,
       with ``lambda0`` and the residual ``nan``.
     * ``coercivity_margin``: :meth:`Nonlinearity.convexity_margin` of the
-      weight sampled over (x, t) must be strictly positive, otherwise the
-      per-step minimization is not convex and every solver refuses to run.
+      weight sampled over (x, t) must be at least :data:`MARGIN_FLOOR`,
+      otherwise the per-step minimization is not safely convex and the step
+      solver refuses to run.
     * ``initial_admissibility``: nodewise residual of the force balance at
       the initial state, ``max(-z0'' + lam*z0 + weight(.,0)*fn(z0) -
       source(.,0)) <= TOL_ADMISS``.
@@ -347,8 +338,8 @@ def validate(data: ProblemData, nl: Nonlinearity, seed: int = 0) -> ValidationRe
     growth = nl.max_growth_violation(lo, hi, seed=seed)
 
     items = (
-        CheckItem("coercivity_margin", lambda0, 0.0, lambda0 > 0.0,
-                  "lam - L*sup(weight) must be positive"),
+        CheckItem("coercivity_margin", lambda0, MARGIN_FLOOR, lambda0 >= MARGIN_FLOOR,
+                  "lam - L*sup(weight) must reach the floor"),
         CheckItem("initial_admissibility", r, TOL_ADMISS, r <= TOL_ADMISS,
                   "force-balance residual of the initial state"),
         CheckItem("weight_nonnegative", w_min, 0.0, w_min >= -1e-14),

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import Field, Grid, norm_h1
-from .model import QUAD_PTS, Nonlinearity, ProblemData, time_blocks
+from .model import MARGIN_FLOOR, QUAD_PTS, Nonlinearity, ProblemData, time_blocks
 from .obstacle import ObstacleResult, SolverOptions, solve_step
 
 M_PER_UNIT = 16            # steps per unit time of a long run
@@ -38,15 +38,15 @@ class StationaryProblem:
 
     def __post_init__(self) -> None:
         margin = self.nl.convexity_margin(self.lam, self.weight.values)
-        if margin <= 0:
-            raise ValueError(f"convexity margin {margin:.6g} is not positive")
+        if not margin >= MARGIN_FLOOR:
+            raise ValueError(f"convexity margin {margin:.6g} is below the floor "
+                             f"{MARGIN_FLOOR:.3g}")
 
 
-def solve_stationary(p: StationaryProblem, opts: Optional[SolverOptions] = None,
-                     initial_active: Optional[np.ndarray] = None) -> ObstacleResult:
+def solve_stationary(p: StationaryProblem,
+                     opts: Optional[SolverOptions] = None) -> ObstacleResult:
     """Solve the stationary problem; same contract as one implicit step."""
-    return solve_step(p.grid, p.obstacle, p.source, p.weight, p.lam, p.nl,
-                      opts=opts, initial_active=initial_active)
+    return solve_step(p.grid, p.obstacle, p.source, p.weight, p.lam, p.nl, opts=opts)
 
 
 @dataclass(frozen=True)

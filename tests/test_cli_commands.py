@@ -77,8 +77,9 @@ NONFINITE["problem"]["f"]["rate"] = -1000.0
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in exp")
-@pytest.mark.parametrize("argv", [["check"], ["run"], ["run", "--force"], ["longtime"]],
-                         ids=["check", "run", "run-force", "longtime"])
+@pytest.mark.parametrize("argv", [["check"], ["run"], ["run", "--force"], ["longtime"],
+                                  ["refine"], ["stationary"]],
+                         ids=["check", "run", "run-force", "longtime", "refine", "stationary"])
 def test_nonfinite_data_exit_1_and_write_nothing(tmp_path, capsys, argv):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(NONFINITE))
@@ -204,6 +205,32 @@ def nonconvex(cfg):
     out["problem"].update(gamma={"preset": "linear", "slope": -2.0},
                           sigma={"preset": "constant", "value": 1.0}, z0={"preset": "zero"})
     return out
+
+
+#: convex in exact arithmetic, but the margin 1 - 0.9999999999999 = 1e-13 is
+#: below the floor every check of the margin applies
+THIN_MARGIN = with_blocks(LONGTIME)
+THIN_MARGIN["problem"].update(gamma={"preset": "linear", "slope": -1.0},
+                              sigma={"preset": "constant", "value": 0.9999999999999},
+                              z0={"preset": "zero"})
+
+
+@pytest.mark.parametrize("argv,fail", [
+    (["check"], "FAIL  coercivity_margin: value=1.00031e-13 tol=1e-12 "),
+    (["run"], "FAIL  coercivity_margin: "),
+    (["run", "--force"], "FAIL  coercivity_margin: "),
+    (["longtime"], "FAIL  coercivity_margin: "),
+    (["refine"], "FAIL  coercivity_margin: "),
+    (["stationary"], "FAIL  convexity margin 1.00031e-13 is below the floor 1e-12"),
+], ids=["check", "run", "run-force", "longtime", "refine", "stationary"])
+def test_margin_below_floor_exits_1_before_any_solve(tmp_path, capsys, argv, fail):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(THIN_MARGIN))
+    out = tmp_path / "out"
+    rc = cli.main([argv[0], str(path), "--output-dir", str(out), *argv[1:]])
+    assert rc == cli.EXIT_CHECK_FAILED
+    assert fail in capsys.readouterr().out
+    assert not out.exists()
 
 
 def test_longtime_exits_1_on_data_that_fails_validation(tmp_path, capsys):

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from irrev import (Field, Grid, ProblemData, Trajectory, balance_order,
-                   balance_residual, check_comparison, check_irreversibility,
-                   check_lewy_stampacchia, check_unilateral_minimality,
-                   constant_profile, energy, load_trajectory, refinement_study,
-                   run_evolution, save_trajectory, step_energy)
+from irrev import (Field, Grid, ProblemData, Trajectory, balance_residual,
+                   check_irreversibility, check_lewy_stampacchia,
+                   check_unilateral_minimality, constant_profile, energy,
+                   load_trajectory, refinement_study, run_evolution, save_trajectory,
+                   step_energy)
 from irrev.diagnostics import check_dissipation_sign, verdicts_to_json
 from irrev.presets import nonlinearity, time_profile
 
 from helpers import smooth_values
+from reference import check_comparison
 from test_evolution import TANH, ZERO, ramp_data, stationary_data
 
 
@@ -90,7 +91,9 @@ def test_balance_hand_ledger_scalar_two_step():
 
 def test_balance_decays_linearly_under_step_refinement():
     data = ramp_data(n=21)
-    totals, orders = balance_order(data, TANH, m_list=[8, 16, 32, 64])
+    rows = refinement_study(data, TANH, m_list=[8, 16, 32, 64], n_list=[])
+    totals = np.array([r.balance_sum for r in rows])
+    orders = np.array([r.order_estimate for r in rows[1:]])
     assert np.all(np.diff(totals) < 0)
     assert orders.mean() >= 0.9
 

@@ -3,11 +3,12 @@ import pytest
 
 from irrev import (EvolutionError, Field, Grid, ProblemData, TimeProfile,
                    ValidationError, constant_profile, interp_constant,
-                   interp_linear, load_trajectory, norm_h1, run_evolution,
-                   save_trajectory, solve_step, solve_unconstrained)
+                   load_trajectory, norm_h1, run_evolution, save_trajectory,
+                   solve_step, solve_unconstrained)
 from irrev.presets import nonlinearity, time_profile
 
 from helpers import smooth_values
+from reference import interp_linear
 
 ZERO = nonlinearity({"preset": "zero"})
 TANH = nonlinearity({"preset": "tanh", "amplitude": 0.5})

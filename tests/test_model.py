@@ -3,8 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from irrev import (Field, Grid, ProblemData, TimeProfile, constant_profile,
-                   default_lower_envelope, discretize_time, estimate_slope_bound,
-                   validate)
+                   default_lower_envelope, discretize_time, validate)
 from irrev.grid import laplacian_diagonals
 from irrev.model import _step_residual
 from irrev.presets import nonlinearity
@@ -47,13 +46,6 @@ def test_primitive_matches_quadrature(spec):
     for s in (-3.0, -0.7, 0.4, 2.5):
         ref, _ = quad(lambda r: float(nl.fn(r)), 0.0, s)
         assert float(nl.primitive(s)) == pytest.approx(ref, abs=1e-8)
-
-
-def test_estimate_slope_bound():
-    nl = nonlinearity({"preset": "linear", "slope": -0.5})
-    assert estimate_slope_bound(nl.fn, -5, 5) == pytest.approx(0.5, abs=1e-9)
-    nl2 = nonlinearity({"preset": "tanh", "amplitude": 1.0})
-    assert estimate_slope_bound(nl2.fn, -5, 5) == 0.0
 
 
 # --------------------------------------------------------------------------

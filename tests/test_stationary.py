@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from irrev import (Field, Grid, ProblemData, StationaryProblem, TimeProfile,
-                   constant_profile, neg_laplacian, oracle_enumerate,
-                   run_longtime, solve_stationary)
+                   constant_profile, run_longtime, solve_stationary, solve_step)
 from irrev.presets import nonlinearity
 
 from helpers import random_step_instance
+from reference import neg_laplacian, oracle_enumerate
 
 ZERO = nonlinearity({"preset": "zero"})
 TANH = nonlinearity({"preset": "tanh", "amplitude": 0.5})
@@ -61,8 +61,9 @@ def test_uniqueness_across_initializations(seed):
     grid, obstacle, source, weight, lam, nl = random_step_instance(seed + 970)
     p = StationaryProblem(grid=grid, obstacle=obstacle, source=Field(grid, source),
                           weight=Field(grid, weight), lam=lam, nl=nl)
-    a = solve_stationary(p, initial_active=None)
-    b = solve_stationary(p, initial_active=np.arange(grid.n))
+    a = solve_stationary(p)
+    b = solve_step(grid, p.obstacle, p.source, p.weight, p.lam, p.nl,
+                   initial_active=np.arange(grid.n))
     np.testing.assert_allclose(a.z.values, b.z.values, atol=1e-10)
 
 
