@@ -8,7 +8,7 @@ stepping driver with interpolants, post-hoc structural diagnostics, the
 stationary limit problem, and a phase-field fracture front end.
 """
 
-from .grid import BC, Field, Grid, GridMismatchError, norm_h1
+from .grid import BC, Grid, norm_h1
 from .model import (DiscretizedData, Nonlinearity, ProblemData, TimeProfile,
                     ValidationError, ValidationReport, constant_profile,
                     default_lower_envelope, discretize_time, validate)

@@ -20,15 +20,16 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import Field, Grid, full_values, laplacian_diagonals, norm_h1
+from .grid import Grid, full_values, laplacian_diagonals, norm_h1
 from .model import (QUAD_PTS, ZERO_NONLINEARITY, DiscretizedData, Nonlinearity, ProblemData,
                     _step_residual, time_blocks)
 from .obstacle import SolverOptions, step_energy
 
 
-def energy(data: ProblemData, nl: Nonlinearity, u: Field, t: float) -> float:
-    """Energy of a state at time ``t``: quadratic part plus the weighted
-    primitive of the nonlinearity minus the work of the source.
+def energy(data: ProblemData, nl: Nonlinearity, u: np.ndarray, t: float) -> float:
+    """Energy of a state ``u`` of shape ``(n,)`` at time ``t``: quadratic
+    part plus the weighted primitive of the nonlinearity minus the work of
+    the source.
 
     Evaluates ``0.5*|D+ u|^2 + 0.5*lam*|u|^2 + sum(weight(t)*primitive(u))
     - (source(t), u)`` with the grid inner products.  This is the same
@@ -241,9 +242,9 @@ def regrid_problem(data: ProblemData, n: int) -> ProblemData:
     g = data.grid
     new_grid = Grid(a=g.a, b=g.b, n=n, bc_left=g.bc_left, bc_right=g.bc_right)
 
-    def regrid_field(f: Field) -> Field:
+    def regrid_field(f: np.ndarray) -> np.ndarray:
         xs = np.concatenate(([g.a], g.nodes, [g.b]))
-        return Field(new_grid, np.interp(new_grid.nodes, xs, full_values(g, f)))
+        return np.interp(new_grid.nodes, xs, full_values(g, f))
 
     return ProblemData(
         grid=new_grid, lam=data.lam, weight=data.weight, source=data.source,
@@ -300,7 +301,7 @@ def refinement_study(data: ProblemData, nl: Nonlinearity, m_list, n_list,
             _, prev_traj, prev_sum = prev
             g, cg = traj.grid, prev_traj.grid
             if kind == "tau":
-                gap = max(norm_h1(g, interp_constant(traj, t).values - prev_traj.states[k])
+                gap = max(norm_h1(g, interp_constant(traj, t) - prev_traj.states[k])
                           for k, t in enumerate(prev_traj.times))
             else:
                 fine_full_x = np.concatenate(([g.a], g.nodes, [g.b]))

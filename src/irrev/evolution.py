@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid import BC, Field, Grid
+from .grid import BC, Grid
 from .model import (QUAD_PTS, DiscretizedData, Nonlinearity, ProblemData,
                     ValidationError, discretize_time, validate)
 from .obstacle import ObstacleError, SolverOptions, solve_step
@@ -64,9 +64,6 @@ class Trajectory:
     def m(self) -> int:
         return self.times.size - 1
 
-    def state(self, k: int) -> Field:
-        return Field(self.grid, self.states[k])
-
     def max_movement(self) -> float:
         """Largest nodewise total movement over the run."""
         return float(np.abs(self.states - self.states[0]).max())
@@ -101,7 +98,7 @@ def run_evolution(data: ProblemData, nl: Nonlinearity, m: int,
     multipliers = np.zeros((m, n))
     meta: list[StepMeta] = []
 
-    states[0] = data.initial.values
+    states[0] = data.initial
 
     active = None
     for k in range(1, m + 1):
@@ -117,8 +114,8 @@ def run_evolution(data: ProblemData, nl: Nonlinearity, m: int,
                 tau=disc.tau, step_meta=tuple(meta), disc=disc)
             raise EvolutionError(k, partial, exc) from exc
         active = res.active
-        states[k] = res.z.values
-        multipliers[k - 1] = res.eta.values
+        states[k] = res.z
+        multipliers[k - 1] = res.eta
         meta.append(StepMeta(k=k, iters=res.iters, kkt_residual=res.kkt_residual,
                              n_active=int(res.active.size)))
 
@@ -144,12 +141,13 @@ def _locate(traj: Trajectory, t: float) -> int:
     return min(max(k, 1), traj.m)
 
 
-def interp_constant(traj: Trajectory, t: float) -> Field:
+def interp_constant(traj: Trajectory, t: float) -> np.ndarray:
     """Piecewise constant interpolant: the value on ``(t_{k-1}, t_k]`` is
-    ``states[k]``.  At ``t == 0`` the initial state is returned (the natural
-    left-end extension; the stepping scheme leaves that instant undefined).
+    the row ``states[k]``.  At ``t == 0`` the initial state is returned (the
+    natural left-end extension; the stepping scheme leaves that instant
+    undefined).
     """
-    return traj.state(_locate(traj, t))
+    return traj.states[_locate(traj, t)]
 
 
 # --------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import BC, Field, Grid, full_values
+from .grid import BC, Grid, full_values
 from .model import (MARGIN_FLOOR, QUAD_PTS, ZERO_NONLINEARITY, Nonlinearity, ProblemData,
                     TimeProfile, constant_profile, validate)
 from .obstacle import SolverOptions, solve_unconstrained
@@ -186,9 +186,10 @@ def load_to_sigma(grid: Grid, params: ATParams) -> TimeProfile:
     return TimeProfile(evaluator, dt_evaluator)
 
 
-def recover_displacement(grid: Grid, z: Field | np.ndarray, params: ATParams,
+def recover_displacement(grid: Grid, z: np.ndarray, params: ATParams,
                          t: float | np.ndarray) -> CoupledState:
-    """Displacement from a phase field: ``u_x = -H/(z^2+delta)``, ``u(-1)=0``.
+    """Displacement from a phase field ``z`` of shape ``(n,)`` at one time:
+    ``u_x = -H/(z^2+delta)``, ``u(-1)=0``.
 
     The sign follows from integrating the displacement equation from the
     left end; ``u`` itself is the cumulative trapezoid of ``u_x``.  The
@@ -205,7 +206,7 @@ def recover_displacement(grid: Grid, z: Field | np.ndarray, params: ATParams,
 
 
 def relaxed_profile(grid: Grid, params: ATParams,
-                    opts: Optional[SolverOptions] = None) -> Field:
+                    opts: Optional[SolverOptions] = None) -> np.ndarray:
     """Load-free equilibrium phase field: solves -z'' + lam*(z - 1) = 0.
 
     Close to 1 in the interior with boundary layers of width eps at the
@@ -218,7 +219,7 @@ def relaxed_profile(grid: Grid, params: ATParams,
     return solve_unconstrained(grid, ones, zeros, lam, ZERO_NONLINEARITY, opts=opts)
 
 
-def build_problem(grid: Grid, params: ATParams, z0: Optional[Field],
+def build_problem(grid: Grid, params: ATParams, z0: Optional[np.ndarray],
                   horizon: float) -> tuple[ProblemData, Nonlinearity]:
     """Assemble the scalar evolution equivalent to the coupled system."""
     if grid.bc_left is not BC.DIRICHLET or grid.bc_right is not BC.DIRICHLET:
@@ -256,7 +257,7 @@ def at_energy(grid: Grid, state: CoupledState, params: ATParams):
 
 
 def run_fracture(params: ATParams, grid: Grid, horizon: float, m: int,
-                 z0: Optional[Field] = None,
+                 z0: Optional[np.ndarray] = None,
                  opts: Optional[SolverOptions] = None,
                  quad_pts: int = QUAD_PTS) -> FractureResult:
     """Coupled quasistatic run: evolve the phase field, recover displacements.

@@ -6,6 +6,9 @@ value equals the adjacent interior value.  Both conventions keep the
 second-difference operator symmetric and positive semidefinite with respect
 to the trapezoid-free nodal inner product ``h * sum(u_i v_i)``, which the
 obstacle solver and all energy evaluations rely on.
+
+A nodal state is a plain float array ``(n,)`` (a stack of states ``(k, n)``),
+always passed together with its grid.
 """
 
 from __future__ import annotations
@@ -21,10 +24,6 @@ class BC(str, Enum):
 
     DIRICHLET = "dirichlet"
     NEUMANN = "neumann"
-
-
-class GridMismatchError(ValueError):
-    """Raised when an operation mixes fields living on different grids."""
 
 
 @dataclass(frozen=True)
@@ -71,50 +70,13 @@ class Grid:
         return self.a + self.h * np.arange(self.n + 2)
 
 
-@dataclass(frozen=True)
-class Field:
-    """Nodal values on the interior nodes of a grid.
-
-    Values are stored as a read-only float array of length ``grid.n``; all
-    entries must be finite.
-    """
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=float, copy=True).reshape(-1)
-        if vals.shape != (self.grid.n,):
-            raise ValueError(
-                f"field has {vals.size} values, grid has {self.grid.n} interior nodes"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("field contains non-finite values")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-
-def as_values(grid: Grid, u) -> np.ndarray:
-    """Coerce a Field or array-like to a plain value array on ``grid``."""
-    if isinstance(u, Field):
-        if u.grid != grid:
-            raise GridMismatchError("field does not live on the given grid")
-        return u.values
-    vals = np.asarray(u, dtype=float).reshape(-1)
-    if vals.shape != (grid.n,):
-        raise GridMismatchError(
-            f"got {vals.size} values for a grid with {grid.n} interior nodes"
-        )
-    return vals
-
-
-def full_values(grid: Grid, u: Field | np.ndarray) -> np.ndarray:
-    """Values on all ``n+2`` nodes, of one state or of each row of a stack
-    ``(k, n)``; the ghost value is 0 at a Dirichlet end and the adjacent
-    interior value at a Neumann end."""
-    vals = u if isinstance(u, np.ndarray) and u.ndim == 2 else as_values(grid, u)
+def full_values(grid: Grid, u) -> np.ndarray:
+    """Values on all ``n+2`` nodes, of one state ``(n,)`` or of each row of a
+    stack ``(k, n)``; the ghost value is 0 at a Dirichlet end and the
+    adjacent interior value at a Neumann end."""
+    vals = np.asarray(u, dtype=float)
     if vals.shape[-1] != grid.n:
-        raise GridMismatchError(f"rows of {vals.shape[-1]} values, {grid.n} interior nodes")
+        raise ValueError(f"rows of {vals.shape[-1]} values, {grid.n} interior nodes")
     out = np.empty(vals.shape[:-1] + (grid.n + 2,))
     out[..., 1:-1] = vals
     out[..., 0] = 0.0 if grid.bc_left is BC.DIRICHLET else vals[..., 0]
@@ -140,7 +102,7 @@ def laplacian_diagonals(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return off, diag, off.copy()
 
 
-def forward_jumps(grid: Grid, u: Field | np.ndarray) -> np.ndarray:
+def forward_jumps(grid: Grid, u: np.ndarray) -> np.ndarray:
     """Forward differences ``(u_{i+1} - u_i)/h`` including the boundary jumps.
 
     Returns ``n+1`` values.  Ghost values follow :func:`full_values`: zero
@@ -150,9 +112,9 @@ def forward_jumps(grid: Grid, u: Field | np.ndarray) -> np.ndarray:
     return np.diff(full_values(grid, u)) / grid.h
 
 
-def norm_h1(grid: Grid, u: Field | np.ndarray) -> float:
+def norm_h1(grid: Grid, u: np.ndarray) -> float:
     """Discrete H1 norm: sqrt of (squared jump norm + squared L2 norm)."""
-    du = forward_jumps(grid, u)
-    vals = as_values(grid, u)
+    vals = np.asarray(u, dtype=float)
+    du = forward_jumps(grid, vals)
     s = grid.h * (float(np.dot(du, du)) + float(np.dot(vals, vals)))
     return float(np.sqrt(max(s, 0.0)))

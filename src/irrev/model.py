@@ -14,12 +14,12 @@ interval-averaged data used by the implicit stepping scheme.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import Field, Grid, laplacian_diagonals
+from .grid import Grid, laplacian_diagonals
 
 #: absolute tolerance for the nodewise admissibility check of the initial state
 TOL_ADMISS = 1e-9
@@ -203,11 +203,11 @@ class ProblemData:
         Nonnegative coefficient multiplying the nonlinearity.
     source : TimeProfile
         Right-hand side.
-    initial : Field
+    initial : ndarray, shape ``(n,)``
         Starting state; must be admissible (checked by :func:`validate`).
     horizon : float
         Final time ``T > 0``.
-    source_floor : Field, optional
+    source_floor : ndarray, shape ``(n,)``, optional
         Lower envelope of the source in time.  ``None`` means "use the
         default envelope" computed by :func:`default_lower_envelope`.
     """
@@ -216,17 +216,22 @@ class ProblemData:
     lam: float
     weight: TimeProfile
     source: TimeProfile
-    initial: Field
+    initial: np.ndarray
     horizon: float
-    source_floor: Optional[Field] = None
+    source_floor: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
         if not self.horizon > 0:
             raise ValueError("horizon must be > 0")
-        if self.initial.grid != self.grid:
-            raise ValueError("initial state lives on a different grid")
+        for name in ("initial", "source_floor"):
+            vals = getattr(self, name)
+            if vals is not None:
+                vals = np.asarray(vals, dtype=float)
+                if vals.shape != (self.grid.n,):
+                    raise ValueError(f"{name} has shape {vals.shape}, not ({self.grid.n},)")
+                object.__setattr__(self, name, vals)
 
 
 @dataclass(frozen=True)
@@ -315,18 +320,18 @@ def validate(data: ProblemData, nl: Nonlinearity, seed: int = 0) -> ValidationRe
     lambda0 = float(nl.convexity_margin(data.lam, w_samples).min())
 
     # ts[0] == 0, so the first sampled rows are the data at t = 0
-    r = float(_step_residual(data.initial.values, f_samples[0], w_samples[0], data.lam,
+    r = float(_step_residual(data.initial, f_samples[0], w_samples[0], data.lam,
                              nl, laplacian_diagonals(g)).max())
 
     if data.source_floor is not None:
-        floor = data.source_floor.values
+        floor = data.source_floor
         floor_tol = 1e-12
         floor_note = "user-supplied floor"
     else:
         # the default envelope is exact only up to its own quadrature error,
         # and it is tight for monotone decay; compare at quadrature scale
         n_quad = max(1024, int(256 * data.horizon))
-        floor = default_lower_envelope(data, n_quad=n_quad).values
+        floor = default_lower_envelope(data, n_quad=n_quad)
         floor_tol = (100.0 * (data.horizon / n_quad) ** 2
                      * (1.0 + float(np.abs(f_samples).max())) + 1e-12)
         floor_note = "default envelope, quadrature-scale tolerance"
@@ -401,7 +406,7 @@ def discretize_time(data: ProblemData, m: int, quad_pts: int = QUAD_PTS) -> Disc
     )
 
 
-def default_lower_envelope(data: ProblemData, n_quad: int = 1024) -> Field:
+def default_lower_envelope(data: ProblemData, n_quad: int = 1024) -> np.ndarray:
     """Default lower envelope of the source in time.
 
     Returns ``source(x, 0) - integral_0^T |d/dt source(x, s)| ds`` computed
@@ -420,4 +425,4 @@ def default_lower_envelope(data: ProblemData, n_quad: int = 1024) -> Field:
             raise ValueError(f"source time derivative non-finite at t={pts[sl][i]:.6g}")
         # cumsum adds the rows one after another, as a per-time loop would
         acc = np.cumsum(np.vstack((acc, d)), axis=0)[-1]
-    return Field(g, data.source(x, 0.0) - acc * (T / n_quad))
+    return data.source(x, 0.0) - acc * (T / n_quad)

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .grid import Field, Grid, as_values, forward_jumps, laplacian_diagonals
+from .grid import Grid, forward_jumps, laplacian_diagonals
 from .model import MARGIN_FLOOR, Nonlinearity, _step_residual
 
 
@@ -35,7 +35,13 @@ class ObstacleError(RuntimeError):
 
 
 class CoercivityLost(ObstacleError):
-    """The convexity margin ``lam - L*max(weight)`` is below ``MARGIN_FLOOR``."""
+    """The convexity margin ``lam - L*max(weight)`` is below ``MARGIN_FLOOR``;
+    the margin is kept in ``margin``."""
+
+    def __init__(self, margin: float):
+        super().__init__(f"convexity margin lam - L*max(weight) = {margin:.6g} "
+                         f"is below the floor {MARGIN_FLOOR:.3g}")
+        self.margin = margin
 
 
 class MaxIterations(ObstacleError):
@@ -73,14 +79,15 @@ class ObstacleResult:
 
     ``eta`` is the multiplier of the rate constraint for the step inclusion
     written per unit step (not scaled by the step size; the admissible-cone
-    multiplier is invariant under that scaling).  ``active`` holds the node
+    multiplier is invariant under that scaling).  ``z`` and ``eta`` are
+    nodal arrays of shape ``(n,)``.  ``active`` holds the node
     indices where the solution sits on the obstacle, ``kkt_residual`` the
     worst nodewise value of ``|min(eta, psi - z)|`` with ``eta`` recomputed
     from the returned state.
     """
 
-    z: Field
-    eta: Field
+    z: np.ndarray
+    eta: np.ndarray
     active: np.ndarray
     iters: int
     kkt_residual: float
@@ -92,9 +99,9 @@ class ObstacleResult:
 
 def step_energy(grid: Grid, u, source, weight, lam: float, nl: Nonlinearity) -> float:
     """Frozen-data convex energy whose constrained minimizer is the step solution."""
-    uv = as_values(grid, u)
-    fv = as_values(grid, source)
-    wv = as_values(grid, weight)
+    uv = np.asarray(u, dtype=float)
+    fv = np.asarray(source, dtype=float)
+    wv = np.asarray(weight, dtype=float)
     du = forward_jumps(grid, uv)
     h = grid.h
     quad = 0.5 * h * float(np.dot(du, du)) + 0.5 * lam * h * float(np.dot(uv, uv))
@@ -106,9 +113,7 @@ def step_energy(grid: Grid, u, source, weight, lam: float, nl: Nonlinearity) -> 
 def _require_coercive(wv: np.ndarray, lam: float, nl: Nonlinearity) -> None:
     margin = nl.convexity_margin(lam, wv)
     if not margin >= MARGIN_FLOOR:
-        raise CoercivityLost(
-            f"convexity margin lam - L*max(weight) = {margin:.6g} "
-            f"is below the floor {MARGIN_FLOOR:.3g}")
+        raise CoercivityLost(margin)
 
 
 def _natural_residual(eta: np.ndarray, slack: np.ndarray) -> float:
@@ -175,16 +180,15 @@ def _newton_on_subset(u: np.ndarray, free: np.ndarray,
 
 
 def solve_unconstrained(grid: Grid, source, weight, lam: float, nl: Nonlinearity,
-                        opts: Optional[SolverOptions] = None) -> Field:
+                        opts: Optional[SolverOptions] = None) -> np.ndarray:
     """Plain Newton solve of -u'' + lam*u + w*fn(u) = f on all nodes."""
     opts = opts or SolverOptions()
-    fv = as_values(grid, source)
-    wv = as_values(grid, weight)
+    fv = np.asarray(source, dtype=float)
+    wv = np.asarray(weight, dtype=float)
     _require_coercive(wv, lam, nl)
     lap = laplacian_diagonals(grid)
-    u = _newton_on_subset(np.zeros(grid.n), np.ones(grid.n, bool), fv, wv, lam, nl,
-                          lap, tol=0.1 * opts.tol_kkt)
-    return Field(grid, u)
+    return _newton_on_subset(np.zeros(grid.n), np.ones(grid.n, bool), fv, wv, lam, nl,
+                             lap, tol=0.1 * opts.tol_kkt)
 
 
 # --------------------------------------------------------------------------
@@ -211,9 +215,9 @@ def solve_step(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinearit
     contact.
     """
     opts = opts or SolverOptions()
-    psi = as_values(grid, obstacle)
-    fv = as_values(grid, source)
-    wv = as_values(grid, weight)
+    psi = np.asarray(obstacle, dtype=float)
+    fv = np.asarray(source, dtype=float)
+    wv = np.asarray(weight, dtype=float)
     _require_coercive(wv, lam, nl)
     lap = laplacian_diagonals(grid)
     tol_inner = 0.1 * opts.tol_kkt
@@ -233,8 +237,9 @@ def solve_step(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinearit
         G = _step_residual(u, fv, wv, lam, nl, lap)
         eta = np.where(active, -G, 0.0)
         kkt = _natural_residual(-G, psi - u)
+        # the next sweep writes into u, and the best result must keep its own
         result = ObstacleResult(
-            z=Field(grid, u), eta=Field(grid, eta),
+            z=u.copy(), eta=eta,
             active=np.flatnonzero(active), iters=outer, kkt_residual=kkt)
         if best is None or kkt < best.kkt_residual:
             best = result

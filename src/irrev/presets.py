@@ -7,11 +7,9 @@ configuration machinery).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from .grid import Field, Grid
+from .grid import Grid
 from .model import ZERO_NONLINEARITY, Nonlinearity, TimeProfile, constant_profile
 from .obstacle import solve_unconstrained
 
@@ -80,32 +78,36 @@ def nonlinearity(spec: dict) -> Nonlinearity:
 
 def space_values(grid: Grid, spec: dict, where: str = "space") -> np.ndarray:
     """Presets: ``zero``, ``constant`` (value), ``bump`` (amplitude, center,
-    width), ``sine`` (amplitude, mode), ``values`` (explicit nodal list)."""
+    width), ``sine`` (amplitude, mode), ``values`` (explicit nodal list).
+    Every nodal array of a configuration passes here; non-finite ones are refused."""
     kind = spec.get("preset")
     x = grid.nodes
     if kind == "zero":
         _take(spec, f"{where}:zero")
-        return np.zeros(grid.n)
-    if kind == "constant":
+        vals = np.zeros(grid.n)
+    elif kind == "constant":
         p = _take(spec, f"{where}:constant", required=("value",))
-        return np.full(grid.n, float(p["value"]))
-    if kind == "bump":
+        vals = np.full(grid.n, float(p["value"]))
+    elif kind == "bump":
         p = _take(spec, f"{where}:bump", required=("amplitude",),
                   optional=("center", "width"))
         c = float(p.get("center", 0.5 * (grid.a + grid.b)))
         w = float(p.get("width", 0.2 * (grid.b - grid.a)))
-        return float(p["amplitude"]) * np.exp(-((x - c) / w) ** 2)
-    if kind == "sine":
+        vals = float(p["amplitude"]) * np.exp(-((x - c) / w) ** 2)
+    elif kind == "sine":
         p = _take(spec, f"{where}:sine", required=("amplitude",), optional=("mode",))
         mode = int(p.get("mode", 1))
-        return float(p["amplitude"]) * np.sin(mode * np.pi * (x - grid.a) / (grid.b - grid.a))
-    if kind == "values":
+        vals = float(p["amplitude"]) * np.sin(mode * np.pi * (x - grid.a) / (grid.b - grid.a))
+    elif kind == "values":
         p = _take(spec, f"{where}:values", required=("values",))
         vals = np.asarray(p["values"], dtype=float)
         if vals.shape != (grid.n,):
             raise PresetError(f"{where}: need exactly {grid.n} nodal values")
-        return vals
-    raise PresetError(f"unknown {where} preset {kind!r}")
+    else:
+        raise PresetError(f"unknown {where} preset {kind!r}")
+    if not np.all(np.isfinite(vals)):
+        raise PresetError(f"{where}: the {kind} preset gives non-finite values")
+    return vals
 
 
 # --------------------------------------------------------------------------
@@ -221,14 +223,14 @@ def time_profile(grid: Grid, spec: dict, where: str = "profile") -> TimeProfile:
 # --------------------------------------------------------------------------
 
 def initial_state(grid: Grid, spec: dict, lam: float, nl: Nonlinearity,
-                  source: TimeProfile, weight: TimeProfile) -> Field:
+                  source: TimeProfile, weight: TimeProfile) -> np.ndarray:
     """Presets: any space preset, plus ``equilibrium`` (the unconstrained
     solve of the force balance at t=0, admissible with zero margin)."""
     if spec.get("preset") == "equilibrium":
         _take(spec, "z0:equilibrium")
         x = grid.nodes
         return solve_unconstrained(grid, source(x, 0.0), weight(x, 0.0), lam, nl)
-    return Field(grid, space_values(grid, spec, "z0"))
+    return space_values(grid, spec, "z0")
 
 
 # --------------------------------------------------------------------------

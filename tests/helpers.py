@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from irrev import Field, Grid, Nonlinearity
+from irrev import Grid, Nonlinearity
 from irrev.presets import nonlinearity
 
 
@@ -49,4 +49,4 @@ def random_step_instance(seed: int, n_max: int = 10, margin: float = 0.3):
             weight *= cap / top
     source = smooth_values(rng, grid, amplitude=1.2, offset=float(rng.uniform(-1, 1)))
     obstacle = smooth_values(rng, grid, amplitude=0.4)
-    return grid, Field(grid, obstacle), source, weight, lam, nl
+    return grid, obstacle, source, weight, lam, nl

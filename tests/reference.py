@@ -15,10 +15,10 @@ from typing import Optional
 
 import numpy as np
 
-from irrev import (BC, CheckVerdict, CoercivityLost, Field, Grid, MaxIterations,
+from irrev import (BC, CheckVerdict, CoercivityLost, Grid, MaxIterations,
                    Nonlinearity, ObstacleError, ObstacleResult, ProblemData,
                    SolverOptions, Trajectory, discretize_time, run_evolution, step_energy)
-from irrev.grid import as_values, forward_jumps
+from irrev.grid import forward_jumps
 from irrev.model import MARGIN_FLOOR, QUAD_PTS
 
 PG_MAX_ITERS = 200_000     # projected-gradient iteration budget
@@ -31,21 +31,21 @@ ORACLE_AMB_TOL = 1e-9      # oracle: largest spread tolerated among accepted KKT
 # grid operators
 # --------------------------------------------------------------------------
 
-def neg_laplacian(grid: Grid, u) -> Field:
+def neg_laplacian(grid: Grid, u) -> np.ndarray:
     """Second difference ``(-u_{i-1} + 2 u_i - u_{i+1}) / h^2`` on the interior
     nodes, with the ghost value beyond each end taken from its tag: 0 beyond a
     Dirichlet end, the adjacent interior value beyond a Neumann end."""
-    v = as_values(grid, u)
+    v = np.asarray(u, dtype=float)
     left = v[0] if grid.bc_left is BC.NEUMANN else 0.0
     right = v[-1] if grid.bc_right is BC.NEUMANN else 0.0
     padded = np.concatenate(([left], v, [right]))
     c = 1.0 / grid.h ** 2
-    return Field(grid, 2.0 * c * v - c * padded[2:] - c * padded[:-2])
+    return 2.0 * c * v - c * padded[2:] - c * padded[:-2]
 
 
 def inner_l2(grid: Grid, u, v) -> float:
     """Discrete L2 pairing ``h * sum(u_i v_i)`` over the interior nodes."""
-    return grid.h * float(np.dot(as_values(grid, u), as_values(grid, v)))
+    return grid.h * float(np.dot(np.asarray(u, dtype=float), np.asarray(v, dtype=float)))
 
 
 def grad_inner(grid: Grid, u, v) -> float:
@@ -57,7 +57,7 @@ def grad_inner(grid: Grid, u, v) -> float:
 def step_gradient(grid: Grid, u: np.ndarray, source, weight, lam: float,
                   nl: Nonlinearity) -> np.ndarray:
     """``-Lap u + lam*u + w*fn(u) - f``, the l2 gradient of the step energy."""
-    return (neg_laplacian(grid, u).values + lam * u
+    return (neg_laplacian(grid, u) + lam * u
             + weight * np.asarray(nl.fn(u), float) - source)
 
 
@@ -89,9 +89,9 @@ def solve_step_pg(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinea
     is within ``tol_kkt``, the certificate :func:`irrev.solve_step` reports.
     """
     opts = opts or SolverOptions()
-    psi = as_values(grid, obstacle)
-    fv = as_values(grid, source)
-    wv = as_values(grid, weight)
+    psi = np.asarray(obstacle, dtype=float)
+    fv = np.asarray(source, dtype=float)
+    wv = np.asarray(weight, dtype=float)
     _require_convex(wv, lam, nl)
     h = grid.h
 
@@ -150,7 +150,7 @@ def solve_step_pg(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinea
     contact = u >= psi  # projection lands exactly on psi where it clips
     eta = np.where(contact, -g, 0.0)
     result = ObstacleResult(
-        z=Field(grid, u), eta=Field(grid, eta),
+        z=u, eta=eta,
         active=np.flatnonzero(contact & (eta > 0.0)), iters=it, kkt_residual=kkt)
     if kkt > opts.tol_kkt:
         raise MaxIterations(
@@ -187,11 +187,11 @@ def oracle_enumerate(grid: Grid, obstacle, source, weight, lam: float,
     n = grid.n
     if n > 12:
         raise ValueError("enumeration oracle is limited to n <= 12")
-    psi = as_values(grid, obstacle)
-    fv = as_values(grid, source)
-    wv = as_values(grid, weight)
+    psi = np.asarray(obstacle, dtype=float)
+    fv = np.asarray(source, dtype=float)
+    wv = np.asarray(weight, dtype=float)
     _require_convex(wv, lam, nl)
-    lap_dense = np.column_stack([neg_laplacian(grid, e).values for e in np.eye(n)])
+    lap_dense = np.column_stack([neg_laplacian(grid, e) for e in np.eye(n)])
 
     def dense_residual(u: np.ndarray) -> np.ndarray:
         return lap_dense @ u + lam * u + wv * np.asarray(nl.fn(u), float) - fv
@@ -238,12 +238,12 @@ def oracle_enumerate(grid: Grid, obstacle, source, weight, lam: float,
             continue
         kkt = _natural_residual(-G, psi - u)
         accepted.append(ObstacleResult(
-            z=Field(grid, u), eta=Field(grid, eta),
+            z=u, eta=eta,
             active=np.flatnonzero(active), iters=1, kkt_residual=kkt))
 
     if not accepted:
         raise NoCandidate("no active set yields an admissible KKT point")
-    zs = np.array([res.z.values for res in accepted])
+    zs = np.array([res.z for res in accepted])
     spread = float(np.abs(zs - zs[0]).max())
     if spread > ORACLE_AMB_TOL:
         raise AmbiguousCandidates(
@@ -255,14 +255,14 @@ def oracle_enumerate(grid: Grid, obstacle, source, weight, lam: float,
 # trajectories
 # --------------------------------------------------------------------------
 
-def interp_linear(traj: Trajectory, t: float) -> Field:
+def interp_linear(traj: Trajectory, t: float) -> np.ndarray:
     """Piecewise linear-in-time interpolant of the stored states on ``[0, T]``."""
     if not 0.0 <= t <= traj.times[-1]:
         raise ValueError(f"time {t} outside [0, {traj.times[-1]}]")
     k = max(int(np.searchsorted(traj.times, t, side="left")), 1)
     t0, t1 = traj.times[k - 1], traj.times[k]
     theta = (t - t0) / (t1 - t0)
-    return Field(traj.grid, traj.states[k - 1] + theta * (traj.states[k] - traj.states[k - 1]))
+    return traj.states[k - 1] + theta * (traj.states[k] - traj.states[k - 1])
 
 
 def check_comparison(data_a: ProblemData, data_b: ProblemData, nl: Nonlinearity,
@@ -281,7 +281,7 @@ def check_comparison(data_a: ProblemData, data_b: ProblemData, nl: Nonlinearity,
         raise ValueError("comparison requires a common grid")
     disc_a = discretize_time(data_a, m, quad_pts)
     disc_b = discretize_time(data_b, m, quad_pts)
-    pre_gap = max(float((data_a.initial.values - data_b.initial.values).max()),
+    pre_gap = max(float((data_a.initial - data_b.initial).max()),
                   float((disc_a.source_avg - disc_b.source_avg).max()))
     if pre_gap > 1e-12:
         return CheckVerdict(name="comparison", max_violation=np.inf, tolerance=tol,

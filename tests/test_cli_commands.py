@@ -221,7 +221,7 @@ THIN_MARGIN["problem"].update(gamma={"preset": "linear", "slope": -1.0},
     (["run", "--force"], "FAIL  coercivity_margin: "),
     (["longtime"], "FAIL  coercivity_margin: "),
     (["refine"], "FAIL  coercivity_margin: "),
-    (["stationary"], "FAIL  convexity margin 1.00031e-13 is below the floor 1e-12"),
+    (["stationary"], "FAIL  coercivity_margin: value=1.00031e-13 tol=1e-12\n"),
 ], ids=["check", "run", "run-force", "longtime", "refine", "stationary"])
 def test_margin_below_floor_exits_1_before_any_solve(tmp_path, capsys, argv, fail):
     path = tmp_path / "cfg.json"
@@ -246,7 +246,7 @@ def test_stationary_exits_1_on_nonpositive_margin(tmp_path, capsys):
     cfg["problem"]["gamma"] = {"preset": "linear", "slope": -0.5}
     rc, out = run_cli(tmp_path, "stationary", cfg)
     assert rc == cli.EXIT_CHECK_FAILED
-    assert capsys.readouterr().out.startswith("FAIL  convexity margin -1 ")
+    assert capsys.readouterr().out == "FAIL  coercivity_margin: value=-1 tol=1e-12\n"
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -271,3 +271,59 @@ def test_run_force(tmp_path, capsys):
     assert rc == cli.EXIT_CHECK_FAILED
     assert "(convexity margin not positive)" in capsys.readouterr().out
     assert not out.exists() or not any(out.iterdir())
+
+
+#: a bump of width 0 is 0/0 at its center, a node of both grids
+BUMP_0 = {"preset": "bump", "amplitude": 1.0, "width": 0.0}
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("check", with_blocks(RUN, problem=dict(RUN["problem"], z0=BUMP_0))),
+    ("run", with_blocks(RUN, problem=dict(RUN["problem"], z0=BUMP_0))),
+    ("fracture", {"fracture": dict(fracture_config(0.005)["fracture"], z0=BUMP_0)}),
+    # a time profile's space preset is refused too, before any data is sampled
+    ("check", with_blocks(RUN, problem=dict(RUN["problem"],
+                                            f={"preset": "constant", "space": BUMP_0}))),
+], ids=["z0-check", "z0-run", "z0-fracture", "f-check"])
+def test_nonfinite_space_preset_exits_3_and_writes_nothing(tmp_path, capsys, command, cfg):
+    rc, out = run_cli(tmp_path, command, cfg)
+    assert rc == cli.EXIT_CONFIG_ERROR
+    assert "non-finite values" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def equilibrium(cfg):
+    """``cfg`` with the equilibrium initial state, whose solve checks the margin."""
+    out = with_blocks(cfg)
+    out["problem"]["z0"] = {"preset": "equilibrium"}
+    return out
+
+
+@pytest.mark.parametrize("command", ["check", "run", "longtime", "stationary", "refine"])
+@pytest.mark.parametrize("cfg,value", [
+    (equilibrium(nonconvex(LONGTIME)), "-1"),
+    (equilibrium(THIN_MARGIN), "1.00031e-13"),
+], ids=["negative", "thin"])
+def test_margin_below_floor_in_the_initial_solve_exits_1(tmp_path, capsys, command, cfg,
+                                                         value):
+    rc, out = run_cli(tmp_path, command, cfg)
+    assert rc == cli.EXIT_CHECK_FAILED
+    assert capsys.readouterr().out == f"FAIL  coercivity_margin: value={value} tol=1e-12\n"
+    assert not out.exists()
+
+
+def test_margin_below_floor_inside_a_step_exits_2_with_a_partial_trajectory(tmp_path,
+                                                                             capsys):
+    # the weight spikes between two of the times validation samples (k/64),
+    # so only the step average, over midpoints 1/6, 1/2 and 5/6, loses convexity
+    cfg = with_blocks(RUN)
+    cfg["problem"].update(
+        gamma={"preset": "linear", "slope": -0.5}, z0={"preset": "zero"},
+        f={"preset": "constant", "value": 0.0}, m=1, quad_pts=3,
+        sigma={"preset": "tabulated", "times": [0.0, 1 / 6 - 0.004, 1 / 6, 1 / 6 + 0.004, 1.0],
+               "values": [[v] * 41 for v in (1.0, 1.0, 100.0, 1.0, 1.0)]})
+    rc, out = run_cli(tmp_path, "run", cfg)
+    assert rc == cli.EXIT_SOLVER_FAILED
+    assert capsys.readouterr().out.startswith("solver failure: step 1 failed: convexity margin")
+    assert (out / "trajectory.partial").exists()
+    assert load_trajectory(out).times.size == 1

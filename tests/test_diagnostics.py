@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from irrev import (Field, Grid, ProblemData, Trajectory, balance_residual,
+from irrev import (Grid, ProblemData, Trajectory, balance_residual,
                    check_irreversibility, check_lewy_stampacchia,
                    check_unilateral_minimality, constant_profile, energy,
                    load_trajectory, refinement_study, run_evolution, save_trajectory,
@@ -34,23 +34,23 @@ def test_energy_zero_state():
     g = Grid(0.0, 1.0, 4)
     data = ProblemData(grid=g, lam=1.0, weight=constant_profile(1.0),
                        source=constant_profile(2.0),
-                       initial=Field(g, np.zeros(4)), horizon=1.0)
-    assert energy(data, ZERO, Field(g, np.zeros(4)), 0.3) == 0.0
+                       initial=np.zeros(4), horizon=1.0)
+    assert energy(data, ZERO, np.zeros(4), 0.3) == 0.0
 
 
 def test_energy_hand_value():
     g = Grid(0.0, 2.0, 1)  # h = 1
     data = ProblemData(grid=g, lam=1.0, weight=constant_profile(0.0),
                        source=constant_profile(3.0),
-                       initial=Field(g, [0.0]), horizon=1.0)
-    assert energy(data, ZERO, Field(g, [1.0]), 0.0) == pytest.approx(-1.5)
+                       initial=[0.0], horizon=1.0)
+    assert energy(data, ZERO, [1.0], 0.0) == pytest.approx(-1.5)
 
 
 def test_energy_equals_step_energy_on_frozen_data(moving):
     data, traj = moving
     x = data.grid.nodes
     rng = np.random.default_rng(1)
-    u = Field(data.grid, smooth_values(rng, data.grid, 0.7))
+    u = smooth_values(rng, data.grid, 0.7)
     t = traj.times[3]
     assert energy(data, TANH, u, t) == step_energy(
         data.grid, u, data.source(x, t), data.weight(x, t), data.lam, TANH)
@@ -59,7 +59,7 @@ def test_energy_equals_step_energy_on_frozen_data(moving):
 def test_stored_energies_match_single_evaluation_path(moving):
     data, traj = moving
     for k in (0, 5, traj.m):
-        recomputed = energy(data, TANH, traj.state(k), traj.times[k])
+        recomputed = energy(data, TANH, traj.states[k], traj.times[k])
         assert recomputed == traj.energies[k]  # bitwise
 
 
@@ -82,8 +82,8 @@ def test_balance_hand_ledger_scalar_two_step():
     step = time_profile(g, {"preset": "step_t", "before": 0.0, "after": -3.0,
                             "t_switch": 0.5}, "f")
     data = ProblemData(grid=g, lam=1.0, weight=constant_profile(0.0),
-                       source=step, initial=Field(g, [0.0]), horizon=1.0,
-                       source_floor=Field(g, [-3.0]))
+                       source=step, initial=[0.0], horizon=1.0,
+                       source_floor=[-3.0])
     traj = run_evolution(data, ZERO, m=2)
     rep = balance_residual(traj, data, ZERO)
     np.testing.assert_allclose(rep.residuals, [0.0, -1.5], atol=1e-12)
@@ -121,7 +121,7 @@ def test_minimality_detects_injected_fault(stationary_traj):
     data, traj = stationary_traj
     corrupted_states = traj.states.copy()
     corrupted_states[1:] += 1e-3  # push every post-initial state upward
-    energies = np.array([energy(data, TANH, Field(traj.grid, corrupted_states[k]),
+    energies = np.array([energy(data, TANH, corrupted_states[k],
                                 traj.times[k]) for k in range(traj.m + 1)])
     corrupted = Trajectory(grid=traj.grid, times=traj.times,
                            states=corrupted_states, multipliers=traj.multipliers,
@@ -168,8 +168,8 @@ def test_lewy_stampacchia_scalar_hand_cases():
     for f_val, z_expect in ((3.0, 0.0), (-3.0, -1.0)):
         data = ProblemData(grid=g, lam=1.0, weight=constant_profile(0.0),
                            source=constant_profile(f_val),
-                           initial=Field(g, [0.0]), horizon=1.0,
-                           source_floor=Field(g, [min(f_val, 0.0)]))
+                           initial=[0.0], horizon=1.0,
+                           source_floor=[min(f_val, 0.0)])
         traj = run_evolution(data, ZERO, m=1, validate_first=False)
         assert traj.states[1, 0] == pytest.approx(z_expect, abs=1e-12)
         v = check_lewy_stampacchia(traj, 1.0, ZERO)
@@ -213,8 +213,8 @@ def test_comparison_scalar_ordered_sources():
     def mk(f_val):
         return ProblemData(grid=g, lam=1.0, weight=constant_profile(0.0),
                            source=constant_profile(f_val),
-                           initial=Field(g, [0.0]), horizon=1.0,
-                           source_floor=Field(g, [min(f_val, 0.0)]))
+                           initial=[0.0], horizon=1.0,
+                           source_floor=[min(f_val, 0.0)])
 
     v = check_comparison(mk(-3.0), mk(3.0), ZERO, m=1)
     assert v.applicable and v.passed
@@ -237,7 +237,7 @@ def test_comparison_random_ordered_pairs(seed):
         from irrev.model import TimeProfile
         return ProblemData(grid=g, lam=1.5, weight=constant_profile(0.4),
                            source=TimeProfile(ev, dev),
-                           initial=Field(g, np.zeros(9)), horizon=1.0)
+                           initial=np.zeros(9), horizon=1.0)
 
     # identical weight/coefficient, ordered sources, equal initial states
     v = check_comparison(mk(np.zeros(9)), mk(lift), TANH, m=6)
@@ -249,7 +249,7 @@ def test_comparison_marks_unordered_inapplicable(moving):
     data, _ = moving
     shifted = ProblemData(grid=data.grid, lam=data.lam, weight=data.weight,
                           source=data.source,
-                          initial=Field(data.grid, data.initial.values + 1.0),
+                          initial=data.initial + 1.0,
                           horizon=data.horizon)
     v = check_comparison(shifted, data, TANH, m=4)
     assert not v.applicable

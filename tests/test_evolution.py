@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from irrev import (EvolutionError, Field, Grid, ProblemData, TimeProfile,
+from irrev import (EvolutionError, Grid, ProblemData, TimeProfile,
                    ValidationError, constant_profile, interp_constant,
                    load_trajectory, norm_h1, run_evolution, save_trajectory,
                    solve_step, solve_unconstrained)
@@ -63,7 +63,7 @@ def test_all_zero_problem_stays_zero():
     g = Grid(0.0, 1.0, 9)
     data = ProblemData(grid=g, lam=1.0, weight=constant_profile(0.0),
                        source=constant_profile(0.0),
-                       initial=Field(g, np.zeros(9)), horizon=1.0)
+                       initial=np.zeros(9), horizon=1.0)
     traj = run_evolution(data, ZERO, m=5)
     np.testing.assert_array_equal(traj.states, np.zeros((6, 9)))
 
@@ -73,8 +73,8 @@ def test_scalar_two_step_hand_trajectory():
     step = time_profile(g, {"preset": "step_t", "before": 0.0, "after": -3.0,
                             "t_switch": 0.5}, "f")
     data = ProblemData(grid=g, lam=1.0, weight=constant_profile(0.0),
-                       source=step, initial=Field(g, [0.0]), horizon=1.0,
-                       source_floor=Field(g, [-3.0]))
+                       source=step, initial=[0.0], horizon=1.0,
+                       source_floor=[-3.0])
     traj = run_evolution(data, ZERO, m=2)
     np.testing.assert_allclose(traj.states[:, 0], [0.0, 0.0, -1.0], atol=1e-12)
     np.testing.assert_allclose(traj.multipliers[:, 0], [0.0, 0.0], atol=1e-12)
@@ -97,8 +97,8 @@ def test_validation_gate():
     g = Grid(0.0, 1.0, 5)
     data = ProblemData(grid=g, lam=1.0, weight=constant_profile(0.0),
                        source=constant_profile(-1.0),
-                       initial=Field(g, np.zeros(5)), horizon=1.0,
-                       source_floor=Field(g, np.full(5, -1.0)))
+                       initial=np.zeros(5), horizon=1.0,
+                       source_floor=np.full(5, -1.0))
     with pytest.raises(ValidationError):
         run_evolution(data, ZERO, m=2)
 
@@ -111,7 +111,7 @@ def test_step_failure_attaches_partial_trajectory():
                          lambda x, t: np.full(np.shape(x), 2.0))
     data = ProblemData(grid=g, lam=1.0, weight=weight,
                        source=constant_profile(0.0),
-                       initial=Field(g, np.zeros(5)), horizon=1.0)
+                       initial=np.zeros(5), horizon=1.0)
     with pytest.raises(EvolutionError) as err:
         run_evolution(data, nl, m=10, validate_first=False)
     exc = err.value
@@ -147,7 +147,7 @@ def test_warm_start_matches_cold_steps(n):
     assert [s.n_active for s in traj.step_meta] == [res.active.size for res in cold]
     assert min(res.active.size for res in cold) > 0
     for k, res in enumerate(cold, start=1):
-        np.testing.assert_allclose(traj.states[k], res.z.values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(traj.states[k], res.z, rtol=0, atol=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -162,9 +162,9 @@ def moving_traj():
 def test_interp_endpoint_identity(moving_traj):
     for k in range(moving_traj.m + 1):
         t = moving_traj.times[k]
-        np.testing.assert_array_equal(interp_linear(moving_traj, t).values,
+        np.testing.assert_array_equal(interp_linear(moving_traj, t),
                                       moving_traj.states[k])
-        np.testing.assert_array_equal(interp_constant(moving_traj, t).values,
+        np.testing.assert_array_equal(interp_constant(moving_traj, t),
                                       moving_traj.states[k])
 
 
@@ -172,19 +172,19 @@ def test_interp_linear_midpoint(moving_traj):
     k = 5
     t = 0.5 * (moving_traj.times[k - 1] + moving_traj.times[k])
     np.testing.assert_allclose(
-        interp_linear(moving_traj, t).values,
+        interp_linear(moving_traj, t),
         0.5 * (moving_traj.states[k - 1] + moving_traj.states[k]), rtol=1e-14)
 
 
 def test_interp_constant_right_continuous_convention(moving_traj):
     k = 4
     t = moving_traj.times[k] - moving_traj.tau / 3.0
-    np.testing.assert_array_equal(interp_constant(moving_traj, t).values,
+    np.testing.assert_array_equal(interp_constant(moving_traj, t),
                                   moving_traj.states[k])
 
 
 def test_interp_constant_at_zero(moving_traj):
-    np.testing.assert_array_equal(interp_constant(moving_traj, 0.0).values,
+    np.testing.assert_array_equal(interp_constant(moving_traj, 0.0),
                                   moving_traj.states[0])
 
 
@@ -197,9 +197,9 @@ def test_interp_out_of_range(moving_traj):
 
 def test_interp_linear_monotone_in_time(moving_traj):
     ts = np.linspace(0.0, moving_traj.times[-1], 40)
-    prev = interp_linear(moving_traj, ts[0]).values
+    prev = interp_linear(moving_traj, ts[0])
     for t in ts[1:]:
-        cur = interp_linear(moving_traj, t).values
+        cur = interp_linear(moving_traj, t)
         assert (cur - prev).max() <= 1e-12
         prev = cur
 
@@ -209,8 +209,8 @@ def test_interpolant_gap_bounded_by_step_increment(moving_traj):
     max_step = max(norm_h1(g, moving_traj.states[k] - moving_traj.states[k - 1])
                    for k in range(1, moving_traj.m + 1))
     ts = np.linspace(1e-9, moving_traj.times[-1], 60)
-    sup_gap = max(norm_h1(g, interp_linear(moving_traj, t).values
-                          - interp_constant(moving_traj, t).values) for t in ts)
+    sup_gap = max(norm_h1(g, interp_linear(moving_traj, t)
+                          - interp_constant(moving_traj, t)) for t in ts)
     assert sup_gap <= max_step + 1e-13
 
 

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from irrev import (Field, Grid, ProblemData, TimeProfile, constant_profile,
+from irrev import (Grid, ProblemData, TimeProfile, constant_profile,
                    default_lower_envelope, discretize_time, validate)
 from irrev.grid import laplacian_diagonals
 from irrev.model import _step_residual
-from irrev.presets import nonlinearity
+from irrev.presets import PresetError, nonlinearity, space_values
 
 G = Grid(0.0, 1.0, 5)
 
@@ -16,7 +16,7 @@ def make_data(lam=1.0, weight=None, source=None, z0=None, T=1.0, floor=None):
         grid=G, lam=lam,
         weight=weight or constant_profile(0.0),
         source=source or constant_profile(0.0),
-        initial=Field(G, z0 if z0 is not None else np.zeros(G.n)),
+        initial=z0 if z0 is not None else np.zeros(G.n),
         horizon=T, source_floor=floor)
 
 
@@ -106,21 +106,38 @@ def test_validate_flags_negative_margin():
 def test_validate_flags_inadmissible_initial():
     nl = nonlinearity({"preset": "zero"})
     rep = validate(make_data(lam=1.0, source=constant_profile(-1.0),
-                             floor=Field(G, np.full(G.n, -1.0))), nl)
+                             floor=np.full(G.n, -1.0)), nl)
     assert rep.admissibility_residual == pytest.approx(1.0)
     failed = {it.name for it in rep.items if not it.passed}
     assert "initial_admissibility" in failed
+
+
+def test_problem_data_refuses_a_wrong_shape():
+    with pytest.raises(ValueError, match="initial has shape"):
+        make_data(z0=np.zeros(G.n - 1))
+    with pytest.raises(ValueError, match="source_floor has shape"):
+        make_data(floor=np.zeros((1, G.n)))
+
+
+@pytest.mark.parametrize("spec", [
+    {"preset": "values", "values": [1.0, np.nan, 2.0, 3.0, 4.0]},
+    {"preset": "constant", "value": np.inf},
+    {"preset": "bump", "amplitude": 1.0, "width": 0.0},
+])
+def test_space_values_refuse_nonfinite_values(spec):
+    with pytest.raises(PresetError, match="non-finite"):
+        space_values(G, spec, "z0")
 
 
 def test_validate_is_idempotent():
     nl = nonlinearity({"preset": "tanh", "amplitude": 0.3})
     data = make_data(lam=1.5, source=constant_profile(2.0),
                      weight=constant_profile(0.5))
-    before = data.initial.values.copy()
+    before = data.initial.copy()
     rep1 = validate(data, nl)
     rep2 = validate(data, nl)
     assert rep1 == rep2
-    np.testing.assert_array_equal(data.initial.values, before)
+    np.testing.assert_array_equal(data.initial, before)
 
 
 # --------------------------------------------------------------------------
@@ -161,7 +178,7 @@ def test_averages_telescope_to_total_integral():
     prof = TimeProfile(lambda x, t: np.full(np.shape(x), np.sin(3 * t)),
                        lambda x, t: np.full(np.shape(x), 3 * np.cos(3 * t)))
     data = make_data(source=prof, T=2.0,
-                     floor=Field(G, np.full(G.n, -1.0)))
+                     floor=np.full(G.n, -1.0))
     for m in (3, 7):
         disc = discretize_time(data, m, quad_pts=64)
         total = disc.tau * disc.source_avg.sum(axis=0)
@@ -183,14 +200,14 @@ def test_nonfinite_evaluator_reports_location():
 
 def test_envelope_of_constant_source():
     data = make_data(source=constant_profile(1.5))
-    np.testing.assert_allclose(default_lower_envelope(data).values, 1.5, atol=1e-12)
+    np.testing.assert_allclose(default_lower_envelope(data), 1.5, atol=1e-12)
 
 
 def test_envelope_of_decreasing_ramp():
     prof = TimeProfile(lambda x, t: np.full(np.shape(x), 1.0 - t),
                        lambda x, t: np.full(np.shape(x), -1.0))
     data = make_data(source=prof, T=1.0)
-    np.testing.assert_allclose(default_lower_envelope(data).values, 0.0, atol=1e-12)
+    np.testing.assert_allclose(default_lower_envelope(data), 0.0, atol=1e-12)
 
 
 def test_envelope_of_sine_source():
@@ -198,5 +215,5 @@ def test_envelope_of_sine_source():
                        lambda x, t: np.full(np.shape(x), np.cos(t)))
     data = make_data(source=prof, T=np.pi)
     env = default_lower_envelope(data, n_quad=20000)
-    np.testing.assert_allclose(env.values, -2.0, atol=1e-6)
+    np.testing.assert_allclose(env, -2.0, atol=1e-6)
 

@@ -4,10 +4,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
-from irrev import (CoercivityLost, DiscretizedData, Field, Grid, SolverOptions,
+from irrev import (CoercivityLost, DiscretizedData, Grid, MaxIterations, SolverOptions,
                    Trajectory, check_unilateral_minimality, solve_step,
                    solve_unconstrained, step_energy)
 from irrev.grid import laplacian_diagonals
+from irrev.model import _step_residual
 from irrev.presets import nonlinearity
 
 from helpers import random_step_instance, smooth_values
@@ -15,15 +16,15 @@ from reference import inner_l2, neg_laplacian, oracle_enumerate, solve_step_pg
 
 ZERO = nonlinearity({"preset": "zero"})
 SCALAR = Grid(0.0, 2.0, 1)  # single interior node, h = 1
-OBS0 = Field(SCALAR, [0.0])
+OBS0 = [0.0]
 
 
 def kkt_violation(grid, res, obstacle, source, weight, lam, nl):
     """Worst nodewise |min(eta, psi - z)| with eta recomputed from the state."""
-    psi = np.asarray(obstacle.values if isinstance(obstacle, Field) else obstacle)
-    eta = (np.asarray(source, float) - neg_laplacian(grid, res.z).values
-           - lam * res.z.values - np.asarray(weight, float) * np.asarray(nl.fn(res.z.values), float))
-    return float(np.abs(np.minimum(eta, psi - res.z.values)).max())
+    psi = np.asarray(obstacle)
+    eta = (np.asarray(source, float) - neg_laplacian(grid, res.z)
+           - lam * res.z - np.asarray(weight, float) * np.asarray(nl.fn(res.z), float))
+    return float(np.abs(np.minimum(eta, psi - res.z)).max())
 
 
 # --------------------------------------------------------------------------
@@ -58,33 +59,49 @@ def test_step_energy_midpoint_convexity(seed):
 
 def test_scalar_constrained_case():
     res = solve_step(SCALAR, OBS0, [3.0], [0.0], 1.0, ZERO)
-    np.testing.assert_allclose(res.z.values, [0.0], atol=1e-14)
-    np.testing.assert_allclose(res.eta.values, [3.0], atol=1e-12)
+    np.testing.assert_allclose(res.z, [0.0], atol=1e-14)
+    np.testing.assert_allclose(res.eta, [3.0], atol=1e-12)
     np.testing.assert_array_equal(res.active, [0])
 
 
 def test_scalar_unconstrained_case():
     res = solve_step(SCALAR, OBS0, [-3.0], [0.0], 1.0, ZERO)
-    np.testing.assert_allclose(res.z.values, [-1.0], atol=1e-12)
-    np.testing.assert_allclose(res.eta.values, [0.0], atol=1e-12)
+    np.testing.assert_allclose(res.z, [-1.0], atol=1e-12)
+    np.testing.assert_allclose(res.eta, [0.0], atol=1e-12)
     assert res.active.size == 0
 
 
 def test_obstacle_already_solves_equality():
     # f = operator output of the obstacle: the step leaves the state in place
     grid, obstacle, _, weight, lam, nl = random_step_instance(4, n_max=8)
-    psi = obstacle.values
-    f_eq = (neg_laplacian(grid, psi).values + lam * psi
+    psi = obstacle
+    f_eq = (neg_laplacian(grid, psi) + lam * psi
             + weight * np.asarray(nl.fn(psi), float))
     res = solve_step(grid, obstacle, f_eq, weight, lam, nl)
-    np.testing.assert_allclose(res.z.values, psi, atol=1e-10)
-    np.testing.assert_allclose(res.eta.values, 0.0, atol=1e-9)
+    np.testing.assert_allclose(res.z, psi, atol=1e-10)
+    np.testing.assert_allclose(res.eta, 0.0, atol=1e-9)
 
 
 def test_coercivity_guard():
     nl = nonlinearity({"preset": "linear", "slope": -2.0})  # L = 2
     with pytest.raises(CoercivityLost):
         solve_step(SCALAR, OBS0, [0.0], [1.0], 1.0, nl)
+
+
+def test_best_iterate_certifies_its_own_state():
+    # the first step of a run whose source rises where sin(2 pi x) > 0 needs
+    # dozens of cold sweeps; five stop it, and the best iterate it carries
+    # must still hold the state its KKT residual was computed from
+    g = Grid(0.0, 1.0, 301)
+    nl = nonlinearity({"preset": "tanh", "amplitude": 1.0})
+    ones = np.ones(g.n)
+    psi = solve_unconstrained(g, ones, ones, 1.0, nl)
+    f = 1.0 + 0.01 * np.sin(2.0 * np.pi * g.nodes)
+    with pytest.raises(MaxIterations) as info:
+        solve_step(g, psi, f, ones, 1.0, nl, SolverOptions(max_outer=5))
+    best = info.value.result
+    G = _step_residual(best.z, f, ones, 1.0, nl, laplacian_diagonals(g))
+    assert best.kkt_residual == float(np.abs(np.minimum(-G, psi - best.z)).max())
 
 
 # --------------------------------------------------------------------------
@@ -95,8 +112,8 @@ def test_pg_matches_pdas_on_scalar_cases():
     for f in ([3.0], [-3.0]):
         a = solve_step(SCALAR, OBS0, f, [0.0], 1.0, ZERO)
         b = solve_step_pg(SCALAR, OBS0, f, [0.0], 1.0, ZERO)
-        np.testing.assert_allclose(b.z.values, a.z.values, atol=1e-9)
-        np.testing.assert_allclose(b.eta.values, a.eta.values, atol=1e-9)
+        np.testing.assert_allclose(b.z, a.z, atol=1e-9)
+        np.testing.assert_allclose(b.eta, a.eta, atol=1e-9)
 
 
 def test_pg_unconstrained_matches_banded_solve():
@@ -106,14 +123,14 @@ def test_pg_unconstrained_matches_banded_solve():
     rng = np.random.default_rng(0)
     f = smooth_values(rng, g, 1.0)
     lam = 1.0
-    res = solve_step_pg(g, Field(g, np.full(g.n, 1e8)), f, np.zeros(g.n), lam, ZERO)
+    res = solve_step_pg(g, np.full(g.n, 1e8), f, np.zeros(g.n), lam, ZERO)
     sub, diag, sup = laplacian_diagonals(g)
     ab = np.zeros((3, g.n))
     ab[1] = diag + lam
     ab[0, 1:] = sup
     ab[2, :-1] = sub
     direct = solve_banded((1, 1), ab, f)
-    np.testing.assert_allclose(res.z.values, direct, atol=1e-9)
+    np.testing.assert_allclose(res.z, direct, atol=1e-9)
 
 
 def test_pg_energy_monotone_from_obstacle():
@@ -130,17 +147,17 @@ def test_pg_energy_monotone_from_obstacle():
 
 def test_enumeration_scalar_cases():
     r1 = oracle_enumerate(SCALAR, OBS0, [3.0], [0.0], 1.0, ZERO)
-    np.testing.assert_allclose(r1.z.values, [0.0], atol=1e-13)
+    np.testing.assert_allclose(r1.z, [0.0], atol=1e-13)
     np.testing.assert_array_equal(r1.active, [0])
     r2 = oracle_enumerate(SCALAR, OBS0, [-3.0], [0.0], 1.0, ZERO)
-    np.testing.assert_allclose(r2.z.values, [-1.0], atol=1e-12)
+    np.testing.assert_allclose(r2.z, [-1.0], atol=1e-12)
     assert r2.active.size == 0
 
 
 def test_enumeration_refuses_large_grids():
     g = Grid(0.0, 1.0, 13)
     with pytest.raises(ValueError):
-        oracle_enumerate(g, Field(g, np.zeros(13)), np.zeros(13), np.zeros(13),
+        oracle_enumerate(g, np.zeros(13), np.zeros(13), np.zeros(13),
                          1.0, ZERO)
 
 
@@ -148,11 +165,11 @@ def test_enumeration_tolerates_touching_ties():
     # unconstrained solution exactly on the obstacle: several active sets
     # yield the same state; the oracle must not call that ambiguous
     grid, obstacle, _, weight, lam, nl = random_step_instance(9, n_max=4)
-    psi = obstacle.values
-    f_eq = (neg_laplacian(grid, psi).values + lam * psi
+    psi = obstacle
+    f_eq = (neg_laplacian(grid, psi) + lam * psi
             + weight * np.asarray(nl.fn(psi), float))
     res = oracle_enumerate(grid, obstacle, f_eq, weight, lam, nl)
-    np.testing.assert_allclose(res.z.values, psi, atol=1e-9)
+    np.testing.assert_allclose(res.z, psi, atol=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -160,7 +177,7 @@ def test_enumeration_agrees_with_pdas_n3(seed):
     grid, obstacle, source, weight, lam, nl = random_step_instance(seed, n_max=3)
     a = solve_step(grid, obstacle, source, weight, lam, nl)
     b = oracle_enumerate(grid, obstacle, source, weight, lam, nl)
-    np.testing.assert_allclose(a.z.values, b.z.values, atol=1e-9)
+    np.testing.assert_allclose(a.z, b.z, atol=1e-9)
 
 
 @st.composite
@@ -192,10 +209,10 @@ def step_instances(draw, n_max=8, margin=0.3):
 @given(step_instances())
 def test_pdas_matches_enumeration_oracle_cold_and_warm(instance):
     grid, obstacle, source, weight, lam, nl, active = instance
-    ref = oracle_enumerate(grid, obstacle, source, weight, lam, nl).z.values
+    ref = oracle_enumerate(grid, obstacle, source, weight, lam, nl).z
     for guess in (None, active):
         res = solve_step(grid, obstacle, source, weight, lam, nl, initial_active=guess)
-        np.testing.assert_allclose(res.z.values, ref, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(res.z, ref, rtol=0.0, atol=1e-10)
 
 
 # --------------------------------------------------------------------------
@@ -208,8 +225,8 @@ def test_three_solvers_agree(seed):
     a = solve_step(grid, obstacle, source, weight, lam, nl)
     b = solve_step_pg(grid, obstacle, source, weight, lam, nl)
     c = oracle_enumerate(grid, obstacle, source, weight, lam, nl)
-    np.testing.assert_allclose(a.z.values, c.z.values, atol=1e-8)
-    np.testing.assert_allclose(b.z.values, a.z.values, atol=1e-8)
+    np.testing.assert_allclose(a.z, c.z, atol=1e-8)
+    np.testing.assert_allclose(b.z, a.z, atol=1e-8)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -218,10 +235,10 @@ def test_kkt_certificate(seed):
     opts = SolverOptions()
     for solver in (solve_step, solve_step_pg):
         res = solver(grid, obstacle, source, weight, lam, nl, opts)
-        psi = obstacle.values
-        assert res.eta.values.min(initial=0.0) >= -opts.tol_kkt
-        assert (res.z.values - psi).max() <= opts.tol_kkt
-        assert np.abs(res.eta.values * (res.z.values - psi)).max() <= opts.tol_kkt
+        psi = obstacle
+        assert res.eta.min(initial=0.0) >= -opts.tol_kkt
+        assert (res.z - psi).max() <= opts.tol_kkt
+        assert np.abs(res.eta * (res.z - psi)).max() <= opts.tol_kkt
         assert kkt_violation(grid, res, obstacle, source, weight, lam, nl) <= opts.tol_kkt
 
 
@@ -245,13 +262,13 @@ def test_minimality_against_random_admissible_states(seed):
     j_star = step_energy(grid, res.z, source, weight, lam, nl)
     rng = np.random.default_rng(seed)
     for _ in range(100):
-        v = obstacle.values - np.abs(smooth_values(rng, grid, rng.uniform(0.05, 1.5)))
+        v = obstacle - np.abs(smooth_values(rng, grid, rng.uniform(0.05, 1.5)))
         assert j_star <= step_energy(grid, v, source, weight, lam, nl) + 1e-10
 
     # the certificate bounds the gain of every competitor below a state: the
     # solved one (a bound near 0) and one lifted off it (a bound far from 0)
-    lifted = res.z.values + np.abs(smooth_values(rng, grid, 0.1))
-    for state in (res.z.values, lifted):
+    lifted = res.z + np.abs(smooth_values(rng, grid, 0.1))
+    for state in (res.z, lifted):
         bound = minimality_certificate(grid, state, source, weight, lam, nl)
         j_state = step_energy(grid, state, source, weight, lam, nl)
         for _ in range(100):
@@ -264,10 +281,10 @@ def test_minimality_against_random_admissible_states(seed):
 def test_two_sided_operator_bound_per_step(seed):
     grid, obstacle, source, weight, lam, nl = random_step_instance(seed + 300)
     res = solve_step(grid, obstacle, source, weight, lam, nl)
-    z, psi = res.z.values, obstacle.values
+    z, psi = res.z, obstacle
     react = weight * np.asarray(nl.fn(z), float)
-    mid = neg_laplacian(grid, z).values + lam * z + react
-    low = np.minimum(source, neg_laplacian(grid, psi).values + lam * psi + react)
+    mid = neg_laplacian(grid, z) + lam * z + react
+    low = np.minimum(source, neg_laplacian(grid, psi) + lam * psi + react)
     assert (low - mid).max() <= 1e-8
     assert (mid - source).max() <= 1e-8
 
@@ -276,11 +293,11 @@ def test_two_sided_operator_bound_per_step(seed):
 def test_step_comparison_principle(seed):
     grid, obstacle, source, weight, lam, nl = random_step_instance(seed + 500)
     rng = np.random.default_rng(seed)
-    obstacle_hi = Field(grid, obstacle.values + np.abs(smooth_values(rng, grid, 0.5)))
+    obstacle_hi = obstacle + np.abs(smooth_values(rng, grid, 0.5))
     source_hi = source + np.abs(smooth_values(rng, grid, 0.8))
     lo = solve_step(grid, obstacle, source, weight, lam, nl)
     hi = solve_step(grid, obstacle_hi, source_hi, weight, lam, nl)
-    assert (lo.z.values - hi.z.values).max() <= 1e-10
+    assert (lo.z - hi.z).max() <= 1e-10
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -289,12 +306,12 @@ def test_pdas_independent_of_initialization(seed):
     a = solve_step(grid, obstacle, source, weight, lam, nl)
     b = solve_step(grid, obstacle, source, weight, lam, nl,
                    initial_active=np.arange(grid.n))
-    np.testing.assert_allclose(a.z.values, b.z.values, atol=1e-10)
+    np.testing.assert_allclose(a.z, b.z, atol=1e-10)
 
 
 def test_unconstrained_helper_solves_semilinear_equation():
     grid, _, source, weight, lam, nl = random_step_instance(33, n_max=9)
     u = solve_unconstrained(grid, source, weight, lam, nl)
-    resid = (neg_laplacian(grid, u).values + lam * u.values
-             + weight * np.asarray(nl.fn(u.values), float) - source)
+    resid = (neg_laplacian(grid, u) + lam * u
+             + weight * np.asarray(nl.fn(u), float) - source)
     assert np.abs(resid).max() <= 1e-10

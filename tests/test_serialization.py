@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from irrev import (EvolutionError, Field, Grid, ProblemData, TimeProfile,
+from irrev import (EvolutionError, Grid, ProblemData, TimeProfile,
                    constant_profile, load_trajectory, run_evolution, save_trajectory)
 from irrev.evolution import CSV_CHUNK_ROWS, write_csv
 from irrev.presets import nonlinearity
@@ -16,7 +16,7 @@ def one_stamp_partial() -> EvolutionError:
     data = ProblemData(grid=g, lam=1.0,
                        weight=TimeProfile(lambda x, t: np.full(np.shape(x), 2.0),
                                           lambda x, t: np.zeros(np.shape(x))),
-                       source=constant_profile(0.0), initial=Field(g, z0), horizon=1.0)
+                       source=constant_profile(0.0), initial=z0, horizon=1.0)
     nl = nonlinearity({"preset": "linear", "slope": -1.0})  # L = 1 > lam / weight
     with pytest.raises(EvolutionError) as err:
         run_evolution(data, nl, m=3, validate_first=False)
