@@ -44,7 +44,7 @@ from .diagnostics import (CheckVerdict, balance_residual, check_dissipation_sign
                           check_unilateral_minimality, refinement_study,
                           verdicts_to_json, write_refinement_csv)
 from .evolution import (EvolutionError, Trajectory, run_evolution, save_trajectory,
-                        write_csv)
+                        write_csv, write_long_csv)
 from .fracture import ATParams, FractureSetupError, run_fracture
 from .grid import BC, Grid
 from .model import MARGIN_FLOOR, QUAD_PTS, ProblemData, ValidationError, validate
@@ -315,7 +315,7 @@ def cmd_longtime(cfg: dict, out_dir: Path) -> int:
         return _solver_failed(exc, cfg, out_dir)
 
     _save(result.traj, cfg, out_dir)
-    write_csv(out_dir / "gap.csv", ("t", "gap_V"), [(result.traj.times, result.gaps)])
+    write_csv(out_dir / "gap.csv", ("t", "gap_V"), (result.traj.times, result.gaps))
 
     print(f"final gap: {result.final_gap:.17g}")
     print(f"gap monotone: {result.gap_monotone} "
@@ -354,7 +354,7 @@ def cmd_stationary(cfg: dict, out_dir: Path) -> int:
                                              weight=weight, lam=data.lam, nl=nl), opts=opts)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(out_dir / "z_inf.csv", ("x", "z", "eta"), [(x, res.z, res.eta)])
+    write_csv(out_dir / "z_inf.csv", ("x", "z", "eta"), (x, res.z, res.eta))
     with open(out_dir / "stationary.json", "w") as fh:
         json.dump({"kkt_residual": res.kkt_residual, "iters": res.iters,
                    "active": [int(i) for i in res.active]}, fh, sort_keys=True, indent=1)
@@ -389,10 +389,9 @@ def cmd_fracture(cfg: dict, out_dir: Path) -> int:
     traj = result.traj
     _save(traj, cfg, out_dir)
     st = result.coupled
-    write_csv(out_dir / "displacement.csv", ("t", "x", "u", "u_x"),
-              ((np.full(st.x_full.size, t), st.x_full, u, ux)
-               for t, u, ux in zip(st.t, st.u_full, st.ux_full)))
-    write_csv(out_dir / "at_energy.csv", ("t", "at_energy"), [(traj.times, result.at_energies)])
+    write_long_csv(out_dir / "displacement.csv", st.t, st.x_full,
+                   {"u": st.u_full, "u_x": st.ux_full})
+    write_csv(out_dir / "at_energy.csv", ("t", "at_energy"), (traj.times, result.at_energies))
 
     # consistency of the reduction: weight*fn(z) must equal z*u_x^2/eps
     worst = float(np.abs(st.sigma * np.asarray(result.nl.fn(st.z), float)

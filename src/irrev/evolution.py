@@ -154,20 +154,36 @@ def interp_constant(traj: Trajectory, t: float) -> np.ndarray:
 # serialization: long CSV + JSON manifest
 # --------------------------------------------------------------------------
 
-CSV_CHUNK_ROWS = 1024      # rows formatted per write, bounding the text in memory
-
-
-def write_csv(path: str | Path, header: Sequence[str], blocks) -> None:
-    """Write CSV rows under a header line from ``blocks``, each a tuple of
-    equal-length float columns.  Values get 17 significant digits (a reload
-    reproduces them to the last bit) and lines end in ``\\n``."""
+def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """Write a flat table: a header line, then one row per entry of the
+    equal-length float ``columns``.  Values get 17 significant digits (a
+    reload reproduces them to the last bit) and lines end in ``\\n``."""
     row = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for cols in blocks:
-            for start in range(0, len(cols[0]), CSV_CHUNK_ROWS):
-                table = np.column_stack([c[start:start + CSV_CHUNK_ROWS] for c in cols])
-                fh.write((row * len(table)) % tuple(table.ravel().tolist()))
+        fh.write((row * len(columns[0])) % tuple(np.column_stack(columns).ravel().tolist()))
+
+
+def write_long_csv(path: str | Path, times: np.ndarray, x: np.ndarray,
+                   fields: dict[str, Sequence[np.ndarray]]) -> None:
+    """Write a long table with the header ``t,x,<field names>`` and one row
+    ``t_k, x_i, fields[name][k][i]...`` per stamp ``k`` and node ``i``.
+
+    ``fields`` maps each column name to its rows, one ``(x.size,)`` array
+    per stamp.  The bytes are those of formatting every value with
+    ``%.17g``, but each repeated value is formatted once: ``x`` once per
+    file and each ``t`` once per stamp, and only the field values per row.
+    The text is written one stamp at a time, so the text held in memory is
+    one stamp's rows.
+    """
+    cells = ",%.17g" * len(fields) + "\n"
+    # one piece per node; joining them with a stamp's t puts t before each row
+    pieces = [""] + ["," + "%.17g" % xi + cells for xi in x.tolist()]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(["t", "x", *fields]) + "\n")
+        for k, t in enumerate(times.tolist()):
+            values = np.column_stack([rows[k] for rows in fields.values()]).ravel()
+            fh.write(("%.17g" % t).join(pieces) % tuple(values.tolist()))
 
 
 def save_trajectory(traj: Trajectory, directory: str | Path,
@@ -175,7 +191,8 @@ def save_trajectory(traj: Trajectory, directory: str | Path,
     """Write ``trajectory.csv`` (long format: t, x, z, eta) and ``trajectory.json``.
 
     Values are printed with 17 significant digits so a round trip through
-    :func:`load_trajectory` reproduces them to the last bit.  ``stride``
+    :func:`load_trajectory` reproduces them to the last bit; the CSV is
+    written by :func:`write_long_csv`, one stamp at a time.  ``stride``
     thins the stored time stamps (the initial and final stamps are always
     kept).  Multiplier entries at ``t == 0`` are written as ``nan`` (no step
     produced them).
@@ -188,11 +205,10 @@ def save_trajectory(traj: Trajectory, directory: str | Path,
     json_path = directory / "trajectory.json"
 
     keep = sorted(set(range(0, traj.m + 1, stride)) | {0, traj.m})
-    n, x = traj.grid.n, traj.grid.nodes
-    no_eta = np.full(n, np.nan)
-    write_csv(csv_path, ("t", "x", "z", "eta"),
-              ((np.full(n, traj.times[k]), x, traj.states[k],
-                traj.multipliers[k - 1] if k else no_eta) for k in keep))
+    no_eta = np.full(traj.grid.n, np.nan)
+    write_long_csv(csv_path, traj.times[keep], traj.grid.nodes,
+                   {"z": [traj.states[k] for k in keep],
+                    "eta": [traj.multipliers[k - 1] if k else no_eta for k in keep]})
 
     manifest = {
         "grid": {"a": traj.grid.a, "b": traj.grid.b, "n": traj.grid.n,

@@ -20,11 +20,12 @@ solve (:func:`solve_step`); each result carries its KKT certificate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .grid import Grid, forward_jumps, laplacian_diagonals
 from .model import MARGIN_FLOOR, Nonlinearity, _step_residual
@@ -125,6 +126,30 @@ def _natural_residual(eta: np.ndarray, slack: np.ndarray) -> float:
 # Newton inner solve on a node subset
 # --------------------------------------------------------------------------
 
+def _solve_free_jacobian(lap: tuple[np.ndarray, np.ndarray, np.ndarray],
+                         idx: np.ndarray, jd: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the Newton system on the free nodes ``idx`` (sorted).
+
+    The matrix has the diagonal ``jd`` and, between adjacent free nodes, the
+    Laplacian's off-diagonals from ``lap``; non-adjacent free nodes decouple.
+    The system goes straight to LAPACK's ``dgtsv``, the routine
+    ``scipy.linalg.solve_banded`` calls for one band on either side, without
+    that wrapper's checks and copies; one free node is a division.  ``jd``
+    and ``rhs`` are overwritten.
+    """
+    if idx.size == 1:
+        return rhs / jd
+    sub, _, sup = lap
+    consec = (idx[1:] - idx[:-1]) == 1
+    dl = np.where(consec, sub[idx[:-1]], 0.0)
+    du = np.where(consec, sup[idx[:-1]], 0.0)
+    _, _, _, x, info = dgtsv(dl, jd, du, rhs, overwrite_dl=1, overwrite_d=1,
+                             overwrite_du=1, overwrite_b=1)
+    if info != 0:  # pragma: no cover - SPD by margin
+        raise NewtonFailure(f"singular step Jacobian (dgtsv info={info})")
+    return x
+
+
 def _newton_on_subset(u: np.ndarray, free: np.ndarray,
                       fv: np.ndarray, wv: np.ndarray, lam: float,
                       nl: Nonlinearity,
@@ -133,33 +158,27 @@ def _newton_on_subset(u: np.ndarray, free: np.ndarray,
     """Solve G(u) = 0 on the nodes flagged by ``free``, the rest held fixed.
 
     The Jacobian is the tridiagonal matrix -Lap + lam + w*fn'(u); its
-    restriction to the free nodes stays tridiagonal (non-adjacent free nodes
-    simply decouple).  Damped Newton with multiplicative backtracking.
+    restriction to the free nodes stays tridiagonal and is solved by
+    :func:`_solve_free_jacobian`.  Damped Newton with multiplicative
+    backtracking.  A residual that is not finite at the start (non-finite
+    data or state) raises :class:`NewtonFailure` at once.
     """
     idx = np.flatnonzero(free)
     if idx.size == 0:
         return u
-    sub, diag, sup = lap
-    nfree = idx.size
-    consec = (idx[1:] - idx[:-1]) == 1 if nfree > 1 else np.zeros(0, bool)
 
     G = _step_residual(u, fv, wv, lam, nl, lap)
     r = float(np.abs(G[idx]).max())
+    if not math.isfinite(r):
+        raise NewtonFailure(f"non-finite residual {r} on the free nodes: "
+                            "the step data or state is not finite")
     alpha_floor = NEWTON_DAMPING ** 40
 
     for _ in range(MAX_NEWTON):
         if r <= tol:
             return u
-        jd = diag[idx] + lam + wv[idx] * nl.deriv(u[idx])
-        ab = np.zeros((3, nfree))
-        ab[1] = jd
-        if nfree > 1:
-            ab[0, 1:][consec] = sup[idx[:-1][consec]]
-            ab[2, :-1][consec] = sub[idx[:-1][consec]]
-        try:
-            delta = solve_banded((1, 1), ab, -G[idx])
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD by margin
-            raise NewtonFailure(f"singular step Jacobian: {exc}") from exc
+        jd = lap[1][idx] + lam + wv[idx] * nl.deriv(u[idx])
+        delta = _solve_free_jacobian(lap, idx, jd, -G[idx])
 
         alpha = 1.0
         while True:

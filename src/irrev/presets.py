@@ -93,7 +93,8 @@ def space_values(grid: Grid, spec: dict, where: str = "space") -> np.ndarray:
                   optional=("center", "width"))
         c = float(p.get("center", 0.5 * (grid.a + grid.b)))
         w = float(p.get("width", 0.2 * (grid.b - grid.a)))
-        vals = float(p["amplitude"]) * np.exp(-((x - c) / w) ** 2)
+        with np.errstate(divide="ignore", invalid="ignore"):  # width 0: refused below
+            vals = float(p["amplitude"]) * np.exp(-((x - c) / w) ** 2)
     elif kind == "sine":
         p = _take(spec, f"{where}:sine", required=("amplitude",), optional=("mode",))
         mode = int(p.get("mode", 1))

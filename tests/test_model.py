@@ -124,6 +124,7 @@ def test_problem_data_refuses_a_wrong_shape():
     {"preset": "constant", "value": np.inf},
     {"preset": "bump", "amplitude": 1.0, "width": 0.0},
 ])
+@pytest.mark.filterwarnings("error")  # the refusal is the only report
 def test_space_values_refuse_nonfinite_values(spec):
     with pytest.raises(PresetError, match="non-finite"):
         space_values(G, spec, "z0")

@@ -4,11 +4,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
-from irrev import (CoercivityLost, DiscretizedData, Grid, MaxIterations, SolverOptions,
-                   Trajectory, check_unilateral_minimality, solve_step,
+from irrev import (CoercivityLost, DiscretizedData, Grid, MaxIterations, NewtonFailure,
+                   SolverOptions, Trajectory, check_unilateral_minimality, solve_step,
                    solve_unconstrained, step_energy)
 from irrev.grid import laplacian_diagonals
 from irrev.model import _step_residual
+from irrev.obstacle import _solve_free_jacobian
 from irrev.presets import nonlinearity
 
 from helpers import random_step_instance, smooth_values
@@ -86,6 +87,46 @@ def test_coercivity_guard():
     nl = nonlinearity({"preset": "linear", "slope": -2.0})  # L = 2
     with pytest.raises(CoercivityLost):
         solve_step(SCALAR, OBS0, [0.0], [1.0], 1.0, nl)
+
+
+@pytest.mark.parametrize("free", [
+    [7],                        # one free node
+    list(range(41)),            # every node
+    [0, 1, 2, 5, 6, 9, 20, 40],  # blocks with gaps, singletons among them
+    [3, 5, 7, 9],               # no two adjacent
+], ids=["single", "all", "gaps", "isolated"])
+def test_free_jacobian_solve_equals_solve_banded_bit_for_bit(free):
+    grid = Grid(0.0, 1.0, 41)
+    lap = laplacian_diagonals(grid)
+    sub, diag, sup = lap
+    idx = np.asarray(free)
+    consec = np.diff(idx) == 1
+    rng = np.random.default_rng(len(free))
+    for _ in range(20):
+        # SPD: the Laplacian's diagonal dominates, and lam + w*fn' > 0
+        jd = diag[idx] + rng.uniform(0.01, 50.0, idx.size)
+        rhs = rng.normal(size=idx.size) * 10.0 ** rng.integers(-8, 8)
+        ab = np.zeros((3, idx.size))
+        ab[1] = jd
+        ab[0, 1:][consec] = sup[idx[:-1][consec]]
+        ab[2, :-1][consec] = sub[idx[:-1][consec]]
+        want = solve_banded((1, 1), ab, rhs)
+        got = _solve_free_jacobian(lap, idx, jd.copy(), rhs.copy())
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("entry", ["solve_step", "solve_unconstrained"])
+def test_nonfinite_source_raises_newton_failure_at_once(entry):
+    g = Grid(0.0, 1.0, 9)
+    f = np.ones(g.n)
+    f[4] = np.nan
+    ones = np.ones(g.n)
+    nl = nonlinearity({"preset": "tanh", "amplitude": 0.5})
+    with pytest.raises(NewtonFailure, match="non-finite residual"):
+        if entry == "solve_step":
+            solve_step(g, ones, f, ones, 1.0, nl)
+        else:
+            solve_unconstrained(g, f, ones, 1.0, nl)
 
 
 def test_best_iterate_certifies_its_own_state():

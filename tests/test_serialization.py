@@ -3,7 +3,7 @@ import pytest
 
 from irrev import (EvolutionError, Grid, ProblemData, TimeProfile,
                    constant_profile, load_trajectory, run_evolution, save_trajectory)
-from irrev.evolution import CSV_CHUNK_ROWS, write_csv
+from irrev.evolution import write_csv, write_long_csv
 from irrev.presets import nonlinearity
 
 from helpers import smooth_values
@@ -43,19 +43,43 @@ def test_load_rejects_a_missing_row(tmp_path):
         load_trajectory(tmp_path)
 
 
-def test_write_csv_reloads_bit_exactly_across_blocks_and_chunks(tmp_path):
-    rows = 2 * CSV_CHUNK_ROWS + 5
+#: values whose shortest 17-digit forms are awkward: nan, signed zeros, the
+#: smallest subnormal, the largest finite magnitudes and integers
+AWKWARD = [np.nan, 0.0, -0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+           1.0, -3.0, 12345678901234567.0, 0.1, -2.5e-300]
+
+
+def reference_csv(header, rows) -> bytes:
+    """The table formatted one value at a time with ``%.17g``."""
+    lines = [",".join(header)] + [",".join("%.17g" % v for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def assert_reloads_bit_exactly(path, table):
+    back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert back.shape == table.shape
+    assert back.tobytes() == table.tobytes()
+
+
+def test_writers_match_row_by_row_reference_and_reload_bit_exactly(tmp_path):
     rng = np.random.default_rng(0)
-    a = rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, size=rows)
-    b = np.arange(rows, dtype=float)
-    b[::7] = np.nan
-    path = tmp_path / "cols.csv"
-    write_csv(path, ("a", "b"), [(a[:5], b[:5]), (a[5:], b[5:])])
-    raw = path.read_bytes()
-    assert b"\r" not in raw
-    assert raw.count(b"\n") == rows + 1
-    assert raw.startswith(b"a,b\n")
-    back = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert back[:, 0].tobytes() == a.tobytes()
-    np.testing.assert_array_equal(np.isnan(back[:, 1]), np.isnan(b))
-    np.testing.assert_array_equal(back[~np.isnan(b), 1], b[~np.isnan(b)])
+    n, stamps = 13, 7
+    pool = np.concatenate([AWKWARD, rng.normal(size=200) * 10.0 ** rng.integers(-300, 300, 200)])
+    times = np.array([0.0, -0.0, 5e-324, 0.1, 1.0, 3.0, 1.7976931348623157e308])
+    x = rng.choice(pool, n)
+    x[:len(AWKWARD)] = AWKWARD
+    a = rng.choice(pool, (stamps, n))
+    b = rng.choice(pool, (stamps, n))
+    a[0, :len(AWKWARD)] = AWKWARD
+    b[-1, :len(AWKWARD)] = AWKWARD[::-1]
+
+    long_path = tmp_path / "long.csv"
+    write_long_csv(long_path, times, x, {"a": a, "b": b})
+    rows = np.column_stack([np.repeat(times, n), np.tile(x, stamps), a.ravel(), b.ravel()])
+    assert long_path.read_bytes() == reference_csv(("t", "x", "a", "b"), rows)
+    assert_reloads_bit_exactly(long_path, rows)
+
+    flat_path = tmp_path / "flat.csv"
+    write_csv(flat_path, ("x", "a"), (x, a[0]))
+    assert flat_path.read_bytes() == reference_csv(("x", "a"), zip(x, a[0]))
+    assert_reloads_bit_exactly(flat_path, np.column_stack([x, a[0]]))
