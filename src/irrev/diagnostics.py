@@ -5,9 +5,9 @@ deterministic given its inputs.  Tolerances follow two regimes: algebraic
 identities are asserted at 1e-10..1e-12, discretization-limited statements
 are reported as refinement trends rather than absolute numbers.
 
-The minimality and two-sided verdicts apply the solver's step operator to
-all step states in one array pass; the energies, the balance and the
-dissipation sign keep one evaluation per stamp, equal to :func:`energy`.
+Every verdict and series works on the whole stack of states in array
+passes, one per block of times where profiles are evaluated; each stacked
+evaluation equals the one-state call on its row to the last bit.
 """
 
 from __future__ import annotations
@@ -44,16 +44,15 @@ def energy(data: ProblemData, nl: Nonlinearity, u: np.ndarray, t: float) -> floa
 
 def energies(data: ProblemData, nl: Nonlinearity, states: np.ndarray,
              times: np.ndarray) -> np.ndarray:
-    """:func:`energy` of ``states[k]`` at ``times[k]`` for every ``k``, with
-    the data evaluated in one call per block of times (equal to the last
-    bit, by the array contract of :class:`~irrev.model.TimeProfile`)."""
+    """:func:`energy` of ``states[k]`` at ``times[k]`` for every ``k``, equal to
+    the last bit, from one stacked step energy and data evaluation per block
+    of times; reads only the first ``len(times)`` rows of ``states``."""
     g = data.grid
     x = g.nodes
     out = np.empty(len(times))
     for sl in time_blocks(len(times), g.n):
-        f, w = data.source(x, times[sl]), data.weight(x, times[sl])
-        for i, k in enumerate(range(sl.start, sl.stop)):
-            out[k] = step_energy(g, states[k], f[i], w[i], data.lam, nl)
+        out[sl] = step_energy(g, states[sl], data.source(x, times[sl]),
+                              data.weight(x, times[sl]), data.lam, nl)
     return out
 
 
@@ -106,26 +105,27 @@ def balance_residual(traj, data: ProblemData, nl: Nonlinearity,
     right side integrates ``sum(d/dt weight * primitive(z)) - (d/dt source,
     z)`` in time by the composite midpoint rule, holding the state at its
     end-of-interval value (the constant interpolant, matching the scheme's
-    own accuracy).  The time derivatives are evaluated in one call per
-    block of quadrature points.
+    own accuracy).  The time derivatives and both inner products are
+    evaluated in one stacked pass per block of quadrature points.
     """
     g = traj.grid
     x = g.nodes
     h = g.h
-    m = traj.m
     t0, t1 = traj.times[:-1], traj.times[1:]
     # quadrature point j of step k is entry k*quad_pts + j
     pts = (t0[:, None] + (np.arange(quad_pts) + 0.5) * ((t1 - t0) / quad_pts)[:, None]).ravel()
-    rhs = np.zeros(m)
+    z = traj.states[1:]
+    gz = np.asarray(nl.primitive(z), float)
+    react, work = np.empty(pts.size), np.empty(pts.size)
     for sl in time_blocks(pts.size, g.n):
-        wd, fd = data.weight.dt(x, pts[sl]), data.source.dt(x, pts[sl])
-        for i, r in enumerate(range(sl.start, sl.stop)):
-            k, j = divmod(r, quad_pts)
-            z = traj.states[k + 1]
-            if j == 0:
-                gz = np.asarray(nl.primitive(z), float)
-            rhs[k] += h * float(np.dot(wd[i], gz))
-            rhs[k] -= h * float(np.dot(fd[i], z))
+        k = np.arange(sl.start, sl.stop) // quad_pts
+        react[sl] = h * np.vecdot(data.weight.dt(x, pts[sl]), gz[k])
+        work[sl] = h * np.vecdot(data.source.dt(x, pts[sl]), z[k])
+    # the per-step sums keep the order of a running sum over the points
+    rhs = np.zeros(traj.m)
+    for j in range(quad_pts):
+        rhs += react[j::quad_pts]
+        rhs -= work[j::quad_pts]
     rhs *= (t1 - t0) / quad_pts
     residuals = (traj.energies[1:] - traj.energies[:-1]) - rhs
     abs_res = np.abs(residuals)
@@ -213,18 +213,13 @@ def check_irreversibility(traj, tol: float = 1e-12) -> CheckVerdict:
 
 def check_dissipation_sign(traj, nl: Nonlinearity, lam: float,
                            tol: float = 1e-12) -> CheckVerdict:
-    """Each step must not increase its own frozen-data step energy."""
+    """Each step must not increase its own frozen-data step energy (one pass)."""
     g = traj.grid
     disc = _averaged_data(traj)
-    worst = -np.inf
-    worst_k = 0
-    for k in range(1, traj.m + 1):
-        fk, wk = disc.source_avg[k - 1], disc.weight_avg[k - 1]
-        jk_new = step_energy(g, traj.states[k], fk, wk, lam, nl)
-        jk_old = step_energy(g, traj.states[k - 1], fk, wk, lam, nl)
-        if jk_new - jk_old > worst:
-            worst, worst_k = jk_new - jk_old, k
-    return _verdict("dissipation_sign", max(worst, 0.0), tol, worst=(worst_k,))
+    rise = (step_energy(g, traj.states[1:], disc.source_avg, disc.weight_avg, lam, nl)
+            - step_energy(g, traj.states[:-1], disc.source_avg, disc.weight_avg, lam, nl))
+    k = int(np.argmax(rise))
+    return _verdict("dissipation_sign", max(float(rise[k]), 0.0), tol, worst=(k + 1,))
 
 
 # --------------------------------------------------------------------------
@@ -283,9 +278,8 @@ def refinement_study(data: ProblemData, nl: Nonlinearity, m_list, n_list,
     from .evolution import interp_constant, run_evolution
 
     def step_rate(traj) -> float:
-        diffs = [norm_h1(traj.grid, traj.states[k] - traj.states[k - 1])
-                 for k in range(1, traj.m + 1)]
-        return float(max(diffs) / np.sqrt(traj.tau))
+        return float(norm_h1(traj.grid, np.diff(traj.states, axis=0)).max()
+                     / np.sqrt(traj.tau))
 
     m_h = int(max(m_list)) if len(m_list) else 100
     runs = ([("tau", int(m), data) for m in sorted(m_list)]
@@ -301,14 +295,12 @@ def refinement_study(data: ProblemData, nl: Nonlinearity, m_list, n_list,
             _, prev_traj, prev_sum = prev
             g, cg = traj.grid, prev_traj.grid
             if kind == "tau":
-                gap = max(norm_h1(g, interp_constant(traj, t) - prev_traj.states[k])
-                          for k, t in enumerate(prev_traj.times))
+                fine = np.array([interp_constant(traj, t) for t in prev_traj.times])
             else:
                 fine_full_x = np.concatenate(([g.a], g.nodes, [g.b]))
-                gap = max(norm_h1(cg, np.interp(cg.nodes, fine_full_x,
-                                                full_values(g, traj.states[k]))
-                                  - prev_traj.states[k])
-                          for k in range(prev_traj.m + 1))
+                fine = np.array([np.interp(cg.nodes, fine_full_x, row) for row in
+                                 full_values(g, traj.states[:prev_traj.m + 1])])
+            gap = float(norm_h1(cg, fine - prev_traj.states).max())
             if bal > 0:
                 order = float(np.log2(prev_sum / bal))
         rows.append(RefinementRow(kind, m, pdata.grid.n, gap, bal, order, step_rate(traj)))

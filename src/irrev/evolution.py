@@ -6,7 +6,8 @@ irreversible, the contact set changes little from one step to the next, so
 every active-set solve after the first starts from the previous step's
 contact set.  The full history (states, multipliers, energies, per-step
 solver metadata) is kept in memory -- these are desk-scale runs -- and can
-be thinned only at serialization time.
+be thinned only at serialization time; the per-run work (the grid's operator,
+the stored energies) is done once, not per step.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def run_evolution(data: ProblemData, nl: Nonlinearity, m: int,
     from the contact set of the step before.  On a per-step solver failure
     the partial trajectory built so far is attached to the raised
     :class:`EvolutionError`.  The stored energies are evaluated after the
-    steps, with the data at all stamps in one call per block of times.
+    steps, one stacked pass per block of times, data and energy alike.
     """
     from .diagnostics import energies
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,11 +85,13 @@ def full_values(grid: Grid, u) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=16)
 def laplacian_diagonals(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tridiagonal matrix of the second-difference operator.
 
     Returns ``(sub, diag, sup)`` with ``sub``/``sup`` of length ``n-1``
     (empty for ``n == 1``); the one operator encoding of the endpoint rule.
+    Built once per grid and read-only, since equal grids share them.
     """
     h2 = grid.h ** 2
     diag = np.full(grid.n, 2.0 / h2)
@@ -99,7 +102,8 @@ def laplacian_diagonals(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     if grid.bc_right is BC.NEUMANN:
         diag[-1] -= 1.0 / h2
     off = np.full(max(grid.n - 1, 0), -1.0 / h2)
-    return off, diag, off.copy()
+    diag.flags.writeable = off.flags.writeable = False
+    return off, diag, off
 
 
 def forward_jumps(grid: Grid, u: np.ndarray) -> np.ndarray:
@@ -112,9 +116,11 @@ def forward_jumps(grid: Grid, u: np.ndarray) -> np.ndarray:
     return np.diff(full_values(grid, u)) / grid.h
 
 
-def norm_h1(grid: Grid, u: np.ndarray) -> float:
-    """Discrete H1 norm: sqrt of (squared jump norm + squared L2 norm)."""
+def norm_h1(grid: Grid, u: np.ndarray) -> float | np.ndarray:
+    """Discrete H1 norm: sqrt of (squared jump norm + squared L2 norm); a
+    float for one state ``(n,)``, per row of a stack ``(k, n)`` an array
+    equal to the one-row calls to the last bit."""
     vals = np.asarray(u, dtype=float)
     du = forward_jumps(grid, vals)
-    s = grid.h * (float(np.dot(du, du)) + float(np.dot(vals, vals)))
-    return float(np.sqrt(max(s, 0.0)))
+    s = np.sqrt(grid.h * (np.vecdot(du, du) + np.vecdot(vals, vals)))
+    return float(s) if s.ndim == 0 else s

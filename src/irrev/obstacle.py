@@ -98,17 +98,21 @@ class ObstacleResult:
 # step energy
 # --------------------------------------------------------------------------
 
-def step_energy(grid: Grid, u, source, weight, lam: float, nl: Nonlinearity) -> float:
-    """Frozen-data convex energy whose constrained minimizer is the step solution."""
+def step_energy(grid: Grid, u, source, weight, lam: float, nl: Nonlinearity):
+    """Frozen-data convex energy whose constrained minimizer is the step
+    solution; a float for one state ``(n,)``, per row of a stack ``(k, n)``
+    (data ``(n,)`` or ``(k, n)``) an array equal to the one-row calls to the
+    last bit."""
     uv = np.asarray(u, dtype=float)
     fv = np.asarray(source, dtype=float)
     wv = np.asarray(weight, dtype=float)
     du = forward_jumps(grid, uv)
     h = grid.h
-    quad = 0.5 * h * float(np.dot(du, du)) + 0.5 * lam * h * float(np.dot(uv, uv))
-    react = h * float(np.dot(wv, np.asarray(nl.primitive(uv), float)))
-    work = h * float(np.dot(fv, uv))
-    return quad + react - work
+    quad = 0.5 * h * np.vecdot(du, du) + 0.5 * lam * h * np.vecdot(uv, uv)
+    react = h * np.vecdot(wv, np.asarray(nl.primitive(uv), float))
+    work = h * np.vecdot(fv, uv)
+    out = quad + react - work
+    return float(out) if out.ndim == 0 else out
 
 
 def _require_coercive(wv: np.ndarray, lam: float, nl: Nonlinearity) -> None:
@@ -154,20 +158,20 @@ def _newton_on_subset(u: np.ndarray, free: np.ndarray,
                       fv: np.ndarray, wv: np.ndarray, lam: float,
                       nl: Nonlinearity,
                       lap: tuple[np.ndarray, np.ndarray, np.ndarray],
-                      tol: float) -> np.ndarray:
+                      tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Solve G(u) = 0 on the nodes flagged by ``free``, the rest held fixed.
 
     The Jacobian is the tridiagonal matrix -Lap + lam + w*fn'(u); its
     restriction to the free nodes stays tridiagonal and is solved by
     :func:`_solve_free_jacobian`.  Damped Newton with multiplicative
-    backtracking.  A residual that is not finite at the start (non-finite
-    data or state) raises :class:`NewtonFailure` at once.
+    backtracking; returns the accepted state and its residual on all nodes.
+    A residual that is not finite at the start (non-finite data or state)
+    raises :class:`NewtonFailure` at once.
     """
-    idx = np.flatnonzero(free)
-    if idx.size == 0:
-        return u
-
     G = _step_residual(u, fv, wv, lam, nl, lap)
+    idx = free.nonzero()[0]
+    if idx.size == 0:
+        return u, G
     r = float(np.abs(G[idx]).max())
     if not math.isfinite(r):
         raise NewtonFailure(f"non-finite residual {r} on the free nodes: "
@@ -176,7 +180,7 @@ def _newton_on_subset(u: np.ndarray, free: np.ndarray,
 
     for _ in range(MAX_NEWTON):
         if r <= tol:
-            return u
+            return u, G
         jd = lap[1][idx] + lam + wv[idx] * nl.deriv(u[idx])
         delta = _solve_free_jacobian(lap, idx, jd, -G[idx])
 
@@ -194,7 +198,7 @@ def _newton_on_subset(u: np.ndarray, free: np.ndarray,
                 raise NewtonFailure(
                     f"Newton stalled at residual {r:.3g} (damping floor reached)")
     if r <= tol:
-        return u
+        return u, G
     raise NewtonFailure(f"Newton did not reach tolerance {tol:.3g}; residual {r:.3g}")
 
 
@@ -207,7 +211,7 @@ def solve_unconstrained(grid: Grid, source, weight, lam: float, nl: Nonlinearity
     _require_coercive(wv, lam, nl)
     lap = laplacian_diagonals(grid)
     return _newton_on_subset(np.zeros(grid.n), np.ones(grid.n, bool), fv, wv, lam, nl,
-                             lap, tol=0.1 * opts.tol_kkt)
+                             lap, tol=0.1 * opts.tol_kkt)[0]
 
 
 # --------------------------------------------------------------------------
@@ -225,8 +229,9 @@ def solve_step(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinearit
     fixes the active nodes on the obstacle, Newton-solves the force balance
     on the rest, recovers the multiplier on the active set and
     re-predicts it from ``eta + (u - psi) > 0`` (only signs enter, so a
-    scaling constant on ``u - psi`` would select the same set).  Terminates when the set
-    is stable and the recomputed KKT residual is within ``tol_kkt``.
+    scaling constant on ``u - psi`` would select the same set).  Terminates
+    when the set is stable and the KKT residual of the accepted state, from
+    the residual the Newton solve returns with it, is within ``tol_kkt``.
 
     A node sitting exactly on the obstacle with zero multiplier is
     classified inactive (the predictor uses a strict inequality), matching
@@ -241,29 +246,25 @@ def solve_step(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinearit
     lap = laplacian_diagonals(grid)
     tol_inner = 0.1 * opts.tol_kkt
 
-    n = grid.n
-    if initial_active is None:
-        active = np.zeros(n, bool)
-    else:
-        active = np.zeros(n, bool)
+    active = np.zeros(grid.n, bool)
+    if initial_active is not None:
         active[np.asarray(initial_active, dtype=int)] = True
 
     u = psi.copy()
     best: Optional[ObstacleResult] = None
     for outer in range(1, opts.max_outer + 1):
         u[active] = psi[active]
-        u = _newton_on_subset(u, ~active, fv, wv, lam, nl, lap, tol_inner)
-        G = _step_residual(u, fv, wv, lam, nl, lap)
+        u, G = _newton_on_subset(u, ~active, fv, wv, lam, nl, lap, tol_inner)
         eta = np.where(active, -G, 0.0)
         kkt = _natural_residual(-G, psi - u)
         # the next sweep writes into u, and the best result must keep its own
         result = ObstacleResult(
             z=u.copy(), eta=eta,
-            active=np.flatnonzero(active), iters=outer, kkt_residual=kkt)
+            active=active.nonzero()[0], iters=outer, kkt_residual=kkt)
         if best is None or kkt < best.kkt_residual:
             best = result
         new_active = (eta + (u - psi)) > 0.0
-        if np.array_equal(new_active, active) and kkt <= opts.tol_kkt:
+        if kkt <= opts.tol_kkt and (new_active == active).all():
             return result
         active = new_active
     raise MaxIterations(

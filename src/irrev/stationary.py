@@ -100,7 +100,7 @@ def run_longtime(data: ProblemData, nl: Nonlinearity, horizon: float,
                           weight=w0, lam=data.lam, nl=nl), opts=opts)
 
     zinf = limit.z
-    gaps = np.array([norm_h1(g, traj.states[k] - zinf) for k in range(traj.m + 1)])
+    gaps = norm_h1(g, traj.states - zinf)
     increases = np.diff(gaps)
     max_inc = float(increases.max(initial=0.0))
     sandwich = float((zinf[None, :] - traj.states).max())

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from irrev import (EvolutionError, Grid, ProblemData, TimeProfile,
-                   ValidationError, constant_profile, interp_constant,
+                   ValidationError, constant_profile, energy, interp_constant,
                    load_trajectory, norm_h1, run_evolution, save_trajectory,
                    solve_step, solve_unconstrained)
+from irrev.diagnostics import energies
 from irrev.presets import nonlinearity, time_profile
 
 from helpers import smooth_values
@@ -118,6 +119,13 @@ def test_step_failure_attaches_partial_trajectory():
     assert 1 <= exc.step <= 10
     assert exc.partial.times.size == exc.step
     np.testing.assert_array_equal(exc.partial.states[0], np.zeros(5))
+    partial = exc.partial
+    np.testing.assert_array_equal(
+        partial.energies,
+        [energy(data, nl, partial.states[k], t) for k, t in enumerate(partial.times)])
+    # the stacked pass reads only the rows of the stamps it is given
+    tail = np.vstack([partial.states, np.full((3, 5), np.nan)])
+    np.testing.assert_array_equal(energies(data, nl, tail, partial.times), partial.energies)
 
 
 def contact_data(n):

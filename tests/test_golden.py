@@ -1,4 +1,4 @@
-"""Byte-identity of the CLI's outputs on the four committed configurations.
+"""Byte-identity of the CLI's outputs on the five committed configurations.
 
 Each case runs one command through :func:`irrev.cli.main` and compares its
 exit code, its stdout and the SHA-256 of every file it writes with
@@ -33,6 +33,7 @@ DIGESTS = GOLDEN / "digests.json"
 #: case name -> (command, config file)
 CASES = {
     "run-contact": ("run", "run-contact.json"),
+    "run-contact-refine": ("refine", "run-contact-refine.json"),
     "longtime-relax": ("longtime", "longtime-relax.json"),
     "longtime-relax-stationary": ("stationary", "longtime-relax-stationary.json"),
     "fracture-ramp": ("fracture", "fracture-ramp.json"),

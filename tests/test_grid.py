@@ -70,6 +70,18 @@ def test_norm_h1_homogeneity(bcs):
     assert norm_h1(g, 2.5 * u) == pytest.approx(2.5 * norm_h1(g, u), rel=1e-13)
 
 
+@pytest.mark.parametrize("n", [1, 2, 41])
+@pytest.mark.parametrize("bcs", BC_COMBOS)
+def test_norm_h1_of_a_stack_equals_its_rows(bcs, n):
+    g = Grid(0.0, 1.3, n, *bcs)
+    u = np.random.default_rng(n).normal(size=(6, 2 * n))
+    # contiguous rows, then every other column: rows that are strided views
+    for rows in (u[:, :n], u[:, ::2]):
+        np.testing.assert_array_equal(norm_h1(g, rows),
+                                      [norm_h1(g, rows[k]) for k in range(6)])
+    assert type(norm_h1(g, u[0, :n])) is float
+
+
 @pytest.mark.parametrize("bcs", BC_COMBOS)
 def test_operator_symmetry(bcs):
     rng = np.random.default_rng(11)
@@ -105,6 +117,16 @@ def test_summation_by_parts(bcs):
         v = rng.normal(size=11)
         assert grad_inner(g, u, v) == pytest.approx(
             inner_l2(g, neg_laplacian(g, u), v), abs=1e-10)
+
+
+def test_diagonals_are_built_once_per_grid_and_read_only():
+    g = Grid(0.0, 1.0, 8, BC.NEUMANN, BC.DIRICHLET)
+    first = laplacian_diagonals(g)
+    again = laplacian_diagonals(Grid(0.0, 1.0, 8, BC.NEUMANN, BC.DIRICHLET))
+    assert all(a is b for a, b in zip(first, again))
+    for band in first:
+        with pytest.raises(ValueError):
+            band[0] = 0.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 8])

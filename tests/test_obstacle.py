@@ -54,6 +54,34 @@ def test_step_energy_midpoint_convexity(seed):
     assert jm <= 0.5 * ju + 0.5 * jv + 1e-12
 
 
+STACK_NLS = {
+    "zero": ZERO,
+    "linear": nonlinearity({"preset": "linear", "slope": -0.3}),
+    "tanh": nonlinearity({"preset": "tanh", "amplitude": 0.7}),
+    "at": nonlinearity({"preset": "at", "eps": 0.1, "delta": 1e-3}),
+}
+
+
+@pytest.mark.parametrize("nl_name", sorted(STACK_NLS))
+@pytest.mark.parametrize("n", [1, 2, 41])
+@pytest.mark.parametrize("bcs", [("dirichlet", "dirichlet"), ("dirichlet", "neumann"),
+                                 ("neumann", "dirichlet"), ("neumann", "neumann")])
+def test_step_energy_of_a_stack_equals_its_rows(bcs, n, nl_name):
+    grid = Grid(0.0, 1.3, n, *bcs)
+    nl = STACK_NLS[nl_name]
+    rng = np.random.default_rng(n)
+    u, f, w = rng.normal(size=(3, 6, 2 * n))
+    # contiguous rows, then every other column: rows that are strided views
+    for cols in (slice(0, n), slice(0, 2 * n, 2)):
+        uk, fk, wk = u[:, cols], f[:, cols], w[:, cols]
+        rows = np.array([step_energy(grid, uk[k], fk[k], wk[k], 1.5, nl) for k in range(6)])
+        np.testing.assert_array_equal(step_energy(grid, uk, fk, wk, 1.5, nl), rows)
+        # data of one state shared by every row of the stack
+        rows = np.array([step_energy(grid, uk[k], fk[0], wk[0], 1.5, nl) for k in range(6)])
+        np.testing.assert_array_equal(step_energy(grid, uk, fk[0], wk[0], 1.5, nl), rows)
+    assert type(step_energy(grid, u[0, :n], f[0, :n], w[0, :n], 1.5, nl)) is float
+
+
 # --------------------------------------------------------------------------
 # active-set solver: hand cases
 # --------------------------------------------------------------------------
