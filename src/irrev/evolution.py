@@ -4,10 +4,13 @@ Each step's obstacle is the previous state, so the discrete trajectory is
 nonincreasing in time by construction.  Because the evolution is
 irreversible, the contact set changes little from one step to the next, so
 every active-set solve after the first starts from the previous step's
-contact set.  The full history (states, multipliers, energies, per-step
-solver metadata) is kept in memory -- these are desk-scale runs -- and can
-be thinned only at serialization time; the per-run work (the grid's operator,
-the stored energies) is done once, not per step.
+contact set.  A solve with no set to start from (the first, or one after a
+step without contact) that does not settle in one sweep takes its start
+from a coarser grid (nested iteration, see :func:`irrev.obstacle.solve_step`).
+The full history (states, multipliers, energies, per-step solver metadata)
+is kept in memory -- these are desk-scale runs -- and can be thinned only at
+serialization time; the per-run work (the grid's operator, the stored
+energies) is done once, not per step.
 """
 
 from __future__ import annotations
@@ -78,8 +81,10 @@ def run_evolution(data: ProblemData, nl: Nonlinearity, m: int,
     Validates the problem data first (raise :class:`ValidationError` on any
     failed hypothesis), averages the data over the step intervals, then
     solves one obstacle step per interval with the previous state as the
-    obstacle.  The first active-set solve starts cold; each later one starts
-    from the contact set of the step before.  On a per-step solver failure
+    obstacle.  Each active-set solve after the first starts from the
+    contact set of the step before; the first has none, so unless its first
+    sweep settles it takes its start from a coarser grid (nested iteration,
+    :func:`~irrev.obstacle.solve_step`).  On a per-step solver failure
     the partial trajectory built so far is attached to the raised
     :class:`EvolutionError`.  The stored energies are evaluated after the
     steps, one stacked pass per block of times, data and energy alike.

@@ -15,7 +15,11 @@ over ``{u <= psi}``; strict convexity requires the margin
 the one floor :data:`~irrev.model.MARGIN_FLOOR`.
 
 The solver is a primal-dual active-set iteration with a damped-Newton inner
-solve (:func:`solve_step`); each result carries its KKT certificate.
+solve (:func:`solve_step`); each result carries its KKT certificate.  A
+solve with no contact-set guess whose first sweep does not settle takes its
+guess from the same problem on a grid of half as many nodes (nested
+iteration), so a cold solve needs a number of sweeps that does not grow
+with ``n``.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ class NewtonFailure(ObstacleError):
 
 NEWTON_DAMPING = 0.5       # backtracking shrink factor
 MAX_NEWTON = 60            # Newton iterations per inner solve
+COARSEST_N = 3             # fewest nodes of a grid a cold solve nests down to
 
 
 @dataclass(frozen=True)
@@ -223,15 +228,22 @@ def solve_step(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinearit
                initial_active: Optional[np.ndarray] = None) -> ObstacleResult:
     """Primal-dual active-set solve of one obstacle step.
 
-    Starting from the obstacle (or from a caller-supplied active-set guess;
-    :func:`irrev.evolution.run_evolution` passes the previous step's
-    contact set, from which a sweep or two usually suffice), each sweep
-    fixes the active nodes on the obstacle, Newton-solves the force balance
-    on the rest, recovers the multiplier on the active set and
+    Starting from a caller-supplied active-set guess
+    (:func:`irrev.evolution.run_evolution` passes the previous step's
+    contact set, from which a sweep or two usually suffice) or from none,
+    each sweep fixes the active nodes on the obstacle, Newton-solves the
+    force balance on the rest, recovers the multiplier on the active set and
     re-predicts it from ``eta + (u - psi) > 0`` (only signs enter, so a
     scaling constant on ``u - psi`` would select the same set).  Terminates
     when the set is stable and the KKT residual of the accepted state, from
     the residual the Newton solve returns with it, is within ``tol_kkt``.
+
+    From an empty set the contact boundary moves about one node per sweep.
+    So when the first sweep from an empty set does not settle, the second
+    starts from the contact set of the same step on a grid of ``(n-1)//2``
+    nodes instead (nested iteration, :func:`_coarse_active`), down to
+    :data:`COARSEST_N` nodes.  Only the set crosses grids, so the result is
+    certified on its own grid, and ``max_outer`` counts the sweeps there.
 
     A node sitting exactly on the obstacle with zero multiplier is
     classified inactive (the predictor uses a strict inequality), matching
@@ -266,7 +278,35 @@ def solve_step(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinearit
         new_active = (eta + (u - psi)) > 0.0
         if kkt <= opts.tol_kkt and (new_active == active).all():
             return result
+        if (outer == 1 and opts.max_outer > 1 and (grid.n - 1) // 2 >= COARSEST_N
+                and not active.any()):
+            new_active = _coarse_active(grid, psi, fv, wv, lam, nl, opts, new_active)
         active = new_active
     raise MaxIterations(
         f"no stable active set within {opts.max_outer} sweeps "
         f"(best KKT residual {best.kkt_residual:.3g})", result=best)
+
+
+def _coarse_active(grid: Grid, psi: np.ndarray, fv: np.ndarray, wv: np.ndarray,
+                   lam: float, nl: Nonlinearity, opts: SolverOptions,
+                   fallback: np.ndarray) -> np.ndarray:
+    """Contact-set guess on ``grid`` from the cold solve of the same step on
+    the grid of ``(n-1)//2`` nodes, the same interval and endpoint conditions
+    (for odd ``n`` every other node): a node is active iff the linear
+    interpolant of the coarse set's indicator is at least 1/2 there.  The
+    data are interpolated linearly, so the coarse weight never exceeds the
+    fine one's maximum and the coarse solve keeps the convexity margin.  A
+    coarse :class:`MaxIterations` gives its best iterate's set; any other
+    :class:`ObstacleError` gives ``fallback``, the fine predictor's set."""
+    coarse = Grid(grid.a, grid.b, (grid.n - 1) // 2, grid.bc_left, grid.bc_right)
+    xf, xc = grid.nodes, coarse.nodes
+    try:
+        res = solve_step(coarse, np.interp(xc, xf, psi), np.interp(xc, xf, fv),
+                         np.interp(xc, xf, wv), lam, nl, opts)
+    except MaxIterations as exc:
+        res = exc.result
+    except ObstacleError:
+        return fallback
+    indicator = np.zeros(coarse.n)
+    indicator[res.active] = 1.0
+    return np.interp(xf, xc, indicator) >= 0.5

@@ -41,7 +41,9 @@ def solve_stationary(p: StationaryProblem,
                      opts: Optional[SolverOptions] = None) -> ObstacleResult:
     """Solve the stationary problem; same contract as one implicit step,
     including :class:`~irrev.obstacle.CoercivityLost` for a convexity margin
-    below the floor."""
+    below the floor.  There is no contact-set guess, so a solve whose first
+    sweep does not settle starts its second from a coarser grid (nested
+    iteration, :func:`~irrev.obstacle.solve_step`)."""
     return solve_step(p.grid, p.obstacle, p.source, p.weight, p.lam, p.nl, opts=opts)
 
 

@@ -7,6 +7,7 @@ from scipy.linalg import solve_banded
 from irrev import (CoercivityLost, DiscretizedData, Grid, MaxIterations, NewtonFailure,
                    SolverOptions, Trajectory, check_unilateral_minimality, solve_step,
                    solve_unconstrained, step_energy)
+from irrev import obstacle as obstacle_module
 from irrev.grid import laplacian_diagonals
 from irrev.model import _step_residual
 from irrev.obstacle import _solve_free_jacobian
@@ -16,6 +17,7 @@ from helpers import random_step_instance, smooth_values
 from reference import inner_l2, neg_laplacian, oracle_enumerate, solve_step_pg
 
 ZERO = nonlinearity({"preset": "zero"})
+TANH1 = nonlinearity({"preset": "tanh", "amplitude": 1.0})
 SCALAR = Grid(0.0, 2.0, 1)  # single interior node, h = 1
 OBS0 = [0.0]
 
@@ -157,20 +159,67 @@ def test_nonfinite_source_raises_newton_failure_at_once(entry):
             solve_unconstrained(g, f, ones, 1.0, nl)
 
 
-def test_best_iterate_certifies_its_own_state():
-    # the first step of a run whose source rises where sin(2 pi x) > 0 needs
-    # dozens of cold sweeps; five stop it, and the best iterate it carries
-    # must still hold the state its KKT residual was computed from
-    g = Grid(0.0, 1.0, 301)
-    nl = nonlinearity({"preset": "tanh", "amplitude": 1.0})
+def run_contact_first_step(n):
+    """Obstacle, source and weight of the first step of a run whose source
+    rises where sin(2 pi x) > 0, from the equilibrium state on ``n`` nodes."""
+    g = Grid(0.0, 1.0, n)
     ones = np.ones(g.n)
-    psi = solve_unconstrained(g, ones, ones, 1.0, nl)
-    f = 1.0 + 0.01 * np.sin(2.0 * np.pi * g.nodes)
+    psi = solve_unconstrained(g, ones, ones, 1.0, TANH1)
+    return g, psi, 1.0 + 0.01 * np.sin(2.0 * np.pi * g.nodes), ones
+
+
+def test_best_iterate_certifies_its_own_state():
+    # a warm start from a one-node guess at the edge of the contact set moves
+    # its boundary one node per sweep (dozens of sweeps; a nonempty guess is
+    # not nested); five stop it, and the best iterate, an earlier one than
+    # the last, must still hold the state its KKT residual was computed from
+    g, psi, f, ones = run_contact_first_step(301)
     with pytest.raises(MaxIterations) as info:
-        solve_step(g, psi, f, ones, 1.0, nl, SolverOptions(max_outer=5))
+        solve_step(g, psi, f, ones, 1.0, TANH1, SolverOptions(max_outer=5),
+                   initial_active=[0])
     best = info.value.result
-    G = _step_residual(best.z, f, ones, 1.0, nl, laplacian_diagonals(g))
+    assert best.iters < 5
+    G = _step_residual(best.z, f, ones, 1.0, TANH1, laplacian_diagonals(g))
     assert best.kkt_residual == float(np.abs(np.minimum(-G, psi - best.z)).max())
+
+
+@pytest.mark.parametrize("n", [101, 201, 301, 401])
+def test_cold_step_takes_a_bounded_number_of_sweeps(n):
+    # from an empty set the contact boundary moves one node per sweep
+    # (23 to 84 sweeps here); nested iteration starts from the coarse set
+    g, psi, f, ones = run_contact_first_step(n)
+    opts = SolverOptions()
+    res = solve_step(g, psi, f, ones, 1.0, TANH1, opts)
+    assert res.iters <= 4
+    assert res.kkt_residual <= opts.tol_kkt
+    assert kkt_violation(g, res, psi, f, ones, 1.0, TANH1) <= opts.tol_kkt
+    if n == 101:
+        ref = solve_step_pg(g, psi, f, ones, 1.0, TANH1, opts)
+        np.testing.assert_allclose(res.z, ref.z, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(res.eta, ref.eta, rtol=0.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("failure", ["max_iterations", "newton"])
+def test_a_failed_coarse_solve_does_not_fail_the_cold_solve(failure, monkeypatch):
+    # a coarse MaxIterations hands over its best iterate's set, any other
+    # failure the fine first sweep's own prediction; the fine solve still
+    # reaches the cold solution
+    g, psi, f, ones = run_contact_first_step(101)
+    want = solve_step(g, psi, f, ones, 1.0, TANH1)
+    fine_solve = obstacle_module.solve_step
+    coarse_grids = []
+
+    def failing(grid, *args, **kwargs):
+        coarse_grids.append(grid.n)
+        if failure == "newton":
+            raise NewtonFailure("stalled")
+        return fine_solve(grid, *args[:5], SolverOptions(max_outer=1))
+
+    monkeypatch.setattr(obstacle_module, "solve_step", failing)
+    got = fine_solve(g, psi, f, ones, 1.0, TANH1)
+    assert coarse_grids == [50]
+    assert got.kkt_residual <= SolverOptions().tol_kkt
+    np.testing.assert_allclose(got.z, want.z, rtol=0.0, atol=1e-10)
 
 
 # --------------------------------------------------------------------------
@@ -250,7 +299,7 @@ def test_enumeration_agrees_with_pdas_n3(seed):
 
 
 @st.composite
-def step_instances(draw, n_max=8, margin=0.3):
+def step_instances(draw, n_max=12, margin=0.3):
     """One well-posed obstacle step with at most ``n_max`` nodes, any pair of
     endpoint conditions, a convexity margin of at least ``margin``, and a
     random contact-set guess to warm-start from."""
@@ -277,6 +326,8 @@ def step_instances(draw, n_max=8, margin=0.3):
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(step_instances())
 def test_pdas_matches_enumeration_oracle_cold_and_warm(instance):
+    # with up to 12 nodes, a cold solve whose first sweep does not settle
+    # takes its second sweep's set from a coarser grid (nested iteration)
     grid, obstacle, source, weight, lam, nl, active = instance
     ref = oracle_enumerate(grid, obstacle, source, weight, lam, nl).z
     for guess in (None, active):
