@@ -178,18 +178,28 @@ def write_long_csv(path: str | Path, times: np.ndarray, x: np.ndarray,
     ``fields`` maps each column name to its rows, one ``(x.size,)`` array
     per stamp.  The bytes are those of formatting every value with
     ``%.17g``, but each repeated value is formatted once: ``x`` once per
-    file and each ``t`` once per stamp, and only the field values per row.
-    The text is written one stamp at a time, so the text held in memory is
-    one stamp's rows.
+    file, each ``t`` once per stamp, and a stamp's field rows once per run
+    of stamps whose field rows repeat bit for bit (a state that did not
+    move); a repeated stamp reuses the text of the stamp before with its
+    own ``t``.  The text is written one stamp at a time, so the text held
+    in memory is one stamp's rows.
     """
     cells = ",%.17g" * len(fields) + "\n"
     # one piece per node; joining them with a stamp's t puts t before each row
     pieces = [""] + ["," + "%.17g" % xi + cells for xi in x.tolist()]
+    key = text = stamp = None
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["t", "x", *fields]) + "\n")
         for k, t in enumerate(times.tolist()):
             values = np.column_stack([rows[k] for rows in fields.values()]).ravel()
-            fh.write(("%.17g" % t).join(pieces) % tuple(values.tolist()))
+            last, stamp = stamp, "%.17g" % t
+            # bits, not values: -0.0 == 0.0 but prints "-0"
+            if (bits := values.tobytes()) != key:
+                key, text = bits, stamp.join(pieces) % tuple(values.tolist())
+            else:
+                # a row's t follows the newline that ends the row before
+                text = ("\n" + text).replace("\n" + last, "\n" + stamp)[1:]
+            fh.write(text)
 
 
 def save_trajectory(traj: Trajectory, directory: str | Path,
@@ -198,7 +208,10 @@ def save_trajectory(traj: Trajectory, directory: str | Path,
 
     Values are printed with 17 significant digits so a round trip through
     :func:`load_trajectory` reproduces them to the last bit; the CSV is
-    written by :func:`write_long_csv`, one stamp at a time.  ``stride``
+    written by :func:`write_long_csv`, one stamp at a time, which formats
+    the node coordinates once per file, each time once per stamp, and the
+    z and eta rows once per run of kept stamps whose state and multiplier
+    did not move (a held load, or data that have settled).  ``stride``
     thins the stored time stamps (the initial and final stamps are always
     kept).  Multiplier entries at ``t == 0`` are written as ``nan`` (no step
     produced them).
