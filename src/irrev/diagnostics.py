@@ -81,11 +81,7 @@ class CheckVerdict:
     tolerance: float
     passed: bool
     worst: tuple = ()
-    applicable: bool = True
     note: str = ""
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 def _verdict(name: str, violation: float, tol: float, worst=(), note="") -> CheckVerdict:
@@ -327,4 +323,7 @@ def write_refinement_csv(rows: list[RefinementRow], path: str | Path) -> Path:
 
 
 def verdicts_to_json(verdicts: list[CheckVerdict]) -> str:
-    return json.dumps([asdict(v) for v in verdicts], sort_keys=True, indent=1)
+    # verdicts.json keeps its "applicable" key, true for every verdict, until
+    # its format next changes
+    return json.dumps([{**asdict(v), "applicable": True} for v in verdicts],
+                      sort_keys=True, indent=1)

@@ -47,9 +47,6 @@ class FractureSetupError(RuntimeError):
     """
 
 
-_trapz = getattr(np, "trapezoid", None) or np.trapz
-
-
 @dataclass(frozen=True)
 class ATParams:
     """Regularization length, residual stiffness and the driving load.
@@ -69,10 +66,6 @@ class ATParams:
 
     @property
     def lam(self) -> float:
-        return 1.0 / self.eps ** 2
-
-    @property
-    def source_value(self) -> float:
         return 1.0 / self.eps ** 2
 
 
@@ -228,7 +221,7 @@ def build_problem(grid: Grid, params: ATParams, z0: Optional[np.ndarray],
     if z0 is None:
         z0 = relaxed_profile(grid, params)
     data = ProblemData(grid=grid, lam=params.lam, weight=load_to_sigma(grid, params),
-                       source=constant_profile(params.source_value), initial=z0,
+                       source=constant_profile(params.lam), initial=z0,
                        horizon=horizon)
     return data, nl
 
@@ -249,10 +242,10 @@ def at_energy(grid: Grid, state: CoupledState, params: ATParams):
     along runs; finiteness is the only contract."""
     x_full = state.x_full
     z_full = full_values(grid, state.z)
-    elastic = 0.5 * _trapz((z_full ** 2 + params.delta) * state.ux_full ** 2, x_full)
+    elastic = 0.5 * np.trapezoid((z_full ** 2 + params.delta) * state.ux_full ** 2, x_full)
     dz = np.diff(z_full) / grid.h
     gradient = 0.5 * params.eps * grid.h * (dz * dz).sum(axis=-1)
-    tightness = _trapz((1.0 - z_full) ** 2, x_full) / (2.0 * params.eps)
+    tightness = np.trapezoid((1.0 - z_full) ** 2, x_full) / (2.0 * params.eps)
     return elastic + gradient + tightness
 
 

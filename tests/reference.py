@@ -272,10 +272,10 @@ def check_comparison(data_a: ProblemData, data_b: ProblemData, nl: Nonlinearity,
 
     Requires ``initial_a <= initial_b`` nodewise and ``source_a <= source_b``
     on the interval averages the scheme uses (the same weight, coefficient
-    and nonlinearity are the caller's responsibility).  When the ordering
-    fails the verdict is marked inapplicable instead of failing.  Ordering
-    is the only hypothesis used, so the runs skip the initial-admissibility
-    gate (the per-step convexity guard still applies).
+    and nonlinearity are the caller's responsibility); an unordered pair
+    raises ``ValueError``.  Ordering is the only hypothesis used, so the runs
+    skip the initial-admissibility gate (the per-step convexity guard still
+    applies).
     """
     if data_a.grid != data_b.grid:
         raise ValueError("comparison requires a common grid")
@@ -284,9 +284,8 @@ def check_comparison(data_a: ProblemData, data_b: ProblemData, nl: Nonlinearity,
     pre_gap = max(float((data_a.initial - data_b.initial).max()),
                   float((disc_a.source_avg - disc_b.source_avg).max()))
     if pre_gap > 1e-12:
-        return CheckVerdict(name="comparison", max_violation=np.inf, tolerance=tol,
-                            passed=False, applicable=False,
-                            note="data pair is not ordered; check not applicable")
+        raise ValueError(f"comparison requires ordered data; the pair is out of "
+                         f"order by {pre_gap:.3g}")
 
     traj_a, traj_b = (run_evolution(d, nl, m, opts=opts, quad_pts=quad_pts,
                                     validate_first=False) for d in (data_a, data_b))

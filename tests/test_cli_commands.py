@@ -55,14 +55,27 @@ def test_refine_exits_1_when_tau_gaps_do_not_decrease(tmp_path, capsys):
     assert len(gaps) == 2 and gaps[1] >= gaps[0]
 
 
-def test_command_line_seed_outside_its_domain_exits_3(tmp_path, capsys):
+def test_usage_errors_exit_3(tmp_path, capsys):
+    # exit 2 means a solver failure, so argparse's own exit code is not used
     path = tmp_path / "run.json"
     path.write_text(json.dumps(RUN))
     out = tmp_path / "out"
-    rc = cli.main(["check", str(path), "--output-dir", str(out), "--seed", "-1"])
-    assert rc == cli.EXIT_CONFIG_ERROR
-    assert "config error: --seed must be an integer >= 0, got -1" in capsys.readouterr().err
+    for argv, message in [
+            (["check", str(path), "--seed", "-1"], "unrecognized arguments: --seed -1"),
+            (["run"], "the following arguments are required: config"),
+            (["solve", str(path)], "invalid choice: 'solve'"),
+            ([], "the following arguments are required: command, config")]:
+        assert cli.main([*argv, "--output-dir", str(out)]) == cli.EXIT_CONFIG_ERROR, argv
+        assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_seed_key_changes_nothing(tmp_path, capsys):
+    outs = []
+    for seed in (0, 7):
+        assert run_cli(tmp_path, "check", with_blocks(RUN, seed=seed))[0] == cli.EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_check_creates_no_output_directory(tmp_path):

@@ -85,4 +85,4 @@ def test_at_slope_bound_is_global():
     nl = at_nonlinearity(ATParams(eps=eps, delta=delta, load=constant_profile(0.0)))
     exact = 1.0 / (4.0 * eps * delta ** 2)
     assert abs(nl.slope_bound - exact) <= 1e-15 * exact
-    assert nl.max_one_sided_violation(-50, 50) == 0.0
+    assert nl.structural_violations() == (0.0, 0.0)

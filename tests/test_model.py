@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -5,7 +7,7 @@ from scipy.integrate import quad
 from irrev import (Grid, ProblemData, TimeProfile, constant_profile,
                    default_lower_envelope, discretize_time, validate)
 from irrev.grid import laplacian_diagonals
-from irrev.model import _step_residual
+from irrev.model import SAMPLE_POINTS, SAMPLE_RANGE, _step_residual
 from irrev.presets import PresetError, nonlinearity, space_values
 
 G = Grid(0.0, 1.0, 5)
@@ -24,16 +26,63 @@ def make_data(lam=1.0, weight=None, source=None, z0=None, T=1.0, floor=None):
 # nonlinearity structure
 # --------------------------------------------------------------------------
 
-@pytest.mark.parametrize("spec", [
+#: every gamma preset; at (0.05, 1e-2) the check grid holds s = sqrt(delta),
+#: where fn' + L is 0 up to rounding
+GAMMAS = [
     {"preset": "zero"},
     {"preset": "linear", "slope": -0.5},
     {"preset": "linear", "slope": 0.8},
     {"preset": "tanh", "amplitude": 0.7},
-])
+    {"preset": "at", "eps": 0.1, "delta": 1e-3},
+    {"preset": "at", "eps": 0.05, "delta": 1e-2},
+]
+GRID = np.linspace(-SAMPLE_RANGE, SAMPLE_RANGE, SAMPLE_POINTS)
+
+
+@pytest.mark.parametrize("spec", GAMMAS)
 def test_nonlinearity_sampled_bounds(spec):
     nl = nonlinearity(spec)
-    assert nl.max_one_sided_violation(-10, 10, n=2000, seed=1) <= 1e-12
-    assert nl.max_growth_violation(-50, 50, n=2000, seed=1) <= 1e-12
+    one_sided, growth = nl.structural_violations()
+    assert one_sided <= 1e-14 and growth == 0.0
+    report = validate(make_data(), nl)
+    assert report.ok, report.lines()
+
+
+@pytest.mark.parametrize("spec", GAMMAS)
+def test_deriv_and_primitive_match_fn(spec):
+    # central differences on the check grid, relative to the largest value
+    nl = nonlinearity(spec)
+    h = 1e-6
+    d = nl.deriv(GRID)
+    f = nl.fn(GRID)
+    assert np.abs((nl.fn(GRID + h) - nl.fn(GRID - h)) / (2 * h) - d).max() \
+        <= 1e-6 * np.abs(d).max()
+    assert np.abs((nl.primitive(GRID + h) - nl.primitive(GRID - h)) / (2 * h) - f).max() \
+        <= 1e-6 * np.abs(f).max()
+
+
+# the grid resolves the minimizer of fn' for these two; for at (0.1, 1e-3) it
+# does not (sqrt(delta) lies between two grid points)
+@pytest.mark.parametrize("spec", [GAMMAS[1], GAMMAS[5]])
+def test_understated_slope_bound_fails(spec):
+    nl = nonlinearity(spec)
+    low = dataclasses.replace(nl, slope_bound=0.99 * nl.slope_bound)
+    failed = [it.name for it in validate(make_data(), low).items if not it.passed]
+    assert failed == ["nonlinearity_one_sided"]
+
+
+def test_understated_growth_fails():
+    # |3s| <= 2.7*(|s|+1) fails for |s| > 9
+    nl = dataclasses.replace(nonlinearity({"preset": "linear", "slope": 3.0}), growth=2.7)
+    failed = [it.name for it in validate(make_data(), nl).items if not it.passed]
+    assert failed == ["nonlinearity_growth"]
+
+
+def test_nonfinite_derivative_fails_the_slope_check():
+    nl = dataclasses.replace(nonlinearity({"preset": "zero"}),
+                             deriv=lambda s: np.where(s > 9.0, np.nan, 0.0))
+    one_sided, growth = nl.structural_violations()
+    assert np.isnan(one_sided) and growth == 0.0
 
 
 @pytest.mark.parametrize("spec", [

@@ -1,9 +1,15 @@
 """The public namespace of ``irrev``, pinned so that every change to it
 shows up in review."""
 
+import contextlib
+import io
 import types
+from pathlib import Path
+
+import pytest
 
 import irrev
+from irrev import cli
 
 PUBLIC = [
     "ATParams", "BC", "CheckVerdict", "CoercivityLost", "CoupledState", "DiscretizedData",
@@ -25,3 +31,14 @@ def test_public_names_are_pinned():
     names = sorted(name for name, obj in vars(irrev).items()
                    if not name.startswith("_") and not isinstance(obj, types.ModuleType))
     assert names == PUBLIC
+
+
+def test_no_randomness_and_no_seed_flag():
+    # the structural checks run on a fixed grid; nothing in the program draws
+    for path in sorted(Path(irrev.__file__).parent.glob("*.py")):
+        assert "random" not in path.read_text(), path.name
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text), pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "--output-dir" in text.getvalue() and "--seed" not in text.getvalue()
