@@ -80,9 +80,13 @@ def test_at_energy_is_finite(fracture_run):
 
 
 def test_at_slope_bound_is_global():
-    # fn' is smallest at s = +-sqrt(delta); far from [0, 1] a scan would miss it
+    # fn' is smallest at s = +-sqrt(delta) = +-14.1, outside the grid that
+    # validate checks, so the bound is checked at the minimizer itself
     eps, delta = 0.1, 200.0
     nl = at_nonlinearity(ATParams(eps=eps, delta=delta, load=constant_profile(0.0)))
     exact = 1.0 / (4.0 * eps * delta ** 2)
     assert abs(nl.slope_bound - exact) <= 1e-15 * exact
+    r = np.sqrt(delta)
+    s = np.concatenate([np.linspace(-50.0, 50.0, 2001), [-r, r]])
+    assert (nl.deriv(s) + nl.slope_bound).min() >= -1e-15 * nl.slope_bound
     assert nl.structural_violations() == (0.0, 0.0)

@@ -44,6 +44,9 @@ def test_nonlinearity_sampled_bounds(spec):
     nl = nonlinearity(spec)
     one_sided, growth = nl.structural_violations()
     assert one_sided <= 1e-14 and growth == 0.0
+    # the growth bound is global; check it well past the grid of validate
+    s = np.linspace(-50.0, 50.0, 2001)
+    assert np.all(np.abs(nl.fn(s)) <= nl.growth * (np.abs(s) + 1.0))
     report = validate(make_data(), nl)
     assert report.ok, report.lines()
 
