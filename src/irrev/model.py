@@ -84,7 +84,7 @@ class Nonlinearity:
     def convexity_margin(self, lam: float, weight):
         """``lam - L*max(weight, 0)`` over the last axis (one per row of a stack),
         which every step solve requires to reach :data:`MARGIN_FLOOR`."""
-        return lam - self.slope_bound * np.max(weight, axis=-1, initial=0.0)
+        return lam - self.slope_bound * np.maximum.reduce(weight, axis=-1, initial=0.0)
 
     def structural_violations(self) -> tuple[float, float]:
         """Worst violations of ``deriv(s) + L >= 0`` and of ``|fn(s)| <=

@@ -20,6 +20,12 @@ solve with no contact-set guess whose first sweep does not settle takes its
 guess from the same problem on a grid of half as many nodes (nested
 iteration), so a cold solve needs a number of sweeps that does not grow
 with ``n``.
+
+Most steps of a long run have no contact at all: a sweep with an empty
+active set Newton-solves on every node, and then works on whole arrays,
+with no gather, scatter or index build, doing the same floating-point
+operations in the same order as the index path would.  The solver's
+outputs do not depend on which path a sweep took, to the last bit.
 """
 
 from __future__ import annotations
@@ -126,32 +132,41 @@ def _require_coercive(wv: np.ndarray, lam: float, nl: Nonlinearity) -> None:
         raise CoercivityLost(margin)
 
 
-def _natural_residual(eta: np.ndarray, slack: np.ndarray) -> float:
-    """Worst nodewise |min(eta, slack)|; zero exactly at a KKT point."""
-    return float(np.abs(np.minimum(eta, slack)).max())
+def _sup_norm(v: np.ndarray) -> float:
+    """Worst nodewise |v|, through the ufunc (``ndarray.max`` wraps it in Python)."""
+    return float(np.maximum.reduce(np.abs(v), initial=0.0))
 
 
 # --------------------------------------------------------------------------
 # Newton inner solve on a node subset
 # --------------------------------------------------------------------------
 
+#: ``free`` of :func:`_newton_on_subset` when every node is free
+_EVERY_NODE = slice(None)
+
+
 def _solve_free_jacobian(lap: tuple[np.ndarray, np.ndarray, np.ndarray],
-                         idx: np.ndarray, jd: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the Newton system on the free nodes ``idx`` (sorted).
+                         idx, jd: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the Newton system on the free nodes ``idx`` (sorted indices, or
+    :data:`_EVERY_NODE`).
 
     The matrix has the diagonal ``jd`` and, between adjacent free nodes, the
     Laplacian's off-diagonals from ``lap``; non-adjacent free nodes decouple.
     The system goes straight to LAPACK's ``dgtsv``, the routine
     ``scipy.linalg.solve_banded`` calls for one band on either side, without
-    that wrapper's checks and copies; one free node is a division.  ``jd``
+    that wrapper's checks and copies; one free node is a division, and with
+    every node free the off-diagonals are copies of the Laplacian's.  ``jd``
     and ``rhs`` are overwritten.
     """
-    if idx.size == 1:
+    if jd.size == 1:
         return rhs / jd
-    sub, _, sup = lap
-    consec = (idx[1:] - idx[:-1]) == 1
-    dl = np.where(consec, sub[idx[:-1]], 0.0)
-    du = np.where(consec, sup[idx[:-1]], 0.0)
+    sub, diag, sup = lap
+    if jd.size == diag.size:
+        dl, du = sub.copy(), sup.copy()
+    else:
+        consec = (idx[1:] - idx[:-1]) == 1
+        dl = np.where(consec, sub[idx[:-1]], 0.0)
+        du = np.where(consec, sup[idx[:-1]], 0.0)
     _, _, _, x, info = dgtsv(dl, jd, du, rhs, overwrite_dl=1, overwrite_d=1,
                              overwrite_du=1, overwrite_b=1)
     if info != 0:  # pragma: no cover - SPD by margin
@@ -159,42 +174,48 @@ def _solve_free_jacobian(lap: tuple[np.ndarray, np.ndarray, np.ndarray],
     return x
 
 
-def _newton_on_subset(u: np.ndarray, free: np.ndarray,
+def _newton_on_subset(u: np.ndarray, free,
                       fv: np.ndarray, wv: np.ndarray, lam: float,
                       nl: Nonlinearity,
                       lap: tuple[np.ndarray, np.ndarray, np.ndarray],
                       tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Solve G(u) = 0 on the nodes flagged by ``free``, the rest held fixed.
+    """Solve G(u) = 0 on the nodes ``free``, the rest held fixed.
 
-    The Jacobian is the tridiagonal matrix -Lap + lam + w*fn'(u); its
-    restriction to the free nodes stays tridiagonal and is solved by
+    ``free`` is a sorted index array, or :data:`_EVERY_NODE` for every node:
+    then no value is gathered or scattered, and the floating-point
+    operations are those of the index array ``arange(n)``.  The Jacobian is
+    the tridiagonal matrix -Lap + lam + w*fn'(u); its restriction to the
+    free nodes stays tridiagonal and is solved by
     :func:`_solve_free_jacobian`.  Damped Newton with multiplicative
     backtracking; returns the accepted state and its residual on all nodes.
     A residual that is not finite at the start (non-finite data or state)
     raises :class:`NewtonFailure` at once.
     """
     G = _step_residual(u, fv, wv, lam, nl, lap)
-    idx = free.nonzero()[0]
-    if idx.size == 0:
+    g_free = G[free]
+    if g_free.size == 0:
         return u, G
-    r = float(np.abs(G[idx]).max())
+    r = _sup_norm(g_free)
     if not math.isfinite(r):
         raise NewtonFailure(f"non-finite residual {r} on the free nodes: "
                             "the step data or state is not finite")
+    if r <= tol:
+        return u, G
+    # the Jacobian's diagonal is (lap + lam) + w*fn'(u), added in that order
+    jd_fixed = lap[1][free] + lam
+    w_free = wv[free]
     alpha_floor = NEWTON_DAMPING ** 40
 
     for _ in range(MAX_NEWTON):
-        if r <= tol:
-            return u, G
-        jd = lap[1][idx] + lam + wv[idx] * nl.deriv(u[idx])
-        delta = _solve_free_jacobian(lap, idx, jd, -G[idx])
+        jd = jd_fixed + w_free * nl.deriv(u[free])
+        delta = _solve_free_jacobian(lap, free, jd, -G[free])
 
         alpha = 1.0
         while True:
             u_try = u.copy()
-            u_try[idx] += alpha * delta
+            u_try[free] += delta if alpha == 1.0 else alpha * delta
             G_try = _step_residual(u_try, fv, wv, lam, nl, lap)
-            r_try = float(np.abs(G_try[idx]).max())
+            r_try = _sup_norm(G_try[free])
             if r_try <= (1.0 - 1e-4 * alpha) * r or r_try <= tol:
                 u, G, r = u_try, G_try, r_try
                 break
@@ -202,8 +223,8 @@ def _newton_on_subset(u: np.ndarray, free: np.ndarray,
             if alpha < alpha_floor:
                 raise NewtonFailure(
                     f"Newton stalled at residual {r:.3g} (damping floor reached)")
-    if r <= tol:
-        return u, G
+        if r <= tol:
+            return u, G
     raise NewtonFailure(f"Newton did not reach tolerance {tol:.3g}; residual {r:.3g}")
 
 
@@ -215,7 +236,7 @@ def solve_unconstrained(grid: Grid, source, weight, lam: float, nl: Nonlinearity
     wv = np.asarray(weight, dtype=float)
     _require_coercive(wv, lam, nl)
     lap = laplacian_diagonals(grid)
-    return _newton_on_subset(np.zeros(grid.n), np.ones(grid.n, bool), fv, wv, lam, nl,
+    return _newton_on_subset(np.zeros(grid.n), _EVERY_NODE, fv, wv, lam, nl,
                              lap, tol=0.1 * opts.tol_kkt)[0]
 
 
@@ -237,6 +258,13 @@ def solve_step(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinearit
     scaling constant on ``u - psi`` would select the same set).  Terminates
     when the set is stable and the KKT residual of the accepted state, from
     the residual the Newton solve returns with it, is within ``tol_kkt``.
+
+    A sweep's bookkeeping comes from one ``-G`` and one ``slack = psi - u``:
+    the KKT residual, the multiplier, and the predictor, evaluated as
+    ``eta - slack > 0``, which equals ``eta + (u - psi)`` to the last bit.
+    A sweep with no active node runs the Newton solve on whole arrays
+    (every node free), its multiplier is zero and its predictor reduces to
+    ``slack < 0``.
 
     From an empty set the contact boundary moves about one node per sweep.
     So when the first sweep from an empty set does not settle, the second
@@ -263,25 +291,38 @@ def solve_step(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinearit
         active[np.asarray(initial_active, dtype=int)] = True
 
     u = psi.copy()
+    act = active.nonzero()[0]
     best: Optional[ObstacleResult] = None
     for outer in range(1, opts.max_outer + 1):
-        u[active] = psi[active]
-        u, G = _newton_on_subset(u, ~active, fv, wv, lam, nl, lap, tol_inner)
-        eta = np.where(active, -G, 0.0)
-        kkt = _natural_residual(-G, psi - u)
-        # the next sweep writes into u, and the best result must keep its own
-        result = ObstacleResult(
-            z=u.copy(), eta=eta,
-            active=active.nonzero()[0], iters=outer, kkt_residual=kkt)
+        if act.size:
+            u[act] = psi[act]
+            free = (~active).nonzero()[0]
+        else:
+            free = _EVERY_NODE
+        u, G = _newton_on_subset(u, free, fv, wv, lam, nl, lap, tol_inner)
+        neg_g = -G
+        slack = psi - u
+        kkt = _sup_norm(np.minimum(neg_g, slack))
+        # eta - slack is eta + (u - psi) to the last bit: rounding is sign-symmetric
+        if act.size:
+            eta = np.where(active, neg_g, 0.0)
+            new_active = (eta - slack) > 0.0
+        else:
+            eta = np.zeros(grid.n)
+            new_active = slack < 0.0
+        new_act = new_active.nonzero()[0]
+        if (kkt <= opts.tol_kkt and new_act.size == act.size
+                and (not act.size or (new_act == act).all())):
+            return ObstacleResult(z=u, eta=eta, active=act, iters=outer, kkt_residual=kkt)
         if best is None or kkt < best.kkt_residual:
-            best = result
-        new_active = (eta + (u - psi)) > 0.0
-        if kkt <= opts.tol_kkt and (new_active == active).all():
-            return result
+            # the next sweep writes into u, and the best result must keep its own
+            best = ObstacleResult(z=u.copy(), eta=eta, active=act, iters=outer,
+                                  kkt_residual=kkt)
         if (outer == 1 and opts.max_outer > 1 and (grid.n - 1) // 2 >= COARSEST_N
-                and not active.any()):
+                and not act.size):
             new_active = _coarse_active(grid, psi, fv, wv, lam, nl, opts, new_active)
-        active = new_active
+            new_act = new_active.nonzero()[0]
+        active, act = new_active, new_act
     raise MaxIterations(
         f"no stable active set within {opts.max_outer} sweeps "
         f"(best KKT residual {best.kkt_residual:.3g})", result=best)

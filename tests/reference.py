@@ -7,19 +7,27 @@ grid's boundary tag instead of taking the matrix of
 :func:`irrev.grid.laplacian_diagonals`.  A fault in the production stencil
 therefore shows up as a disagreement with the references rather than being
 shared by both sides.
+
+One reference is the exception: :func:`frozen_solve_step` is a frozen copy
+of an earlier step kernel that the production one must reproduce bit for
+bit, so it shares the production operator and residual and differs only in
+how the sweeps and Newton iterations are organised.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.lapack import dgtsv
 
-from irrev import (BC, CheckVerdict, CoercivityLost, Grid, MaxIterations,
+from irrev import (BC, CheckVerdict, CoercivityLost, Grid, MaxIterations, NewtonFailure,
                    Nonlinearity, ObstacleError, ObstacleResult, ProblemData,
                    SolverOptions, Trajectory, discretize_time, run_evolution, step_energy)
-from irrev.grid import forward_jumps
-from irrev.model import MARGIN_FLOOR, QUAD_PTS
+from irrev.grid import forward_jumps, laplacian_diagonals
+from irrev.model import MARGIN_FLOOR, QUAD_PTS, _step_residual
+from irrev.obstacle import COARSEST_N, MAX_NEWTON, NEWTON_DAMPING
 
 PG_MAX_ITERS = 200_000     # projected-gradient iteration budget
 BACKTRACK = 0.5            # projected-gradient step shrink factor
@@ -249,6 +257,128 @@ def oracle_enumerate(grid: Grid, obstacle, source, weight, lam: float,
         raise AmbiguousCandidates(
             f"{len(accepted)} KKT points differ by {spread:.3g} in max norm")
     return min(accepted, key=lambda res: res.kkt_residual)
+
+
+# --------------------------------------------------------------------------
+# frozen step kernel (bit-for-bit reference of irrev.obstacle.solve_step)
+# --------------------------------------------------------------------------
+
+def _frozen_solve_free_jacobian(lap, idx: np.ndarray, jd: np.ndarray,
+                                rhs: np.ndarray) -> np.ndarray:
+    if idx.size == 1:
+        return rhs / jd
+    sub, _, sup = lap
+    consec = (idx[1:] - idx[:-1]) == 1
+    dl = np.where(consec, sub[idx[:-1]], 0.0)
+    du = np.where(consec, sup[idx[:-1]], 0.0)
+    _, _, _, x, info = dgtsv(dl, jd, du, rhs, overwrite_dl=1, overwrite_d=1,
+                             overwrite_du=1, overwrite_b=1)
+    if info != 0:
+        raise NewtonFailure(f"singular step Jacobian (dgtsv info={info})")
+    return x
+
+
+def _frozen_newton_on_subset(u: np.ndarray, free: np.ndarray, fv: np.ndarray,
+                             wv: np.ndarray, lam: float, nl: Nonlinearity, lap,
+                             tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton on the nodes flagged by the mask ``free``, gathering and
+    scattering through their indices on every iteration."""
+    G = _step_residual(u, fv, wv, lam, nl, lap)
+    idx = free.nonzero()[0]
+    if idx.size == 0:
+        return u, G
+    r = float(np.abs(G[idx]).max())
+    if not math.isfinite(r):
+        raise NewtonFailure(f"non-finite residual {r} on the free nodes: "
+                            "the step data or state is not finite")
+    alpha_floor = NEWTON_DAMPING ** 40
+
+    for _ in range(MAX_NEWTON):
+        if r <= tol:
+            return u, G
+        jd = lap[1][idx] + lam + wv[idx] * nl.deriv(u[idx])
+        delta = _frozen_solve_free_jacobian(lap, idx, jd, -G[idx])
+
+        alpha = 1.0
+        while True:
+            u_try = u.copy()
+            u_try[idx] += alpha * delta
+            G_try = _step_residual(u_try, fv, wv, lam, nl, lap)
+            r_try = float(np.abs(G_try[idx]).max())
+            if r_try <= (1.0 - 1e-4 * alpha) * r or r_try <= tol:
+                u, G, r = u_try, G_try, r_try
+                break
+            alpha *= NEWTON_DAMPING
+            if alpha < alpha_floor:
+                raise NewtonFailure(
+                    f"Newton stalled at residual {r:.3g} (damping floor reached)")
+    if r <= tol:
+        return u, G
+    raise NewtonFailure(f"Newton did not reach tolerance {tol:.3g}; residual {r:.3g}")
+
+
+def frozen_solve_step(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinearity,
+                      opts: Optional[SolverOptions] = None,
+                      initial_active: Optional[np.ndarray] = None) -> ObstacleResult:
+    """The primal-dual active-set step of :func:`irrev.solve_step` as it was
+    before its sweeps took whole arrays on an empty set: boolean masks,
+    ``np.where`` multiplier, predictor ``eta + (u - psi) > 0``, a fresh
+    result every sweep, and nested iteration through
+    :func:`_frozen_coarse_active`."""
+    opts = opts or SolverOptions()
+    psi = np.asarray(obstacle, dtype=float)
+    fv = np.asarray(source, dtype=float)
+    wv = np.asarray(weight, dtype=float)
+    margin = lam - nl.slope_bound * np.max(wv, axis=-1, initial=0.0)
+    if not margin >= MARGIN_FLOOR:
+        raise CoercivityLost(margin)
+    lap = laplacian_diagonals(grid)
+    tol_inner = 0.1 * opts.tol_kkt
+
+    active = np.zeros(grid.n, bool)
+    if initial_active is not None:
+        active[np.asarray(initial_active, dtype=int)] = True
+
+    u = psi.copy()
+    best: Optional[ObstacleResult] = None
+    for outer in range(1, opts.max_outer + 1):
+        u[active] = psi[active]
+        u, G = _frozen_newton_on_subset(u, ~active, fv, wv, lam, nl, lap, tol_inner)
+        eta = np.where(active, -G, 0.0)
+        kkt = _natural_residual(-G, psi - u)
+        result = ObstacleResult(
+            z=u.copy(), eta=eta,
+            active=active.nonzero()[0], iters=outer, kkt_residual=kkt)
+        if best is None or kkt < best.kkt_residual:
+            best = result
+        new_active = (eta + (u - psi)) > 0.0
+        if kkt <= opts.tol_kkt and (new_active == active).all():
+            return result
+        if (outer == 1 and opts.max_outer > 1 and (grid.n - 1) // 2 >= COARSEST_N
+                and not active.any()):
+            new_active = _frozen_coarse_active(grid, psi, fv, wv, lam, nl, opts, new_active)
+        active = new_active
+    raise MaxIterations(
+        f"no stable active set within {opts.max_outer} sweeps "
+        f"(best KKT residual {best.kkt_residual:.3g})", result=best)
+
+
+def _frozen_coarse_active(grid: Grid, psi: np.ndarray, fv: np.ndarray, wv: np.ndarray,
+                          lam: float, nl: Nonlinearity, opts: SolverOptions,
+                          fallback: np.ndarray) -> np.ndarray:
+    """Nested-iteration guess from the frozen solve on ``(n-1)//2`` nodes."""
+    coarse = Grid(grid.a, grid.b, (grid.n - 1) // 2, grid.bc_left, grid.bc_right)
+    xf, xc = grid.nodes, coarse.nodes
+    try:
+        res = frozen_solve_step(coarse, np.interp(xc, xf, psi), np.interp(xc, xf, fv),
+                                np.interp(xc, xf, wv), lam, nl, opts)
+    except MaxIterations as exc:
+        res = exc.result
+    except ObstacleError:
+        return fallback
+    indicator = np.zeros(coarse.n)
+    indicator[res.active] = 1.0
+    return np.interp(xf, xc, indicator) >= 0.5
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from irrev.obstacle import _solve_free_jacobian
 from irrev.presets import nonlinearity
 
 from helpers import random_step_instance, smooth_values
-from reference import inner_l2, neg_laplacian, oracle_enumerate, solve_step_pg
+from reference import (frozen_solve_step, inner_l2, neg_laplacian, oracle_enumerate,
+                       solve_step_pg)
 
 ZERO = nonlinearity({"preset": "zero"})
 TANH1 = nonlinearity({"preset": "tanh", "amplitude": 1.0})
@@ -298,28 +299,41 @@ def test_enumeration_agrees_with_pdas_n3(seed):
     np.testing.assert_allclose(a.z, b.z, atol=1e-9)
 
 
+GAMMAS = st.one_of(
+    st.just({"preset": "zero"}),
+    st.builds(lambda g: {"preset": "linear", "slope": g}, st.floats(-0.4, 0.6)),
+    st.builds(lambda a: {"preset": "tanh", "amplitude": a}, st.floats(0.0, 0.5)))
+#: ``at`` has a slope bound of order 1/(eps*delta^2), so its weight is tiny
+AT_GAMMAS = st.builds(lambda e, d: {"preset": "at", "eps": e, "delta": d},
+                      st.floats(0.05, 0.5), st.floats(1e-3, 0.1))
+
+
 @st.composite
-def step_instances(draw, n_max=12, margin=0.3):
-    """One well-posed obstacle step with at most ``n_max`` nodes, any pair of
-    endpoint conditions, a convexity margin of at least ``margin``, and a
-    random contact-set guess to warm-start from."""
-    n = draw(st.integers(1, n_max))
+def step_instances(draw, sizes=st.integers(1, 12), gammas=GAMMAS, margin=0.3):
+    """One well-posed obstacle step with a node count drawn from ``sizes``,
+    any pair of endpoint conditions, a convexity margin of at least
+    ``margin``, and a contact-set guess to warm-start from.  Up to 12 nodes
+    every nodal value is drawn; on larger grids a constant and three sine
+    modes, so the data stay within the same ranges."""
+    n = draw(sizes)
     bcs = draw(st.sampled_from([("dirichlet", "dirichlet"), ("dirichlet", "neumann"),
                                 ("neumann", "dirichlet"), ("neumann", "neumann")]))
     grid = Grid(0.0, draw(st.floats(0.8, 1.6)), n, *bcs)
 
     def values(lo, hi):
-        return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+        if n <= 12:
+            return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+        c = draw(st.lists(st.floats(lo / 4, hi / 4), min_size=4, max_size=4))
+        x = np.pi * (grid.nodes - grid.a) / (grid.b - grid.a)
+        return c[0] + sum(c[k] * np.sin(k * x) for k in (1, 2, 3))
 
     lam = draw(st.floats(0.7, 2.0))
-    nl = nonlinearity(draw(st.one_of(
-        st.just({"preset": "zero"}),
-        st.builds(lambda g: {"preset": "linear", "slope": g}, st.floats(-0.4, 0.6)),
-        st.builds(lambda a: {"preset": "tanh", "amplitude": a}, st.floats(0.0, 0.5)))))
-    weight = values(0.0, 1.0)
+    nl = nonlinearity(draw(gammas))
+    weight = values(0.0, 1.0) if n <= 12 else np.abs(values(0.0, 1.0))
     if nl.slope_bound * weight.max() > lam - margin:
         weight *= (lam - margin) / (nl.slope_bound * weight.max())
-    active = np.array(draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True)), int)
+    active = np.array(draw(st.lists(st.integers(0, n - 1), max_size=min(n, 12),
+                                    unique=True)), int)
     return grid, values(-1.0, 1.0), values(-2.0, 2.0), weight, lam, nl, active
 
 
@@ -333,6 +347,36 @@ def test_pdas_matches_enumeration_oracle_cold_and_warm(instance):
     for guess in (None, active):
         res = solve_step(grid, obstacle, source, weight, lam, nl, initial_active=guess)
         np.testing.assert_allclose(res.z, ref, rtol=0.0, atol=1e-10)
+
+
+def _outcome(solver, *args, **kwargs):
+    """A solve's result as bytes, or the failure it raised with its message."""
+    try:
+        res, kind = solver(*args, **kwargs), "converged"
+    except MaxIterations as exc:
+        res, kind = exc.result, "MaxIterations"
+    except NewtonFailure as exc:
+        return "NewtonFailure", str(exc)
+    return kind, (res.z.tobytes(), res.eta.tobytes(), res.active.tobytes(), res.iters,
+                  np.float64(res.kkt_residual).tobytes())
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(step_instances(sizes=st.one_of(st.integers(1, 12), st.sampled_from([1, 2, 3, 41, 301])),
+                      gammas=st.one_of(GAMMAS, AT_GAMMAS)),
+       st.sampled_from([100, 2, 1]), st.integers(0, 5).map(lambda k: k == 5))
+def test_step_kernel_matches_the_frozen_kernel_bit_for_bit(instance, max_outer, nan_source):
+    # cold, empty-guess and warm starts; a short sweep budget makes
+    # MaxIterations, a non-finite source value NewtonFailure
+    grid, obstacle, source, weight, lam, nl, active = instance
+    if nan_source:
+        source = source.copy()
+        source[grid.n // 2] = np.nan
+    opts = SolverOptions(max_outer=max_outer)
+    for guess in (None, np.array([], int), active):
+        args = (grid, obstacle, source, weight, lam, nl, opts)
+        want = _outcome(frozen_solve_step, *args, initial_active=guess)
+        assert _outcome(solve_step, *args, initial_active=guess) == want
 
 
 # --------------------------------------------------------------------------
