@@ -7,6 +7,9 @@ one that means to must regenerate the digests and say why::
 
     PYTHONPATH=src python tests/test_golden.py
 
+which prints every case whose exit code, stdout or file digest moved,
+naming the file, or ``no output moved``.
+
 The digests were made under the numpy and scipy versions recorded in the
 file; a mismatch names them, since other builds may round differently.
 """
@@ -61,15 +64,37 @@ def test_outputs_match_the_golden_digests(name, tmp_path, monkeypatch):
     assert got == golden["cases"][name], f"{name}: outputs differ ({versions})"
 
 
+def moved(old: dict | None, new: dict) -> list[str]:
+    """What differs between two outcomes of one case, one line per item."""
+    if old is None:
+        return ["new case"]
+    lines = []
+    if old["exit_code"] != new["exit_code"]:
+        lines.append(f"exit code {old['exit_code']} -> {new['exit_code']}")
+    if old["stdout"] != new["stdout"]:
+        lines.append(f"stdout {old['stdout']!r} -> {new['stdout']!r}")
+    for fname in sorted(old["files"].keys() | new["files"].keys()):
+        before, after = old["files"].get(fname), new["files"].get(fname)
+        if before != after:
+            lines.append(f"{fname} {before or 'absent'} -> {after or 'absent'}")
+    return lines
+
+
 def regenerate() -> None:
-    """Rewrite ``digests.json`` from the current program."""
+    """Rewrite ``digests.json`` from the current program and print every
+    case whose exit code, stdout or file digests moved."""
     import tempfile
 
     os.environ.pop("IRREV_VERBOSE", None)
+    old = json.loads(DIGESTS.read_text())["cases"] if DIGESTS.exists() else {}
     cases = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(CASES):
             cases[name] = run_case(name, Path(tmp) / name)
+    report = [f"{name}: {line}" for name in sorted(CASES)
+              for line in moved(old.get(name), cases[name])]
+    report += [f"{name}: case removed" for name in sorted(old.keys() - CASES.keys())]
+    print("\n".join(report) if report else "no output moved")
     DIGESTS.write_text(json.dumps({"numpy": np.__version__, "scipy": scipy.__version__,
                                    "cases": cases}, indent=1, sort_keys=True) + "\n")
 
