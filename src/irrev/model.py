@@ -94,6 +94,11 @@ class Nonlinearity:
         ``deriv + L`` cancels terms of size ``L``, so at a minimizer of
         ``deriv`` it reads a few ulp of ``L`` below 0; the relative reading
         is what a fixed tolerance can judge.  A non-finite value reads nan.
+
+        This is a check on the grid only: a worst point between two grid
+        points or beyond ``SAMPLE_RANGE`` goes unseen.  The presets' bounds
+        are proved on the whole line, at their analytic extrema, by the test
+        suite; a hand-built :class:`Nonlinearity` is checked here alone.
         """
         s = np.linspace(-SAMPLE_RANGE, SAMPLE_RANGE, SAMPLE_POINTS)
         slope = np.min(np.asarray(self.deriv(s), float) + self.slope_bound)

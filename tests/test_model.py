@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from irrev import (Grid, ProblemData, TimeProfile, constant_profile,
@@ -86,6 +88,67 @@ def test_nonfinite_derivative_fails_the_slope_check():
                              deriv=lambda s: np.where(s > 9.0, np.nan, 0.0))
     one_sided, growth = nl.structural_violations()
     assert np.isnan(one_sided) and growth == 0.0
+
+
+#: both signs of a log-spaced scan out to |s| = 1e6, and 0
+SCAN = np.concatenate([-np.logspace(-8.0, 6.0, 561)[::-1], [0.0], np.logspace(-8.0, 6.0, 561)])
+
+
+def assert_structural_bounds(spec: dict, nl) -> None:
+    """The slope bound L and the growth constant C of ``nl``, built from the
+    preset ``spec``, hold on the whole line: ``at`` at the analytic minimizer
+    of fn' and the analytic maximizer of |fn|, the others by their closed
+    forms; and ``|fn(s)| <= C(|s|+1)`` on :data:`SCAN`."""
+    L, C = nl.slope_bound, nl.growth
+    kind = spec["preset"]
+    if kind == "at":
+        eps, delta = spec["eps"], spec["delta"]
+        # fn' = (delta - 3s^2)/(eps (s^2+delta)^3) is smallest at s = +-sqrt(delta)
+        exact = 1.0 / (4.0 * eps * delta ** 2)
+        assert abs(L - exact) <= 1e-12 * exact
+        r = np.sqrt(delta)
+        assert (nl.deriv(np.array([-r, r])) + L).min() >= -4.0 * np.spacing(L)
+        assert (nl.deriv(SCAN) + L).min() >= -4.0 * np.spacing(L)
+        # |fn| = |s|/(eps (s^2+delta)^2) peaks at s = +-sqrt(delta/3)
+        peak = np.sqrt(delta / 3.0)
+        assert C >= (3.0 * np.sqrt(3.0) / 16.0) / (eps * delta ** 1.5) * (1.0 - 1e-12)
+        assert np.all(np.abs(nl.fn(np.array([-peak, peak]))) <= C * (peak + 1.0))
+    else:
+        # fn' is 0 (zero), the constant g (linear) or a/cosh^2 >= 0 (tanh),
+        # and |fn| is 0, |g s| or at most a
+        if kind == "zero":
+            assert (L, C) == (0.0, 1.0)
+        elif kind == "linear":
+            g = spec["slope"]
+            assert (L, C) == (max(0.0, -g), max(abs(g), 1e-12))
+        else:
+            assert (L, C) == (0.0, max(spec["amplitude"], 1e-12))
+        assert (nl.deriv(SCAN) + L).min() >= 0.0
+    assert np.all(np.abs(nl.fn(SCAN)) <= C * (np.abs(SCAN) + 1.0))
+
+
+PRESET_SPECS = st.one_of(
+    st.just({"preset": "zero"}),
+    st.builds(lambda g: {"preset": "linear", "slope": g}, st.floats(-10.0, 10.0)),
+    st.builds(lambda a: {"preset": "tanh", "amplitude": a}, st.floats(0.0, 10.0)),
+    st.builds(lambda e, d: {"preset": "at", "eps": e, "delta": d},
+              st.floats(1e-3, 10.0), st.floats(1e-6, 1e3)))
+
+
+@given(PRESET_SPECS)
+def test_preset_structural_bounds_hold_on_the_whole_line(spec):
+    assert_structural_bounds(spec, nonlinearity(spec))
+
+
+def test_understated_at_slope_bound_fails_off_the_grid():
+    # at (0.1, 1e-3): fn' is smallest at sqrt(delta) = 0.0316, between two
+    # points of the check grid, so validate passes a bound 39 % low
+    spec = {"preset": "at", "eps": 0.1, "delta": 1e-3}
+    nl = nonlinearity(spec)
+    low = dataclasses.replace(nl, slope_bound=0.61 * nl.slope_bound)
+    assert validate(make_data(), low).ok
+    with pytest.raises(AssertionError):
+        assert_structural_bounds(spec, low)
 
 
 @pytest.mark.parametrize("spec", [
