@@ -146,7 +146,8 @@ _EVERY_NODE = slice(None)
 
 
 def _solve_free_jacobian(lap: tuple[np.ndarray, np.ndarray, np.ndarray],
-                         idx, jd: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+                         idx: np.ndarray | slice, jd: np.ndarray,
+                         rhs: np.ndarray) -> np.ndarray:
     """Solve the Newton system on the free nodes ``idx`` (sorted indices, or
     :data:`_EVERY_NODE`).
 
@@ -174,7 +175,7 @@ def _solve_free_jacobian(lap: tuple[np.ndarray, np.ndarray, np.ndarray],
     return x
 
 
-def _newton_on_subset(u: np.ndarray, free,
+def _newton_on_subset(u: np.ndarray, free: np.ndarray | slice,
                       fv: np.ndarray, wv: np.ndarray, lam: float,
                       nl: Nonlinearity,
                       lap: tuple[np.ndarray, np.ndarray, np.ndarray],

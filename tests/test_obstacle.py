@@ -329,7 +329,7 @@ def step_instances(draw, sizes=st.integers(1, 12), gammas=GAMMAS, margin=0.3):
 
     lam = draw(st.floats(0.7, 2.0))
     nl = nonlinearity(draw(gammas))
-    weight = values(0.0, 1.0) if n <= 12 else np.abs(values(0.0, 1.0))
+    weight = np.abs(values(0.0, 1.0))
     if nl.slope_bound * weight.max() > lam - margin:
         weight *= (lam - margin) / (nl.slope_bound * weight.max())
     active = np.array(draw(st.lists(st.integers(0, n - 1), max_size=min(n, 12),
