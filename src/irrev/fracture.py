@@ -35,7 +35,7 @@ import numpy as np
 
 from .grid import BC, Grid, full_values
 from .model import (MARGIN_FLOOR, QUAD_PTS, ZERO_NONLINEARITY, Nonlinearity, ProblemData,
-                    TimeProfile, constant_profile, validate)
+                    TimeProfile, constant_profile, node_row, validate)
 from .obstacle import SolverOptions, solve_unconstrained
 
 
@@ -149,10 +149,24 @@ def cumulative_load(grid: Grid, params: ATParams, t) -> np.ndarray:
 
 
 def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    """``np.interp(x[i], xp, fp[i])`` row by row (a single row when 1-D)."""
-    if fp.ndim == 1:
-        return np.interp(x, xp, fp)
-    return np.array([np.interp(xr, xp, fr) for xr, fr in zip(x, fp)])
+    """``np.interp(x, xp, fp[i])`` for every row ``i`` of ``fp`` in one pass
+    (a single row when 1-D), for query points ``x`` of shape ``(n,)``, knots
+    ``xp`` in increasing order and a finite table.
+
+    The bracket of each point is found once, with ``np.interp``'s rules: a
+    point at a knot or outside ``[xp[0], xp[-1]]`` takes the table value
+    there as it stands, any other ``slope*(x - xp[j]) + fp[j]`` with
+    ``slope = (fp[j+1] - fp[j])/(xp[j+1] - xp[j])``, which is
+    ``np.interp``'s own formula, so each row equals it to the last bit.
+    """
+    j = np.searchsorted(xp, x, side="right") - 1         # xp[j] <= x < xp[j+1]
+    knot = np.clip(j, 0, xp.size - 1)
+    between = (j >= 0) & (j < xp.size - 1) & (xp[knot] != x)
+    out = fp[..., knot]
+    jb = j[between]
+    lo = fp[..., jb]
+    out[..., between] = (fp[..., jb + 1] - lo) / (xp[jb + 1] - xp[jb]) * (x[between] - xp[jb]) + lo
+    return out
 
 
 def load_to_sigma(grid: Grid, params: ATParams) -> TimeProfile:
@@ -161,20 +175,21 @@ def load_to_sigma(grid: Grid, params: ATParams) -> TimeProfile:
 
     Grid-bound: H is integrated on the construction grid and linearly
     interpolated at requested coordinates (exact at the grid's own nodes).
-    The evaluators are row-wise rather than elementwise: each row of the
-    broadcast ``t`` holds one time, read from its first entry, whose H is
-    integrated over the whole grid.
+    H is integrated over the whole grid once per time (the first entry of
+    each row of the broadcast ``t``), and all its rows are interpolated at
+    the node row (:func:`~irrev.model.node_row`) in one pass.
     """
     x_full = grid.nodes_full
 
     def evaluator(x, t):
         H = cumulative_load(grid, params, t[..., 0])
-        return _interp_rows(x, x_full, H) ** 2
+        return _interp_rows(node_row(x), x_full, H) ** 2
 
     def dt_evaluator(x, t):
         H = cumulative_load(grid, params, t[..., 0])
         dH = _cumtrapz(x_full, params.load.dt(x_full, t[..., 0]))
-        return 2.0 * _interp_rows(x, x_full, H) * _interp_rows(x, x_full, dH)
+        xr = node_row(x)
+        return 2.0 * _interp_rows(xr, x_full, H) * _interp_rows(xr, x_full, dH)
 
     return TimeProfile(evaluator, dt_evaluator)
 

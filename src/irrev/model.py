@@ -142,6 +142,16 @@ class TimeProfile:
     f(t))`` serves both, and row ``i`` of an array evaluation equals the
     evaluation at ``t[i]`` to the last bit.
 
+    The broadcast guarantees more: ``x`` varies only along the last axis
+    and ``t`` only along the leading ones.  So an evaluator may compute its
+    space factor once on ``node_row(x)``, shape ``(n,)``, and its time
+    factor once on ``time_column(t)``, one entry per time (see
+    :func:`node_row` and :func:`time_column`), and let broadcasting build
+    the result: each value gets the same floating-point operations as
+    under the elementwise formula, so the bytes are the same.  A result
+    that only broadcasts to the shape of ``x``, such as a node row for a
+    factor constant in time, is broadcast to it.
+
     One call holds every value it returns.  The stages that walk long time
     arrays therefore evaluate them in blocks of at most :data:`EVAL_BLOCK`
     (time, node) values, the slices of :func:`time_blocks`: that bounds the
@@ -174,6 +184,22 @@ def _evaluate(fn, x, t) -> np.ndarray:
                                  np.asarray(t, dtype=float)[..., None])
     out = np.asarray(fn(xb, tb), dtype=float)
     return np.broadcast_to(out, xb.shape).astype(float, copy=False)
+
+
+def node_row(x: np.ndarray) -> np.ndarray:
+    """The node coordinates of an evaluator's broadcast ``x``, shape ``(n,)``:
+    its first row, a view."""
+    if x.size == 0:
+        # an evaluation at no time has no row; every result is empty anyway
+        return np.zeros(x.shape[-1:])
+    return x[(0,) * (x.ndim - 1)]
+
+
+def time_column(t: np.ndarray) -> np.ndarray:
+    """The times of an evaluator's broadcast ``t``, one per row, as a column
+    (shape ``(k, 1)``, or ``(1,)`` for a single time) that broadcasts
+    against a node row."""
+    return t[..., :1]
 
 
 def time_blocks(n_times: int, n_nodes: int) -> list[slice]:

@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import Grid
-from .model import ZERO_NONLINEARITY, Nonlinearity, TimeProfile, constant_profile
+from .model import (ZERO_NONLINEARITY, Nonlinearity, TimeProfile, constant_profile,
+                    node_row, time_column)
 from .obstacle import solve_unconstrained
 
 
@@ -120,6 +121,8 @@ def time_profile(grid: Grid, spec: dict, where: str = "profile") -> TimeProfile:
     ``exp_relax`` (limit, bump, optional rate), ``step_t`` (before, after,
     t_switch), ``tabulated`` (times, values).
 
+    The evaluators interpolate their nodal tables once on the node row and
+    compute each time factor once per time (see :class:`TimeProfile`).
     Every preset has its exact time derivative.  ``tabulated`` is linear in
     t between its knots and constant outside them, so its derivative is
     piecewise constant: at a knot the slope of the interval to its right
@@ -131,7 +134,7 @@ def time_profile(grid: Grid, spec: dict, where: str = "profile") -> TimeProfile:
         p = _take(spec, f"{where}:constant", optional=("value", "space"))
         if "space" in p:
             vals = space_values(grid, p["space"], f"{where}.space")
-            interp = lambda x, t: np.interp(np.asarray(x, float), x_nodes, vals)
+            interp = lambda x, t: np.interp(node_row(x), x_nodes, vals)
             return TimeProfile(interp, lambda x, t: np.zeros(np.shape(x)), limit=vals)
         v = float(p.get("value", 0.0))
         return TimeProfile(lambda x, t: np.full(np.shape(x), v),
@@ -144,10 +147,10 @@ def time_profile(grid: Grid, spec: dict, where: str = "profile") -> TimeProfile:
         rate = space_values(grid, p["rate"], f"{where}.rate")
 
         def ev(x, t):
-            xq = np.asarray(x, float)
-            return np.interp(xq, x_nodes, base) + t * np.interp(xq, x_nodes, rate)
+            xr = node_row(x)
+            return np.interp(xr, x_nodes, base) + t * np.interp(xr, x_nodes, rate)
 
-        return TimeProfile(ev, lambda x, t: np.interp(np.asarray(x, float), x_nodes, rate))
+        return TimeProfile(ev, lambda x, t: np.interp(node_row(x), x_nodes, rate))
 
     if kind == "exp_relax":
         p = _take(spec, f"{where}:exp_relax", required=("limit", "bump"),
@@ -157,11 +160,12 @@ def time_profile(grid: Grid, spec: dict, where: str = "profile") -> TimeProfile:
         r = float(p.get("rate", 1.0))
 
         def ev(x, t):
-            xq = np.asarray(x, float)
-            return np.interp(xq, x_nodes, lim) + np.exp(-r * t) * np.interp(xq, x_nodes, bump)
+            xr = node_row(x)
+            return (np.interp(xr, x_nodes, lim)
+                    + np.exp(-r * time_column(t)) * np.interp(xr, x_nodes, bump))
 
         def dev(x, t):
-            return -r * np.exp(-r * t) * np.interp(np.asarray(x, float), x_nodes, bump)
+            return -r * np.exp(-r * time_column(t)) * np.interp(node_row(x), x_nodes, bump)
 
         return TimeProfile(ev, dev, limit=lim)
 
@@ -190,16 +194,18 @@ def time_profile(grid: Grid, spec: dict, where: str = "profile") -> TimeProfile:
             raise PresetError(f"{where}: tabulated times must be at least two, increasing")
 
         def bracket(x, t):
-            """Each t clamped to the table, the index j of its interval
-            [times[j], times[j+1]), and rows j and j+1 interpolated at x."""
-            tc = np.clip(t, times[0], times[-1])
+            """Each time clamped to the table (a column), the index j of its
+            interval [times[j], times[j+1]), and rows j and j+1 interpolated
+            at the nodes, once per distinct j."""
+            tc = np.clip(time_column(t), times[0], times[-1])
             j = np.clip(np.searchsorted(times, tc, side="right") - 1, 0, times.size - 2)
-            lo, hi = np.empty(np.shape(x)), np.empty(np.shape(x))
-            for u in np.unique(j):
-                sel = j == u
-                lo[sel] = np.interp(x[sel], x_nodes, table[u])
-                hi[sel] = np.interp(x[sel], x_nodes, table[u + 1])
-            return tc, j, lo, hi
+            rows, which = np.unique(j[..., 0], return_inverse=True)
+            xr = node_row(x)
+            lo, hi = np.empty((2, rows.size, xr.size))
+            for i, u in enumerate(rows):
+                lo[i] = np.interp(xr, x_nodes, table[u])
+                hi[i] = np.interp(xr, x_nodes, table[u + 1])
+            return tc, j, lo[which], hi[which]
 
         def ev(x, t):
             tc, j, lo, hi = bracket(x, t)
@@ -211,7 +217,8 @@ def time_profile(grid: Grid, spec: dict, where: str = "profile") -> TimeProfile:
             # starts there applies; 0 before the first time and from the
             # last time on, where the table is held constant
             _, j, lo, hi = bracket(x, t)
-            inside = (t >= times[0]) & (t < times[-1])
+            tq = time_column(t)
+            inside = (tq >= times[0]) & (tq < times[-1])
             return np.where(inside, (hi - lo) / (times[j + 1] - times[j]), 0.0)
 
         return TimeProfile(ev, dev, limit=table[-1])
@@ -253,14 +260,13 @@ def fracture_load(spec: dict) -> TimeProfile:
         ramp = float(p.get("ramp_time", 1.0))
         if ramp <= 0:
             raise PresetError("load ramp_time must be positive")
-        shape = (lambda x: np.asarray(x, float)) if kind == "ramp_linear" \
-            else (lambda x: np.sin(np.pi * np.asarray(x, float)))
+        shape = (lambda x: x) if kind == "ramp_linear" else (lambda x: np.sin(np.pi * x))
 
         def ev(x, t):
-            return scale * np.minimum(t / ramp, 1.0) * shape(x)
+            return scale * np.minimum(time_column(t) / ramp, 1.0) * shape(node_row(x))
 
         def dev(x, t):
-            return np.where(t < ramp, scale / ramp, 0.0) * shape(x)
+            return np.where(time_column(t) < ramp, scale / ramp, 0.0) * shape(node_row(x))
 
         return TimeProfile(ev, dev)
     raise PresetError(f"unknown load preset {kind!r}")

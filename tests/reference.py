@@ -77,7 +77,7 @@ def _natural_residual(eta: np.ndarray, slack: np.ndarray) -> float:
 def _require_convex(weight: np.ndarray, lam: float, nl: Nonlinearity) -> None:
     margin = nl.convexity_margin(lam, weight)
     if not margin >= MARGIN_FLOOR:
-        raise CoercivityLost(f"convexity margin {margin:.6g} is below {MARGIN_FLOOR:.3g}")
+        raise CoercivityLost(float(margin))
 
 
 # --------------------------------------------------------------------------

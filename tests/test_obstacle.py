@@ -120,6 +120,14 @@ def test_coercivity_guard():
         solve_step(SCALAR, OBS0, [0.0], [1.0], 1.0, nl)
 
 
+@pytest.mark.parametrize("solver", [solve_step_pg, oracle_enumerate])
+def test_reference_solvers_keep_the_coercivity_guard(solver):
+    nl = nonlinearity({"preset": "linear", "slope": -2.0})  # margin 1 - 2*1 = -1
+    with pytest.raises(CoercivityLost, match="= -1 is below") as caught:
+        solver(SCALAR, OBS0, [0.0], [1.0], 1.0, nl)
+    assert caught.value.margin == -1.0
+
+
 @pytest.mark.parametrize("free", [
     [7],                        # one free node
     list(range(41)),            # every node

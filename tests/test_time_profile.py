@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from irrev import (Grid, ProblemData, TimeProfile, balance_residual,
                    default_lower_envelope, discretize_time, run_evolution, run_longtime,
                    solve_unconstrained)
-from irrev.fracture import ATParams, cumulative_load, load_to_sigma
+from irrev.fracture import ATParams, _cumtrapz, _interp_rows, cumulative_load, load_to_sigma
 from irrev.model import EVAL_BLOCK, QUAD_PTS, time_blocks
 from irrev.presets import fracture_load, nonlinearity, time_profile
 
@@ -98,6 +98,13 @@ def test_array_evaluation_matches_per_time(kind, name, n, knot, data):
         assert fn(x, float(ts[0])).shape == (x.size,)
 
 
+@pytest.mark.parametrize("kind,name", CASES)
+def test_no_times_give_no_rows(kind, name):
+    profile, x = profiles(kind, name, 7, 0.5)
+    for fn in (profile, profile.dt):
+        assert fn(x, np.array([])).shape == (0, x.size)
+
+
 @SETTINGS
 @given(n=st.sampled_from(NODE_COUNTS), n_times=st.integers(1, 9))
 def test_cumulative_load_rows_match_per_time(n, n_times):
@@ -129,6 +136,104 @@ def test_tabulated_derivative_is_the_slope_of_the_interval_to_the_right():
     np.testing.assert_array_equal(prof.dt(x, 1.0), [0.5, -2.0])
     np.testing.assert_array_equal(prof.dt(x, np.array([3.0, 4.0])), np.zeros((2, 2)))
     np.testing.assert_array_equal(prof(x, 2.0), [2.5, 2.0])
+
+
+# --------------------------------------------------------------------------
+# the space factor once per node row, the time factor once per time
+# --------------------------------------------------------------------------
+
+def query_points(grid: Grid) -> np.ndarray:
+    """Interior nodes, both endpoints, midpoints, points just off the nodes
+    and points outside [a, b]."""
+    full = grid.nodes_full
+    mids = 0.5 * (full[:-1] + full[1:])
+    near = np.concatenate([np.nextafter(full, -np.inf), np.nextafter(full, np.inf)])
+    outside = [grid.a - 0.5, grid.b + 1e-12, grid.b + 3.0]
+    return np.concatenate([grid.nodes, [grid.a, grid.b], mids, near, outside])
+
+
+@SETTINGS
+@given(n_knots=st.integers(2, 12), n_rows=st.integers(1, 5), data=st.data())
+def test_interp_rows_matches_np_interp_per_row(n_knots, n_rows, data):
+    value = st.one_of(st.floats(-1e6, 1e6, allow_nan=False), st.sampled_from([0.0, -0.0]))
+    xp = np.cumsum(np.array(data.draw(st.lists(st.floats(1e-3, 2.0), min_size=n_knots,
+                                                max_size=n_knots))))
+    fp = np.array(data.draw(st.lists(st.lists(value, min_size=n_knots, max_size=n_knots),
+                                     min_size=n_rows, max_size=n_rows)))
+    x = np.concatenate([xp, 0.5 * (xp[:-1] + xp[1:]), [xp[0] - 1.0, xp[-1] + 1.0],
+                        data.draw(st.lists(st.floats(-5.0, 30.0), max_size=8))])
+    assert_bitwise(_interp_rows(x, xp, fp), np.stack([np.interp(x, xp, row) for row in fp]))
+    assert_bitwise(_interp_rows(x, xp, fp[0]), np.interp(x, xp, fp[0]))
+
+
+@pytest.mark.parametrize("load", LOADS)
+@pytest.mark.parametrize("n", [1, 8, 41])
+def test_load_to_sigma_matches_per_row_interpolation(load, n):
+    """H on the construction grid, interpolated per row by np.interp, at
+    nodes, off-grid points, both endpoints and outside [a, b], for a scalar
+    t and for arrays of t."""
+    grid = Grid(-1.0, 1.0, n)
+    params = ATParams(eps=0.1, delta=1e-3, load=fracture_load(load_spec(load)))
+    sigma = load_to_sigma(grid, params)
+    x, x_full = query_points(grid), grid.nodes_full
+
+    def per_row(t):
+        H = cumulative_load(grid, params, t)
+        dH = _cumtrapz(x_full, params.load.dt(x_full, t))
+        h = np.interp(x, x_full, H)
+        return h ** 2, 2.0 * h * np.interp(x, x_full, dH)
+
+    for ts in (0.0, 0.35, 0.6, 2.0, np.array([0.25]),
+               np.array([0.0, 0.1, 0.6, 0.59, 1.3, 0.2, 5.0])):
+        rows = [per_row(t) for t in np.atleast_1d(ts)]
+        want = [np.stack([r[i] for r in rows]) for i in (0, 1)]
+        if np.ndim(ts) == 0:
+            want = [w[0] for w in want]
+        assert_bitwise(sigma(x, ts), want[0])
+        assert_bitwise(sigma.dt(x, ts), want[1])
+
+
+def interpolating_profiles(n: int):
+    """(name, profile, coordinates) of every profile that interpolates a
+    nodal table or a cumulative load."""
+    grid = Grid(0.0, 1.0, n)
+    specs = time_presets(grid, 0.5)
+    out = [(name, time_profile(grid, specs[name]), grid.nodes)
+           for name in ("constant-space", "linear_t", "exp_relax", "tabulated")]
+    for load in LOADS[1:]:
+        frac = Grid(-1.0, 1.0, n)
+        out.append((load, fracture_load(load_spec(load)), frac.nodes_full))
+        params = ATParams(eps=0.1, delta=1e-3, load=fracture_load(load_spec(load)))
+        out.append((f"sigma-{load}", load_to_sigma(frac, params), frac.nodes))
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 7, 399])
+def test_space_factors_per_node_row_and_time_factors_per_time(k, monkeypatch):
+    """A k-time evaluation interpolates node rows (n points, n+2 for the
+    cumulative load), takes the sine once per node and exp and the ramp's
+    switch once per time, never on all k*n values."""
+    n = 41
+    ts = np.linspace(-0.5, 2.5, k)
+    cases = interpolating_profiles(n)
+    sizes = {name: [] for name in ("interp", "sin", "exp", "where")}
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            sizes[name].append(np.size(args[0]))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in sizes:
+        monkeypatch.setattr(np, name, recording(name, getattr(np, name)))
+    for label, profile, x in cases:
+        limits = {"interp": x.size, "sin": n + 2, "exp": k, "where": k}
+        for fn in (profile, profile.dt):
+            for calls in sizes.values():
+                calls.clear()
+            assert fn(x, ts).shape == (k, x.size)
+            for name, limit in limits.items():
+                assert max(sizes[name], default=0) <= limit, (label, name, sizes[name])
 
 
 # --------------------------------------------------------------------------
