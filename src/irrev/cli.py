@@ -55,6 +55,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_SOLVER_FAILED = 2
 EXIT_CONFIG_ERROR = 3
+FINAL_GAP_TOL = 1e-6  # largest H1 gap to the stationary limit that `longtime` passes
 
 
 class ConfigError(ValueError):
@@ -99,12 +100,10 @@ SCHEMA = {
         "grid": {"a": NUMBER, "b": NUMBER, "n": COUNT, "bc_left": TEXT, "bc_right": TEXT},
         "lambda": NUMBER, "gamma": PRESET, "sigma": PRESET, "f": PRESET, "z0": PRESET,
         "T": POSITIVE, "m": COUNT, "quad_pts": COUNT},
-    "solver": {"tol_kkt": POSITIVE, "max_outer": COUNT},
+    "solver": {"max_outer": COUNT},
     "output": {"directory": TEXT, "stride": COUNT},
-    "tolerances": {"irreversibility": NUMBER, "lewy_stampacchia": NUMBER,
-                   "minimality": NUMBER, "dissipation": NUMBER},
     "refine": {"m_list": COUNTS, "n_list": COUNTS},
-    "longtime": {"horizon": POSITIVE, "m_per_unit": COUNT, "final_gap_tol": NUMBER},
+    "longtime": {"horizon": POSITIVE, "m_per_unit": COUNT},
     "stationary": {"f_inf": PRESET, "sigma": PRESET},
     "fracture": {"eps": POSITIVE, "delta_eps": POSITIVE, "load": PRESET, "z0": PRESET,
                  "n": COUNT, "T": POSITIVE, "m": COUNT, "quad_pts": COUNT},
@@ -145,12 +144,6 @@ def load_config(path: str | Path) -> dict:
     return cfg
 
 
-def _given(block: dict, key: str, name: str | None = None) -> dict:
-    """``{name: block[key]}`` (``name`` defaults to ``key``) when the config
-    sets ``key``, else ``{}``, so that the library's own default applies."""
-    return {name or key: block[key]} if key in block else {}
-
-
 def build_problem(cfg: dict):
     """Problem block -> (ProblemData, Nonlinearity, m, quad_pts)."""
     try:
@@ -186,7 +179,8 @@ def _output_dir(cfg: dict, override: str | None) -> Path:
 def _save(traj: Trajectory, cfg: dict, out_dir: Path) -> None:
     """Print the per-step lines when verbose, then write the trajectory."""
     _print_steps(traj)
-    save_trajectory(traj, out_dir, **_given(cfg.get("output", {}), "stride"))
+    save_trajectory(traj, out_dir, **{k: v for k, v in cfg.get("output", {}).items()
+                                      if k == "stride"})
 
 
 # --------------------------------------------------------------------------
@@ -258,12 +252,11 @@ def cmd_run(cfg: dict, out_dir: Path, force: bool = False) -> int:
                    "total_abs": energy_report.total_abs},
                   fh, sort_keys=True, indent=1)
 
-    tol = cfg.get("tolerances", {})
     verdicts = [
-        check_irreversibility(traj, **_given(tol, "irreversibility", "tol")),
-        check_lewy_stampacchia(traj, data.lam, nl, **_given(tol, "lewy_stampacchia", "tol")),
-        check_dissipation_sign(traj, nl, data.lam, **_given(tol, "dissipation", "tol")),
-        check_unilateral_minimality(traj, nl, data.lam, **_given(tol, "minimality", "tol")),
+        check_irreversibility(traj),
+        check_lewy_stampacchia(traj, data.lam, nl),
+        check_dissipation_sign(traj, nl, data.lam),
+        check_unilateral_minimality(traj, nl, data.lam),
     ]
     return _report(out_dir, traj, verdicts,
                    f"balance: max|residual|={energy_report.max_abs:.3g} "
@@ -283,10 +276,8 @@ def cmd_refine(cfg: dict, out_dir: Path) -> int:
                             block.get("n_list", []), opts=opts, quad_pts=quad_pts)
     write_refinement_csv(rows, out_dir / "refinement.csv")
 
-    ok = True
     tau_gaps = [r.gap_v for r in rows if r.kind == "tau" and r.gap_v is not None]
-    for a, b in zip(tau_gaps, tau_gaps[1:]):
-        ok &= b < a
+    ok = all(b < a for a, b in zip(tau_gaps, tau_gaps[1:]))
     for r in rows:
         gap = "" if r.gap_v is None else f" gap_V={r.gap_v:.6g}"
         order = "" if r.order_estimate is None else f" order={r.order_estimate:.3f}"
@@ -323,8 +314,7 @@ def cmd_longtime(cfg: dict, out_dir: Path) -> int:
         print("warning: limit characterization preconditions not met "
               f"(weight constant in t: {result.weight_time_independent}, "
               f"source above limit: {result.source_above_limit})")
-    ok = (result.gap_monotone and result.sandwich_ok
-          and result.final_gap <= block.get("final_gap_tol", 1e-6))
+    ok = result.gap_monotone and result.sandwich_ok and result.final_gap <= FINAL_GAP_TOL
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -406,6 +396,11 @@ def cmd_fracture(cfg: dict, out_dir: Path) -> int:
 # entry point
 # --------------------------------------------------------------------------
 
+#: every command but ``run``, which also takes ``--force``
+COMMANDS = {"check": cmd_check, "refine": cmd_refine, "longtime": cmd_longtime,
+            "stationary": cmd_stationary, "fracture": cmd_fracture}
+
+
 class _Parser(argparse.ArgumentParser):
     """A usage error is a configuration error (exit 3), not argparse's exit 2,
     which this front end keeps for solver failures."""
@@ -432,17 +427,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         cfg = load_config(args.config)
         out_dir = _output_dir(cfg, args.output_dir)
-        if args.command == "check":
-            return cmd_check(cfg, out_dir)
         if args.command == "run":
             return cmd_run(cfg, out_dir, force=args.force)
-        if args.command == "refine":
-            return cmd_refine(cfg, out_dir)
-        if args.command == "longtime":
-            return cmd_longtime(cfg, out_dir)
-        if args.command == "stationary":
-            return cmd_stationary(cfg, out_dir)
-        return cmd_fracture(cfg, out_dir)
+        return COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -1,9 +1,9 @@
 """Post-hoc verdicts on trajectories: energy accounting and structural checks.
 
 Everything here is pure post-processing over an immutable trajectory and is
-deterministic given its inputs.  Tolerances follow two regimes: algebraic
-identities are asserted at 1e-10..1e-12, discretization-limited statements
-are reported as refinement trends rather than absolute numbers.
+deterministic given its inputs.  Tolerances follow two regimes: identities
+are asserted at 1e-12..1e-8 or a residual's rounding floor where larger,
+discretization-limited statements are reported as refinement trends.
 
 Every verdict and series works on the whole stack of states in array
 passes, one per block of times where profiles are evaluated; each stacked
@@ -22,7 +22,7 @@ import numpy as np
 
 from .grid import Grid, full_values, laplacian_diagonals, norm_h1
 from .model import (QUAD_PTS, ZERO_NONLINEARITY, DiscretizedData, Nonlinearity, ProblemData,
-                    _step_residual, time_blocks)
+                    _step_residual, rounding_floor, time_blocks)
 from .obstacle import SolverOptions, step_energy
 
 
@@ -139,8 +139,7 @@ def _averaged_data(traj) -> DiscretizedData:
     return traj.disc
 
 
-def check_unilateral_minimality(traj, nl: Nonlinearity, lam: float,
-                                tol: float = 1e-10) -> CheckVerdict:
+def check_unilateral_minimality(traj, nl: Nonlinearity, lam: float) -> CheckVerdict:
     """Certified bound on how far each step state is from minimal below itself.
 
     Step ``k`` minimized the step energy ``J_k`` with the interval-averaged
@@ -163,7 +162,7 @@ def check_unilateral_minimality(traj, nl: Nonlinearity, lam: float,
     bounds = (traj.grid.h * (neg * neg).sum(axis=1)
               / (2.0 * nl.convexity_margin(lam, disc.weight_avg)))
     k = int(np.argmax(bounds))
-    return _verdict("unilateral_minimality", bounds[k], tol,
+    return _verdict("unilateral_minimality", bounds[k], 1e-10,
                     worst=(k + 1, int(np.argmin(eta[k]))),
                     note=f"averaged-data certificate over {traj.m} steps")
 
@@ -172,8 +171,7 @@ def check_unilateral_minimality(traj, nl: Nonlinearity, lam: float,
 # two-sided operator bound per step
 # --------------------------------------------------------------------------
 
-def check_lewy_stampacchia(traj, lam: float, nl: Nonlinearity,
-                           tol: float = 1e-8) -> CheckVerdict:
+def check_lewy_stampacchia(traj, lam: float, nl: Nonlinearity) -> CheckVerdict:
     """Nodewise two-sided bound pinning the step operator output.
 
     At every step the elliptic output of the new state must lie between the
@@ -187,35 +185,38 @@ def check_lewy_stampacchia(traj, lam: float, nl: Nonlinearity,
     With the step residual ``G_k`` and ``A = -Lap + lam`` that reads ``G_k
     <= 0`` and ``min(-G_k, A(z_{k-1} - z_k)) <= 0``, checked for all steps
     in one pass.  Needs the trajectory's averaged data, ``traj.disc``.
+    Where 1e-8 fails, the tolerance is the larger of 1e-8 and the steps'
+    :func:`~irrev.model.rounding_floor` (kappa = 1): the solver accepted each
+    ``G_k`` within it or ``TOL_KKT``, and the drop is <= 0 at contact nodes.
     """
     disc = _averaged_data(traj)
     lap = laplacian_diagonals(traj.grid)
-    z = traj.states[1:]
-    G = _step_residual(z, disc.source_avg, disc.weight_avg, lam, nl, lap)
-    drop = _step_residual(traj.states[:-1] - z, 0.0, 0.0, lam, ZERO_NONLINEARITY, lap)
+    step = (traj.states[1:], disc.source_avg, disc.weight_avg, lam, nl, lap)
+    G = _step_residual(*step)
+    drop = _step_residual(traj.states[:-1] - step[0], 0.0, 0.0, lam, ZERO_NONLINEARITY, lap)
     viol = np.maximum(np.minimum(-G, drop), G)
     k, i = np.unravel_index(int(np.argmax(viol)), viol.shape)
-    return _verdict("lewy_stampacchia", max(float(viol[k, i]), 0.0), tol,
-                    worst=(int(k) + 1, int(i)))
+    worst = max(float(viol[k, i]), 0.0)
+    tol = 1e-8 if worst <= 1e-8 else max(1e-8, rounding_floor(*step))
+    return _verdict("lewy_stampacchia", worst, tol, worst=(int(k) + 1, int(i)))
 
 
-def check_irreversibility(traj, tol: float = 1e-12) -> CheckVerdict:
+def check_irreversibility(traj) -> CheckVerdict:
     """Largest nodewise increase between consecutive states (must be ~0)."""
     inc = np.diff(traj.states, axis=0)
     worst = float(inc.max(initial=-np.inf))
     k, i = np.unravel_index(int(np.argmax(inc)), inc.shape) if inc.size else (0, 0)
-    return _verdict("irreversibility", max(worst, 0.0), tol, worst=(int(k) + 1, int(i)))
+    return _verdict("irreversibility", max(worst, 0.0), 1e-12, worst=(int(k) + 1, int(i)))
 
 
-def check_dissipation_sign(traj, nl: Nonlinearity, lam: float,
-                           tol: float = 1e-12) -> CheckVerdict:
+def check_dissipation_sign(traj, nl: Nonlinearity, lam: float) -> CheckVerdict:
     """Each step must not increase its own frozen-data step energy (one pass)."""
     g = traj.grid
     disc = _averaged_data(traj)
     rise = (step_energy(g, traj.states[1:], disc.source_avg, disc.weight_avg, lam, nl)
             - step_energy(g, traj.states[:-1], disc.source_avg, disc.weight_avg, lam, nl))
     k = int(np.argmax(rise))
-    return _verdict("dissipation_sign", max(float(rise[k]), 0.0), tol, worst=(k + 1,))
+    return _verdict("dissipation_sign", max(float(rise[k]), 0.0), 1e-12, worst=(k + 1,))
 
 
 # --------------------------------------------------------------------------

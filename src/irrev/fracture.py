@@ -213,8 +213,7 @@ def recover_displacement(grid: Grid, z: np.ndarray, params: ATParams,
                         ux_full=ux, sigma=H[..., 1:-1] ** 2, t=t)
 
 
-def relaxed_profile(grid: Grid, params: ATParams,
-                    opts: Optional[SolverOptions] = None) -> np.ndarray:
+def relaxed_profile(grid: Grid, params: ATParams) -> np.ndarray:
     """Load-free equilibrium phase field: solves -z'' + lam*(z - 1) = 0.
 
     Close to 1 in the interior with boundary layers of width eps at the
@@ -224,7 +223,7 @@ def relaxed_profile(grid: Grid, params: ATParams,
     lam = params.lam
     ones = np.full(grid.n, lam)
     zeros = np.zeros(grid.n)
-    return solve_unconstrained(grid, ones, zeros, lam, ZERO_NONLINEARITY, opts=opts)
+    return solve_unconstrained(grid, ones, zeros, lam, ZERO_NONLINEARITY)
 
 
 def build_problem(grid: Grid, params: ATParams, z0: Optional[np.ndarray],

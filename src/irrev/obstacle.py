@@ -38,7 +38,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .grid import Grid, forward_jumps, laplacian_diagonals
-from .model import MARGIN_FLOOR, Nonlinearity, _step_residual
+from .model import MARGIN_FLOOR, Nonlinearity, _step_residual, rounding_floor
 
 
 class ObstacleError(RuntimeError):
@@ -70,6 +70,8 @@ class NewtonFailure(ObstacleError):
     """The inner Newton solve stalled after reaching the damping floor."""
 
 
+TOL_KKT = 1e-10            # KKT residual a step certifies, or its rounding floor if larger
+TOL_NEWTON = 0.1 * TOL_KKT  # free-node residual an inner Newton solve stops at
 NEWTON_DAMPING = 0.5       # backtracking shrink factor
 MAX_NEWTON = 60            # Newton iterations per inner solve
 COARSEST_N = 3             # fewest nodes of a grid a cold solve nests down to
@@ -77,12 +79,11 @@ COARSEST_N = 3             # fewest nodes of a grid a cold solve nests down to
 
 @dataclass(frozen=True)
 class SolverOptions:
-    tol_kkt: float = 1e-10
     max_outer: int = 100
 
     def __post_init__(self) -> None:
-        if not self.tol_kkt > 0 or self.max_outer < 1:
-            raise ValueError("solver.tol_kkt must be positive and solver.max_outer at least 1")
+        if self.max_outer < 1:
+            raise ValueError("solver.max_outer must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -176,10 +177,9 @@ def _solve_free_jacobian(lap: tuple[np.ndarray, np.ndarray, np.ndarray],
 
 
 def _newton_on_subset(u: np.ndarray, free: np.ndarray | slice,
-                      fv: np.ndarray, wv: np.ndarray, lam: float,
-                      nl: Nonlinearity,
-                      lap: tuple[np.ndarray, np.ndarray, np.ndarray],
-                      tol: float) -> tuple[np.ndarray, np.ndarray]:
+                      fv: np.ndarray, wv: np.ndarray, lam: float, nl: Nonlinearity,
+                      lap: tuple[np.ndarray, np.ndarray, np.ndarray]
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """Solve G(u) = 0 on the nodes ``free``, the rest held fixed.
 
     ``free`` is a sorted index array, or :data:`_EVERY_NODE` for every node:
@@ -188,7 +188,9 @@ def _newton_on_subset(u: np.ndarray, free: np.ndarray | slice,
     the tridiagonal matrix -Lap + lam + w*fn'(u); its restriction to the
     free nodes stays tridiagonal and is solved by
     :func:`_solve_free_jacobian`.  Damped Newton with multiplicative
-    backtracking; returns the accepted state and its residual on all nodes.
+    backtracking down to :data:`TOL_NEWTON`, or, where it stops short, to
+    the state's :func:`~irrev.model.rounding_floor`; returns the accepted
+    state and its residual on all nodes.
     A residual that is not finite at the start (non-finite data or state)
     raises :class:`NewtonFailure` at once.
     """
@@ -200,7 +202,7 @@ def _newton_on_subset(u: np.ndarray, free: np.ndarray | slice,
     if not math.isfinite(r):
         raise NewtonFailure(f"non-finite residual {r} on the free nodes: "
                             "the step data or state is not finite")
-    if r <= tol:
+    if r <= TOL_NEWTON:
         return u, G
     # the Jacobian's diagonal is (lap + lam) + w*fn'(u), added in that order
     jd_fixed = lap[1][free] + lam
@@ -212,33 +214,34 @@ def _newton_on_subset(u: np.ndarray, free: np.ndarray | slice,
         delta = _solve_free_jacobian(lap, free, jd, -G[free])
 
         alpha = 1.0
-        while True:
+        while alpha >= alpha_floor:
             u_try = u.copy()
             u_try[free] += delta if alpha == 1.0 else alpha * delta
             G_try = _step_residual(u_try, fv, wv, lam, nl, lap)
             r_try = _sup_norm(G_try[free])
-            if r_try <= (1.0 - 1e-4 * alpha) * r or r_try <= tol:
+            if r_try <= (1.0 - 1e-4 * alpha) * r or r_try <= TOL_NEWTON:
                 u, G, r = u_try, G_try, r_try
                 break
             alpha *= NEWTON_DAMPING
-            if alpha < alpha_floor:
-                raise NewtonFailure(
-                    f"Newton stalled at residual {r:.3g} (damping floor reached)")
-        if r <= tol:
+        else:
+            failure = f"Newton stalled at residual {r:.3g} (damping floor reached)"
+            break
+        if r <= TOL_NEWTON:
             return u, G
-    raise NewtonFailure(f"Newton did not reach tolerance {tol:.3g}; residual {r:.3g}")
+    else:
+        failure = f"Newton did not reach tolerance {TOL_NEWTON:.3g}; residual {r:.3g}"
+    if r <= rounding_floor(u, fv, wv, lam, nl, lap):
+        return u, G
+    raise NewtonFailure(failure)
 
 
-def solve_unconstrained(grid: Grid, source, weight, lam: float, nl: Nonlinearity,
-                        opts: Optional[SolverOptions] = None) -> np.ndarray:
+def solve_unconstrained(grid: Grid, source, weight, lam: float, nl: Nonlinearity) -> np.ndarray:
     """Plain Newton solve of -u'' + lam*u + w*fn(u) = f on all nodes."""
-    opts = opts or SolverOptions()
     fv = np.asarray(source, dtype=float)
     wv = np.asarray(weight, dtype=float)
     _require_coercive(wv, lam, nl)
     lap = laplacian_diagonals(grid)
-    return _newton_on_subset(np.zeros(grid.n), _EVERY_NODE, fv, wv, lam, nl,
-                             lap, tol=0.1 * opts.tol_kkt)[0]
+    return _newton_on_subset(np.zeros(grid.n), _EVERY_NODE, fv, wv, lam, nl, lap)[0]
 
 
 # --------------------------------------------------------------------------
@@ -257,8 +260,8 @@ def solve_step(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinearit
     force balance on the rest, recovers the multiplier on the active set and
     re-predicts it from ``eta + (u - psi) > 0`` (only signs enter, so a
     scaling constant on ``u - psi`` would select the same set).  Terminates
-    when the set is stable and the KKT residual of the accepted state, from
-    the residual the Newton solve returns with it, is within ``tol_kkt``.
+    when the set is stable and the KKT residual of the accepted state (from
+    Newton's residual) is within :data:`TOL_KKT` or the state's rounding floor.
 
     A sweep's bookkeeping comes from one ``-G`` and one ``slack = psi - u``:
     the KKT residual, the multiplier, and the predictor, evaluated as
@@ -285,7 +288,6 @@ def solve_step(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinearit
     wv = np.asarray(weight, dtype=float)
     _require_coercive(wv, lam, nl)
     lap = laplacian_diagonals(grid)
-    tol_inner = 0.1 * opts.tol_kkt
 
     active = np.zeros(grid.n, bool)
     if initial_active is not None:
@@ -300,7 +302,7 @@ def solve_step(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinearit
             free = (~active).nonzero()[0]
         else:
             free = _EVERY_NODE
-        u, G = _newton_on_subset(u, free, fv, wv, lam, nl, lap, tol_inner)
+        u, G = _newton_on_subset(u, free, fv, wv, lam, nl, lap)
         neg_g = -G
         slack = psi - u
         kkt = _sup_norm(np.minimum(neg_g, slack))
@@ -312,8 +314,8 @@ def solve_step(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinearit
             eta = np.zeros(grid.n)
             new_active = slack < 0.0
         new_act = new_active.nonzero()[0]
-        if (kkt <= opts.tol_kkt and new_act.size == act.size
-                and (not act.size or (new_act == act).all())):
+        stable = new_act.size == act.size and (not act.size or (new_act == act).all())
+        if stable and (kkt <= TOL_KKT or kkt <= rounding_floor(u, fv, wv, lam, nl, lap)):
             return ObstacleResult(z=u, eta=eta, active=act, iters=outer, kkt_residual=kkt)
         if best is None or kkt < best.kkt_residual:
             # the next sweep writes into u, and the best result must keep its own

@@ -11,7 +11,10 @@ shared by both sides.
 One reference is the exception: :func:`frozen_solve_step` is a frozen copy
 of an earlier step kernel that the production one must reproduce bit for
 bit, so it shares the production operator and residual and differs only in
-how the sweeps and Newton iterations are organised.
+how the sweeps and Newton iterations are organised.  It predates the
+rounding floor: its ``opts`` must carry ``tol_kkt`` and ``max_outer``, and
+it raises a Newton stall that the production kernel may accept within the
+floor.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from irrev import (BC, CheckVerdict, CoercivityLost, Grid, MaxIterations, Newton
                    SolverOptions, Trajectory, discretize_time, run_evolution, step_energy)
 from irrev.grid import forward_jumps, laplacian_diagonals
 from irrev.model import MARGIN_FLOOR, QUAD_PTS, _step_residual
-from irrev.obstacle import COARSEST_N, MAX_NEWTON, NEWTON_DAMPING
+from irrev.obstacle import COARSEST_N, MAX_NEWTON, NEWTON_DAMPING, TOL_KKT
 
 PG_MAX_ITERS = 200_000     # projected-gradient iteration budget
 BACKTRACK = 0.5            # projected-gradient step shrink factor
@@ -85,7 +88,6 @@ def _require_convex(weight: np.ndarray, lam: float, nl: Nonlinearity) -> None:
 # --------------------------------------------------------------------------
 
 def solve_step_pg(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinearity,
-                  opts: Optional[SolverOptions] = None,
                   record_energy: Optional[list] = None) -> ObstacleResult:
     """Projected-gradient descent on the step energy over ``{u <= psi}``.
 
@@ -94,9 +96,8 @@ def solve_step_pg(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinea
     nonincreasing along accepted iterates; when ``record_energy`` is a
     list, the energy of the start and of every accepted iterate is appended
     to it.  Terminates when the nodewise residual ``|min(eta, psi - u)|``
-    is within ``tol_kkt``, the certificate :func:`irrev.solve_step` reports.
+    is within ``TOL_KKT``, the certificate :func:`irrev.solve_step` reports.
     """
-    opts = opts or SolverOptions()
     psi = np.asarray(obstacle, dtype=float)
     fv = np.asarray(source, dtype=float)
     wv = np.asarray(weight, dtype=float)
@@ -117,7 +118,7 @@ def solve_step_pg(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinea
     kkt = _natural_residual(-g, psi - u)
 
     it = 0
-    while kkt > opts.tol_kkt and it < PG_MAX_ITERS:
+    while kkt > TOL_KKT and it < PG_MAX_ITERS:
         it += 1
         s = s_fallback
         if prev_u is not None:
@@ -160,7 +161,7 @@ def solve_step_pg(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinea
     result = ObstacleResult(
         z=u, eta=eta,
         active=np.flatnonzero(contact & (eta > 0.0)), iters=it, kkt_residual=kkt)
-    if kkt > opts.tol_kkt:
+    if kkt > TOL_KKT:
         raise MaxIterations(
             f"projected gradient stalled at KKT residual {kkt:.3g} "
             f"after {it} iterations", result=result)

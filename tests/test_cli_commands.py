@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -183,17 +184,42 @@ def test_longtime_keeps_partial_trajectory_on_solver_failure(tmp_path, capsys):
                      sigma={"preset": "constant", "value": float("nan")})},
     {"problem": dict(RUN["problem"], z0={"preset": "zero"},
                      f={"preset": "tabulated", "times": [0.0], "values": [[1.0] * 41]})},
+    # formerly valid tolerance keys: the tolerances are fixed or derived now
+    {"tolerances": {"minimality": 1e-10}},
+    {"solver": {"tol_kkt": 1e-9}},
+    {"longtime": {"final_gap_tol": 1e-6}},
 ], ids=["method-pdas", "method-pg", "pdas_c", "max_outer-0", "tolerances-key",
         "stride-0", "stride-str", "refine-key", "grid-key", "solver-list",
         "minimality-str", "seed-str", "eps-str", "eps-negative", "fracture-T-negative",
         "fracture-m-0", "fracture-n-0", "m_list-0", "n_list-0", "m-float", "m-str",
         "grid-n-bool", "m_list-float", "fracture-n-str", "tol_kkt-str", "scan_range",
-        "gamma-at-scan_range", "nan-literal", "tabulated-one-knot"])
+        "gamma-at-scan_range", "nan-literal", "tabulated-one-knot", "removed-tolerances",
+        "removed-tol_kkt", "removed-final_gap_tol"])
 def test_config_errors_exit_3_and_write_nothing(tmp_path, capsys, blocks):
     rc, out = run_cli(tmp_path, "run", with_blocks(RUN, **blocks))
     assert rc == cli.EXIT_CONFIG_ERROR
     assert "config error: " in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("command,config", [
+    ("run", "run-contact.json"),
+    ("stationary", "longtime-relax-stationary.json"),
+])
+def test_commands_succeed_at_default_settings_on_a_fine_grid(tmp_path, capsys, command,
+                                                             config):
+    # at n = 10001 rounding alone leaves residuals near 1e-8, above the
+    # solver's and validation's absolute tolerances; each gate accepts them
+    # within the rounding floor
+    cfg = json.loads((GOLDEN / config).read_text())
+    cfg["problem"]["grid"]["n"] = 10001
+    cfg["problem"]["m"] = 10
+    rc, _ = run_cli(tmp_path, command, cfg)
+    assert rc == cli.EXIT_OK
+    assert "FAIL" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command,cfg", [

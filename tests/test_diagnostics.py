@@ -5,7 +5,7 @@ from irrev import (Grid, ProblemData, Trajectory, balance_residual,
                    check_irreversibility, check_lewy_stampacchia,
                    check_unilateral_minimality, constant_profile, energy,
                    load_trajectory, refinement_study, run_evolution, save_trajectory,
-                   step_energy)
+                   solve_unconstrained, step_energy)
 from irrev.diagnostics import check_dissipation_sign, verdicts_to_json
 from irrev.presets import nonlinearity, time_profile
 
@@ -173,6 +173,31 @@ def test_lewy_stampacchia_scalar_hand_cases():
         assert traj.states[1, 0] == pytest.approx(z_expect, abs=1e-12)
         v = check_lewy_stampacchia(traj, 1.0, ZERO)
         assert v.passed
+
+
+def test_lewy_stampacchia_widens_to_the_rounding_floor_and_no_further():
+    # a state of size 10 on 10001 nodes holds residuals of about 6e-8 from
+    # rounding alone: above 1e-8, within the steps' floor; a lift of 1e-6 at
+    # one node is far above that floor
+    g = Grid(0.0, 1.0, 10001)
+    nl = nonlinearity({"preset": "tanh", "amplitude": 1.0})
+    source = time_profile(g, {"preset": "linear_t",
+                              "base": {"preset": "constant", "value": 10.0},
+                              "rate": {"preset": "sine", "amplitude": 1.0, "mode": 2}}, "f")
+    ones = np.ones(g.n)
+    z0 = solve_unconstrained(g, source(g.nodes, 0.0), ones, 1.0, nl)
+    data = ProblemData(grid=g, lam=1.0, weight=constant_profile(1.0), source=source,
+                       initial=z0, horizon=1.0)
+    traj = run_evolution(data, nl, m=2, validate_first=False)
+    v = check_lewy_stampacchia(traj, 1.0, nl)
+    assert v.passed and v.max_violation > 1e-8 and v.tolerance < 1e-6, v
+    states = traj.states.copy()
+    states[1, g.n // 3] += 1e-6
+    bad = Trajectory(grid=g, times=traj.times, states=states, multipliers=traj.multipliers,
+                     energies=traj.energies, tau=traj.tau, step_meta=traj.step_meta,
+                     disc=traj.disc)
+    v = check_lewy_stampacchia(bad, 1.0, nl)
+    assert not v.passed and v.worst == (1, g.n // 3), v
 
 
 def test_irreversibility_check(moving):

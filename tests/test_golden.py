@@ -1,4 +1,4 @@
-"""Byte-identity of the CLI's outputs on the five committed configurations.
+"""Byte-identity of the CLI's outputs on the six committed configurations.
 
 Each case runs one command through :func:`irrev.cli.main` and compares its
 exit code, its stdout and the SHA-256 of every file it writes with
@@ -36,6 +36,8 @@ DIGESTS = GOLDEN / "digests.json"
 #: case name -> (command, config file)
 CASES = {
     "run-contact": ("run", "run-contact.json"),
+    # n = 1001, where rounding alone exceeds the inner Newton tolerance
+    "run-contact-fine": ("run", "run-contact-fine.json"),
     "run-contact-refine": ("refine", "run-contact-refine.json"),
     "longtime-relax": ("longtime", "longtime-relax.json"),
     "longtime-relax-stationary": ("stationary", "longtime-relax-stationary.json"),

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from irrev import (Grid, ProblemData, TimeProfile, constant_profile,
-                   default_lower_envelope, discretize_time, validate)
+                   default_lower_envelope, discretize_time, solve_unconstrained, validate)
 from irrev.grid import laplacian_diagonals
-from irrev.model import SAMPLE_POINTS, SAMPLE_RANGE, _step_residual
+from irrev.model import SAMPLE_POINTS, SAMPLE_RANGE, TOL_ADMISS, _step_residual, rounding_floor
 from irrev.presets import PresetError, nonlinearity, space_values
 
 G = Grid(0.0, 1.0, 5)
@@ -180,6 +180,31 @@ def test_step_residual_of_a_stack_equals_its_rows(bcs, n):
     np.testing.assert_array_equal(_step_residual(u, f, w, 1.5, nl, lap), rows)
 
 
+def test_rounding_floor_grows_as_h_to_the_minus_two():
+    # a unit state without data or lam: the floor is eps * 4/h^2, and each
+    # halving of h multiplies it by 4
+    nl = nonlinearity({"preset": "tanh", "amplitude": 0.7})
+    floors = []
+    for n in (101, 203, 407, 815):
+        g = Grid(0.0, 1.0, n)
+        lap = laplacian_diagonals(g)
+        floors.append(rounding_floor(np.ones(n), 0.0, np.zeros(n), 0.0, nl, lap))
+        assert floors[-1] == pytest.approx(np.finfo(float).eps * 4.0 / g.h ** 2, rel=1e-14)
+    np.testing.assert_allclose(np.array(floors[1:]) / floors[:-1], 4.0, rtol=1e-12)
+
+
+def test_rounding_floor_is_zero_for_zero_data_and_covers_every_row_of_a_stack():
+    nl = nonlinearity({"preset": "tanh", "amplitude": 0.7})
+    g = Grid(0.0, 1.0, 1001)
+    lap = laplacian_diagonals(g)
+    zeros = np.zeros(g.n)
+    assert rounding_floor(zeros, zeros, zeros, 1.0, nl, lap) == 0.0
+    rng = np.random.default_rng(3)
+    u, f, w = rng.normal(size=(3, 4, g.n))
+    rows = [rounding_floor(u[k], f[k], w[k], 1.0, nl, lap) for k in range(4)]
+    assert rounding_floor(u, f, w, 1.0, nl, lap) >= max(rows)
+
+
 def test_convexity_margin_is_per_row():
     nl = nonlinearity({"preset": "linear", "slope": -2.0})  # L = 2
     w = np.array([[0.1, 0.3], [-1.0, -2.0], [0.5, 0.0]])
@@ -225,6 +250,28 @@ def test_validate_flags_inadmissible_initial():
     assert rep.admissibility_residual == pytest.approx(1.0)
     failed = {it.name for it in rep.items if not it.passed}
     assert "initial_admissibility" in failed
+
+
+def test_initial_admissibility_allows_the_rounding_floor_only_above_its_tolerance():
+    # the equilibrium state at n = 10001 carries a residual of about 6e-9,
+    # all rounding: above TOL_ADMISS, within the floor of about 9e-9
+    nl = nonlinearity({"preset": "tanh", "amplitude": 1.0})
+    tols = {}
+    for n in (101, 10001):
+        g = Grid(0.0, 1.0, n)
+        ones = np.ones(n)
+        z0 = solve_unconstrained(g, ones, ones, 1.0, nl)
+        data = ProblemData(grid=g, lam=1.0, weight=constant_profile(1.0),
+                           source=constant_profile(1.0), initial=z0, horizon=1.0,
+                           source_floor=ones)
+        rep = validate(data, nl)
+        assert rep.ok
+        item = next(it for it in rep.items if it.name == "initial_admissibility")
+        tols[n] = item.tolerance
+        floor = rounding_floor(z0, ones, ones, 1.0, nl, laplacian_diagonals(g))
+        assert item.tolerance == (TOL_ADMISS if item.value <= TOL_ADMISS else floor)
+    assert tols[101] == TOL_ADMISS
+    assert tols[10001] > TOL_ADMISS
 
 
 def test_problem_data_refuses_a_wrong_shape():

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,8 +11,8 @@ from irrev import (CoercivityLost, DiscretizedData, Grid, MaxIterations, NewtonF
                    solve_unconstrained, step_energy)
 from irrev import obstacle as obstacle_module
 from irrev.grid import laplacian_diagonals
-from irrev.model import _step_residual
-from irrev.obstacle import _solve_free_jacobian
+from irrev.model import _step_residual, rounding_floor
+from irrev.obstacle import TOL_KKT, TOL_NEWTON, _solve_free_jacobian
 from irrev.presets import nonlinearity
 
 from helpers import random_step_instance, smooth_values
@@ -156,16 +158,28 @@ def test_free_jacobian_solve_equals_solve_banded_bit_for_bit(free):
 
 @pytest.mark.parametrize("entry", ["solve_step", "solve_unconstrained"])
 def test_nonfinite_source_raises_newton_failure_at_once(entry):
-    g = Grid(0.0, 1.0, 9)
-    f = np.ones(g.n)
-    f[4] = np.nan
-    ones = np.ones(g.n)
+    # also at n = 10001, where the rounding floor of 9e-8 accepts no nan residual
     nl = nonlinearity({"preset": "tanh", "amplitude": 0.5})
-    with pytest.raises(NewtonFailure, match="non-finite residual"):
-        if entry == "solve_step":
-            solve_step(g, ones, f, ones, 1.0, nl)
-        else:
-            solve_unconstrained(g, f, ones, 1.0, nl)
+    for n in (9, 10001):
+        g = Grid(0.0, 1.0, n)
+        f = np.ones(g.n)
+        f[n // 2] = np.nan
+        ones = np.ones(g.n)
+        with pytest.raises(NewtonFailure, match="non-finite residual"):
+            if entry == "solve_step":
+                solve_step(g, ones, f, ones, 1.0, nl)
+            else:
+                solve_unconstrained(g, f, ones, 1.0, nl)
+
+
+@pytest.mark.parametrize("n", [101, 10001])
+def test_a_residual_above_its_floor_still_raises(n, monkeypatch):
+    # one Newton iteration from zero leaves a residual far above the floor
+    monkeypatch.setattr(obstacle_module, "MAX_NEWTON", 1)
+    g = Grid(0.0, 1.0, n)
+    ones = np.ones(g.n)
+    with pytest.raises(NewtonFailure, match="did not reach tolerance 1e-11"):
+        solve_unconstrained(g, ones, ones, 1.0, TANH1)
 
 
 def run_contact_first_step(n):
@@ -192,18 +206,22 @@ def test_best_iterate_certifies_its_own_state():
     assert best.kkt_residual == float(np.abs(np.minimum(-G, psi - best.z)).max())
 
 
-@pytest.mark.parametrize("n", [101, 201, 301, 401])
+@pytest.mark.parametrize("n", [101, 201, 301, 401, 1001, 10001])
 def test_cold_step_takes_a_bounded_number_of_sweeps(n):
     # from an empty set the contact boundary moves one node per sweep
-    # (23 to 84 sweeps here); nested iteration starts from the coarse set
+    # (23 to 84 sweeps up to n = 401); nested iteration starts from the
+    # coarse set.  On the finer grids the certificate is TOL_KKT or the
+    # state's rounding floor, whichever is larger (9e-9 at n = 10001).
     g, psi, f, ones = run_contact_first_step(n)
-    opts = SolverOptions()
-    res = solve_step(g, psi, f, ones, 1.0, TANH1, opts)
+    res = solve_step(g, psi, f, ones, 1.0, TANH1)
+    tol = TOL_KKT
+    if n > 401:
+        tol = max(TOL_KKT, rounding_floor(res.z, f, ones, 1.0, TANH1, laplacian_diagonals(g)))
     assert res.iters <= 4
-    assert res.kkt_residual <= opts.tol_kkt
-    assert kkt_violation(g, res, psi, f, ones, 1.0, TANH1) <= opts.tol_kkt
+    assert res.kkt_residual <= tol
+    assert kkt_violation(g, res, psi, f, ones, 1.0, TANH1) <= tol
     if n == 101:
-        ref = solve_step_pg(g, psi, f, ones, 1.0, TANH1, opts)
+        ref = solve_step_pg(g, psi, f, ones, 1.0, TANH1)
         np.testing.assert_allclose(res.z, ref.z, rtol=0.0, atol=1e-10)
         np.testing.assert_allclose(res.eta, ref.eta, rtol=0.0, atol=1e-8)
 
@@ -227,7 +245,7 @@ def test_a_failed_coarse_solve_does_not_fail_the_cold_solve(failure, monkeypatch
     monkeypatch.setattr(obstacle_module, "solve_step", failing)
     got = fine_solve(g, psi, f, ones, 1.0, TANH1)
     assert coarse_grids == [50]
-    assert got.kkt_residual <= SolverOptions().tol_kkt
+    assert got.kkt_residual <= TOL_KKT
     np.testing.assert_allclose(got.z, want.z, rtol=0.0, atol=1e-10)
 
 
@@ -357,6 +375,10 @@ def test_pdas_matches_enumeration_oracle_cold_and_warm(instance):
         np.testing.assert_allclose(res.z, ref, rtol=0.0, atol=1e-10)
 
 
+#: the messages of a Newton solve that stalls on finite data
+NEWTON_STALLS = ("Newton stalled at residual", "Newton did not reach tolerance")
+
+
 def _outcome(solver, *args, **kwargs):
     """A solve's result as bytes, or the failure it raised with its message."""
     try:
@@ -375,16 +397,31 @@ def _outcome(solver, *args, **kwargs):
        st.sampled_from([100, 2, 1]), st.integers(0, 5).map(lambda k: k == 5))
 def test_step_kernel_matches_the_frozen_kernel_bit_for_bit(instance, max_outer, nan_source):
     # cold, empty-guess and warm starts; a short sweep budget makes
-    # MaxIterations, a non-finite source value NewtonFailure
+    # MaxIterations, a non-finite source value NewtonFailure.  Where the
+    # frozen kernel, which has no rounding floor, stalls in Newton, the step
+    # kernel must return a state whose free-node residual is within the floor
     grid, obstacle, source, weight, lam, nl, active = instance
     if nan_source:
         source = source.copy()
         source[grid.n // 2] = np.nan
-    opts = SolverOptions(max_outer=max_outer)
+    frozen_opts = SimpleNamespace(tol_kkt=TOL_KKT, max_outer=max_outer)
+    args = (grid, obstacle, source, weight, lam, nl)
     for guess in (None, np.array([], int), active):
-        args = (grid, obstacle, source, weight, lam, nl, opts)
-        want = _outcome(frozen_solve_step, *args, initial_active=guess)
-        assert _outcome(solve_step, *args, initial_active=guess) == want
+        want = _outcome(frozen_solve_step, *args, frozen_opts, initial_active=guess)
+        if want[0] != "NewtonFailure" or not want[1].startswith(NEWTON_STALLS):
+            got = _outcome(solve_step, *args, SolverOptions(max_outer=max_outer),
+                           initial_active=guess)
+            assert got == want
+            continue
+        try:
+            res = solve_step(*args, SolverOptions(max_outer=max_outer), initial_active=guess)
+        except MaxIterations as exc:
+            res = exc.result
+        lap = laplacian_diagonals(grid)
+        G = _step_residual(res.z, source, weight, lam, nl, lap)
+        free = np.setdiff1d(np.arange(grid.n), res.active)
+        assert np.abs(G[free]).max(initial=0.0) <= max(
+            TOL_NEWTON, rounding_floor(res.z, source, weight, lam, nl, lap))
 
 
 # --------------------------------------------------------------------------
@@ -404,14 +441,13 @@ def test_three_solvers_agree(seed):
 @pytest.mark.parametrize("seed", range(12))
 def test_kkt_certificate(seed):
     grid, obstacle, source, weight, lam, nl = random_step_instance(seed + 70)
-    opts = SolverOptions()
     for solver in (solve_step, solve_step_pg):
-        res = solver(grid, obstacle, source, weight, lam, nl, opts)
+        res = solver(grid, obstacle, source, weight, lam, nl)
         psi = obstacle
-        assert res.eta.min(initial=0.0) >= -opts.tol_kkt
-        assert (res.z - psi).max() <= opts.tol_kkt
-        assert np.abs(res.eta * (res.z - psi)).max() <= opts.tol_kkt
-        assert kkt_violation(grid, res, obstacle, source, weight, lam, nl) <= opts.tol_kkt
+        assert res.eta.min(initial=0.0) >= -TOL_KKT
+        assert (res.z - psi).max() <= TOL_KKT
+        assert np.abs(res.eta * (res.z - psi)).max() <= TOL_KKT
+        assert kkt_violation(grid, res, obstacle, source, weight, lam, nl) <= TOL_KKT
 
 
 def minimality_certificate(grid, state, source, weight, lam, nl):
