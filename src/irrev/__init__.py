@@ -17,9 +17,9 @@ from .obstacle import (CoercivityLost, MaxIterations, NewtonFailure, ObstacleErr
                        step_energy)
 from .evolution import (EvolutionError, Trajectory, interp_constant, load_trajectory,
                         run_evolution, save_trajectory)
-from .diagnostics import (CheckVerdict, EnergyReport, balance_residual,
-                          check_irreversibility, check_lewy_stampacchia,
-                          check_unilateral_minimality, energy, refinement_study)
+from .diagnostics import (CheckVerdict, check_energy_balance, check_irreversibility,
+                          check_lewy_stampacchia, check_unilateral_minimality, energy,
+                          refinement_study)
 from .stationary import LongtimeResult, StationaryProblem, run_longtime, solve_stationary
 from .fracture import (ATParams, CoupledState, FractureResult, FractureSetupError,
                        at_nonlinearity, load_to_sigma, recover_displacement,

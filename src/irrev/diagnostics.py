@@ -1,9 +1,12 @@
-"""Post-hoc verdicts on trajectories: energy accounting and structural checks.
+"""Post-hoc verdicts on trajectories: the energy balance and structural checks.
 
 Everything here is pure post-processing over an immutable trajectory and is
-deterministic given its inputs.  Tolerances follow two regimes: identities
-are asserted at 1e-12..1e-8 or a residual's rounding floor where larger,
-discretization-limited statements are reported as refinement trends.
+deterministic given its inputs.  Tolerances follow two regimes: statements
+the discrete scheme satisfies exactly are verdicts, gated at 1e-12..1e-8
+(the energy bracket relative to its step's energy scale, the others
+absolutely or at a residual's rounding floor where larger);
+discretization-limited quantities, the gaps between refinements and the
+summed energy bracket width, are reported as refinement trends.
 
 Every verdict and series works on the whole stack of states in array
 passes, one per block of times where profiles are evaluated; each stacked
@@ -12,7 +15,6 @@ evaluation equals the one-state call on its row to the last bit.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -20,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import Grid, full_values, laplacian_diagonals, norm_h1
+from .grid import Grid, forward_jumps, full_values, laplacian_diagonals, norm_h1
 from .model import (QUAD_PTS, ZERO_NONLINEARITY, DiscretizedData, Nonlinearity, ProblemData,
                     _step_residual, rounding_floor, time_blocks)
 from .obstacle import SolverOptions, step_energy
@@ -57,24 +59,6 @@ def energies(data: ProblemData, nl: Nonlinearity, states: np.ndarray,
 
 
 @dataclass(frozen=True)
-class EnergyReport:
-    """Per-interval balance residuals of one run.
-
-    ``residuals[k-1]`` compares the stored energy increment over
-    ``(t_{k-1}, t_k]`` with the work of the explicit time dependence of the
-    data along the piecewise constant interpolant, integrated by the
-    midpoint rule.  The identity is exact in the time-continuous limit, so
-    the meaningful statement is the decay of ``total_abs`` under step
-    refinement.
-    """
-
-    energies: np.ndarray
-    residuals: np.ndarray
-    max_abs: float
-    total_abs: float
-
-
-@dataclass(frozen=True)
 class CheckVerdict:
     name: str
     max_violation: float
@@ -87,46 +71,6 @@ class CheckVerdict:
 def _verdict(name: str, violation: float, tol: float, worst=(), note="") -> CheckVerdict:
     return CheckVerdict(name=name, max_violation=float(violation), tolerance=tol,
                         passed=bool(violation <= tol), worst=tuple(worst), note=note)
-
-
-# --------------------------------------------------------------------------
-# energy balance
-# --------------------------------------------------------------------------
-
-def balance_residual(traj, data: ProblemData, nl: Nonlinearity,
-                     quad_pts: int = QUAD_PTS) -> EnergyReport:
-    """Residual of the energy balance over each step interval.
-
-    For each interval the left side is the stored energy increment; the
-    right side integrates ``sum(d/dt weight * primitive(z)) - (d/dt source,
-    z)`` in time by the composite midpoint rule, holding the state at its
-    end-of-interval value (the constant interpolant, matching the scheme's
-    own accuracy).  The time derivatives and both inner products are
-    evaluated in one stacked pass per block of quadrature points.
-    """
-    g = traj.grid
-    x = g.nodes
-    h = g.h
-    t0, t1 = traj.times[:-1], traj.times[1:]
-    # quadrature point j of step k is entry k*quad_pts + j
-    pts = (t0[:, None] + (np.arange(quad_pts) + 0.5) * ((t1 - t0) / quad_pts)[:, None]).ravel()
-    z = traj.states[1:]
-    gz = np.asarray(nl.primitive(z), float)
-    react, work = np.empty(pts.size), np.empty(pts.size)
-    for sl in time_blocks(pts.size, g.n):
-        k = np.arange(sl.start, sl.stop) // quad_pts
-        react[sl] = h * np.vecdot(data.weight.dt(x, pts[sl]), gz[k])
-        work[sl] = h * np.vecdot(data.source.dt(x, pts[sl]), z[k])
-    # the per-step sums keep the order of a running sum over the points
-    rhs = np.zeros(traj.m)
-    for j in range(quad_pts):
-        rhs += react[j::quad_pts]
-        rhs -= work[j::quad_pts]
-    rhs *= (t1 - t0) / quad_pts
-    residuals = (traj.energies[1:] - traj.energies[:-1]) - rhs
-    abs_res = np.abs(residuals)
-    return EnergyReport(energies=traj.energies.copy(), residuals=residuals,
-                        max_abs=float(abs_res.max()), total_abs=float(abs_res.sum()))
 
 
 # --------------------------------------------------------------------------
@@ -209,14 +153,67 @@ def check_irreversibility(traj) -> CheckVerdict:
     return _verdict("irreversibility", max(worst, 0.0), 1e-12, worst=(int(k) + 1, int(i)))
 
 
-def check_dissipation_sign(traj, nl: Nonlinearity, lam: float) -> CheckVerdict:
-    """Each step must not increase its own frozen-data step energy (one pass)."""
-    g = traj.grid
+# --------------------------------------------------------------------------
+# energy balance
+# --------------------------------------------------------------------------
+
+def energy_bracket(traj, nl: Nonlinearity, lam: float):
+    """The two-sided energy estimate of every step ``k = 1..m``,
+
+        D_k(z_k) <= J_k(z_k) - J_{k-1}(z_{k-1}) <= D_k(z_{k-1}),
+
+    as the arrays ``(lower, rise, upper, scale)`` of shape ``(m,)``.
+
+    ``J_k`` is step ``k``'s energy with the averaged data (``J_0`` with the
+    data at ``t = 0``) and ``D_k(u) = J_k(u) - J_{k-1}(u) = h*sum((w_k -
+    w_{k-1})*primitive(u)) - h*(f_k - f_{k-1}, u)`` is the pure data work, so
+    ``lam`` and the Laplacian cancel from it exactly.  The upper half holds
+    because ``z_{k-1}`` is admissible in step ``k``, the lower half because
+    ``z_k <= z_{k-1}`` is admissible in step ``k-1`` (for ``k = 1`` when the
+    initial state is admissible); summed over the steps this is the discrete
+    energy balance of time-incremental minimization, and ``sum(upper -
+    lower)``, the summed bracket width, shrinks as ``tau`` for data smooth
+    in time.  ``scale`` is the larger of the two stamps' ``h*sum(|quadratic|
+    + |w*primitive| + |f*u|)``, the size of the terms whose rounding the
+    bracket carries.  One pass over the ``m+1`` states evaluates the
+    primitive once; each entry equals the one-step evaluation to the last
+    bit.  Needs ``traj.disc``.
+    """
     disc = _averaged_data(traj)
-    rise = (step_energy(g, traj.states[1:], disc.source_avg, disc.weight_avg, lam, nl)
-            - step_energy(g, traj.states[:-1], disc.source_avg, disc.weight_avg, lam, nl))
-    k = int(np.argmax(rise))
-    return _verdict("dissipation_sign", max(float(rise[k]), 0.0), 1e-12, worst=(k + 1,))
+    g = traj.grid
+    h = g.h
+    z = traj.states
+    f = np.vstack((disc.source_init, disc.source_avg))
+    w = np.vstack((disc.weight_init, disc.weight_avg))
+    p = np.asarray(nl.primitive(z), float)
+    du = forward_jumps(g, z)
+    quad = 0.5 * h * np.vecdot(du, du) + 0.5 * lam * h * np.vecdot(z, z)
+    del du  # freed before the data differences: five (m+1, n) arrays at the peak
+    energies = quad + h * np.vecdot(w, p) - h * np.vecdot(f, z)
+    size = quad + h * np.vecdot(np.abs(w), np.abs(p)) + h * np.vecdot(np.abs(f), np.abs(z))
+    df, dw = np.diff(f, axis=0), np.diff(w, axis=0)
+    lower = h * np.vecdot(dw, p[1:]) - h * np.vecdot(df, z[1:])
+    upper = h * np.vecdot(dw, p[:-1]) - h * np.vecdot(df, z[:-1])
+    return lower, np.diff(energies), upper, np.maximum(size[:-1], size[1:])
+
+
+def check_energy_balance(traj, nl: Nonlinearity, lam: float) -> CheckVerdict:
+    """Every step's energy increment lies in its bracket, :func:`energy_bracket`.
+
+    The violation is the largest excess beyond either end relative to that
+    step's energy scale, gated at 1e-12.  A faulty state ``z_k`` breaks the
+    brackets of steps ``k`` and ``k+1``, so ``worst`` is the first step
+    beyond the gate (the step of the largest excess when none is); the note
+    carries the summed bracket width.
+    """
+    tol = 1e-12
+    lower, rise, upper, scale = energy_bracket(traj, nl, lam)
+    excess = np.maximum(np.maximum(lower - rise, rise - upper), 0.0)
+    ratio = excess / np.maximum(scale, np.finfo(float).tiny)
+    beyond = np.flatnonzero(ratio > tol)
+    k = int(beyond[0]) if beyond.size else int(np.argmax(ratio))
+    return _verdict("energy_balance", ratio.max(), tol, worst=(k + 1,),
+                    note=f"bracket width {(upper - lower).sum():.3g} summed over {traj.m} steps")
 
 
 # --------------------------------------------------------------------------
@@ -250,7 +247,7 @@ class RefinementRow:
     m: int
     n: int
     gap_v: Optional[float]       # sup-in-t H1 gap to the previous refinement
-    balance_sum: float
+    bracket_width: float         # summed energy bracket width of the run
     order_estimate: Optional[float]
     step_rate: float             # max_k |z_k - z_{k-1}|_H1 / sqrt(tau)
 
@@ -263,8 +260,9 @@ def refinement_study(data: ProblemData, nl: Nonlinearity, m_list, n_list,
     For consecutive step refinements the gap is the sup over the coarser
     run's stamps of the H1 norm of the difference of states; for mesh
     refinements the finer state is interpolated onto the coarser nodes
-    first.  Also reports the per-run total balance residual (with measured
-    order between consecutive rows of the same kind) and the trend quantity
+    first.  Also reports each run's summed energy bracket width (see
+    :func:`energy_bracket`; order 1 in ``tau``), with its measured order
+    between consecutive rows of the same kind, and the trend quantity
     ``max_k |z_k - z_{k-1}|_H1 / sqrt(tau)``, whose boundedness under
     refinement is the practical form of the scheme's rate estimate.
 
@@ -286,10 +284,11 @@ def refinement_study(data: ProblemData, nl: Nonlinearity, m_list, n_list,
     for kind, m, pdata in runs:
         traj = run_evolution(pdata, nl, m, opts=opts, quad_pts=quad_pts,
                              validate_first=False)
-        bal = balance_residual(traj, pdata, nl, quad_pts=quad_pts).total_abs
+        lower, _, upper, _ = energy_bracket(traj, nl, pdata.lam)
+        width = float((upper - lower).sum())
         gap = order = None
         if prev is not None and prev[0] == kind:
-            _, prev_traj, prev_sum = prev
+            _, prev_traj, prev_width = prev
             g, cg = traj.grid, prev_traj.grid
             if kind == "tau":
                 fine = np.array([interp_constant(traj, t) for t in prev_traj.times])
@@ -298,33 +297,27 @@ def refinement_study(data: ProblemData, nl: Nonlinearity, m_list, n_list,
                 fine = np.array([np.interp(cg.nodes, fine_full_x, row) for row in
                                  full_values(g, traj.states[:prev_traj.m + 1])])
             gap = float(norm_h1(cg, fine - prev_traj.states).max())
-            if bal > 0:
-                order = float(np.log2(prev_sum / bal))
-        rows.append(RefinementRow(kind, m, pdata.grid.n, gap, bal, order, step_rate(traj)))
-        prev = (kind, traj, bal)
+            if width > 0:
+                order = float(np.log2(prev_width / width))
+        rows.append(RefinementRow(kind, m, pdata.grid.n, gap, width, order, step_rate(traj)))
+        prev = (kind, traj, width)
     return rows
 
 
 def write_refinement_csv(rows: list[RefinementRow], path: str | Path) -> Path:
+    """One line per row, values at 17 significant digits, an empty cell for
+    a missing gap or order; lines end in ``\\n``."""
+    def cell(v) -> str:
+        return "" if v is None else f"{v:.17g}"
+
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "m", "n", "gap_V", "balance_sum",
-                         "order_estimate", "step_rate"])
-        for r in rows:
-            writer.writerow([
-                r.kind, r.m, r.n,
-                "" if r.gap_v is None else f"{r.gap_v:.17g}",
-                f"{r.balance_sum:.17g}",
-                "" if r.order_estimate is None else f"{r.order_estimate:.17g}",
-                f"{r.step_rate:.17g}",
-            ])
+    lines = ["kind,m,n,gap_V,bracket_width,order_estimate,step_rate"]
+    lines += [",".join([r.kind, str(r.m), str(r.n), cell(r.gap_v), cell(r.bracket_width),
+                        cell(r.order_estimate), cell(r.step_rate)]) for r in rows]
+    path.write_text("\n".join(lines) + "\n")
     return path
 
 
 def verdicts_to_json(verdicts: list[CheckVerdict]) -> str:
-    # verdicts.json keeps its "applicable" key, true for every verdict, until
-    # its format next changes
-    return json.dumps([{**asdict(v), "applicable": True} for v in verdicts],
-                      sort_keys=True, indent=1)
+    return json.dumps([asdict(v) for v in verdicts], sort_keys=True, indent=1)

@@ -1,13 +1,16 @@
-"""Per-time reference loops for the blocked data evaluations in ``irrev.model``.
+"""Per-time and per-step reference loops for the stacked evaluations in ``irrev``.
 
-These are the loops ``discretize_time`` and ``default_lower_envelope`` ran
+Two are the loops ``discretize_time`` and ``default_lower_envelope`` ran
 before they evaluated the data over arrays of times: one profile call per
-time point.  The blocked versions must reproduce them to the last bit.
+time point.  The third evaluates each step's energy bracket on its own.  The
+stacked versions must reproduce them to the last bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from irrev import step_energy
 
 
 def per_step_averages(profile, x: np.ndarray, times: np.ndarray, tau: float,
@@ -35,20 +38,30 @@ def per_time_envelope(data, n_quad: int) -> np.ndarray:
     return data.source(x, 0.0) - acc * (T / n_quad)
 
 
-def per_step_balance(traj, data, nl, quad_pts: int) -> np.ndarray:
-    """Energy-balance residual of each step, one call per quadrature point."""
-    x = traj.grid.nodes
-    h = traj.grid.h
-    residuals = np.empty(traj.m)
+def per_step_bracket(traj, nl, lam: float) -> np.ndarray:
+    """Rows ``lower, rise, upper, scale`` of each step's energy bracket, one
+    step at a time: ``J`` from :func:`irrev.step_energy` with the data of
+    the two stamps (``J_0`` with the data at ``t = 0``) and the quadratic
+    part from the same call with zero data."""
+    g, h, disc = traj.grid, traj.grid.h, traj.disc
+    f = [disc.source_init, *disc.source_avg]
+    w = [disc.weight_init, *disc.weight_avg]
+    z = traj.states
+    zero = np.zeros(g.n)
+
+    def size(j):
+        p = np.asarray(nl.primitive(z[j]), float)
+        return (step_energy(g, z[j], zero, zero, lam, nl) + h * np.vecdot(np.abs(w[j]), np.abs(p))
+                + h * np.vecdot(np.abs(f[j]), np.abs(z[j])))
+
+    def work(k, u):
+        p = np.asarray(nl.primitive(u), float)
+        return h * np.vecdot(w[k] - w[k - 1], p) - h * np.vecdot(f[k] - f[k - 1], u)
+
+    out = np.empty((4, traj.m))
     for k in range(1, traj.m + 1):
-        t0, t1 = traj.times[k - 1], traj.times[k]
-        z = traj.states[k]
-        gz = np.asarray(nl.primitive(z), float)
-        pts = t0 + (np.arange(quad_pts) + 0.5) * ((t1 - t0) / quad_pts)
-        rhs = 0.0
-        for t in pts:
-            rhs += h * float(np.dot(data.weight.dt(x, t), gz))
-            rhs -= h * float(np.dot(data.source.dt(x, t), z))
-        rhs *= (t1 - t0) / quad_pts
-        residuals[k - 1] = (traj.energies[k] - traj.energies[k - 1]) - rhs
-    return residuals
+        out[:, k - 1] = (work(k, z[k]),
+                         step_energy(g, z[k], f[k], w[k], lam, nl)
+                         - step_energy(g, z[k - 1], f[k - 1], w[k - 1], lam, nl),
+                         work(k, z[k - 1]), max(size(k - 1), size(k)))
+    return out

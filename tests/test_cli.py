@@ -56,7 +56,7 @@ def test_run_writes_trajectory_and_verdicts(tmp_path, monkeypatch):
 
     verdicts = json.loads((out / "verdicts.json").read_text())
     assert [v["name"] for v in verdicts] == \
-        ["irreversibility", "lewy_stampacchia", "dissipation_sign", "unilateral_minimality"]
+        ["irreversibility", "lewy_stampacchia", "energy_balance", "unilateral_minimality"]
     assert all(v["passed"] for v in verdicts)
 
     meta = json.loads((out / "trajectory.json").read_text())["step_meta"]

@@ -32,16 +32,31 @@ def test_check_exit_codes(tmp_path, capsys):
 
 
 def test_refine_writes_refinement_csv(tmp_path):
-    cfg = with_blocks(RUN, refine={"m_list": [5, 10], "n_list": [21, 41]})
+    cfg = with_blocks(RUN, refine={"m_list": [5, 10, 20], "n_list": [21, 41]})
     rc, out = run_cli(tmp_path, "refine", cfg)
     assert rc == cli.EXIT_OK
+    assert b"\r" not in (out / "refinement.csv").read_bytes()
     rows = read_csv(out / "refinement.csv")
-    assert rows[0] == ["kind", "m", "n", "gap_V", "balance_sum", "order_estimate",
+    assert rows[0] == ["kind", "m", "n", "gap_V", "bracket_width", "order_estimate",
                        "step_rate"]
     assert [r[:3] for r in rows[1:]] == [["tau", "5", "41"], ["tau", "10", "41"],
-                                         ["h", "10", "21"], ["h", "10", "41"]]
+                                         ["tau", "20", "41"], ["h", "20", "21"],
+                                         ["h", "20", "41"]]
     # a gap needs a coarser run of the same kind
-    assert [r[3] == "" for r in rows[1:]] == [True, False, True, False]
+    assert [r[3] == "" for r in rows[1:]] == [True, False, False, True, False]
+    assert float(rows[3][3]) < float(rows[2][3])
+
+
+@pytest.mark.parametrize("m_list", [[7], [7, 14]])
+def test_refine_exits_1_when_it_compares_no_gaps(m_list, tmp_path, capsys):
+    cfg = json.loads((Path(__file__).parent / "golden" / "run-contact.json").read_text())
+    cfg["problem"]["grid"]["n"] = 21
+    rc, out = run_cli(tmp_path, "refine", with_blocks(cfg, refine={"m_list": m_list,
+                                                                   "n_list": []}))
+    assert rc == cli.EXIT_CHECK_FAILED
+    text = capsys.readouterr().out
+    assert text.endswith("refinement gaps not compared: need at least three step counts\n")
+    assert len(read_csv(out / "refinement.csv")) == 1 + len(m_list)
 
 
 def test_refine_exits_1_when_tau_gaps_do_not_decrease(tmp_path, capsys):
@@ -304,7 +319,7 @@ def test_run_force(tmp_path, capsys):
     assert "FAIL  initial_admissibility: " in text
     assert "validation failed; continuing under --force" in text
     assert sorted(p.name for p in out.iterdir()) == [
-        "energy_report.json", "trajectory.csv", "trajectory.json", "verdicts.json"]
+        "trajectory.csv", "trajectory.json", "verdicts.json"]
 
     rc, out = run_forced(nonconvex(RUN), "refused")
     assert rc == cli.EXIT_CHECK_FAILED

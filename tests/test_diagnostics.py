@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from irrev import (Grid, ProblemData, Trajectory, balance_residual,
+from pathlib import Path
+
+from irrev import (Grid, ProblemData, Trajectory, check_energy_balance,
                    check_irreversibility, check_lewy_stampacchia,
-                   check_unilateral_minimality, constant_profile, energy,
+                   check_unilateral_minimality, cli, constant_profile, energy,
                    load_trajectory, refinement_study, run_evolution, save_trajectory,
                    solve_unconstrained, step_energy)
-from irrev.diagnostics import check_dissipation_sign, verdicts_to_json
+from irrev.diagnostics import energy_bracket, verdicts_to_json
 from irrev.presets import nonlinearity, time_profile
 
 from helpers import smooth_values
@@ -64,20 +66,22 @@ def test_stored_energies_match_single_evaluation_path(moving):
 
 
 # --------------------------------------------------------------------------
-# balance residual
+# energy balance
 # --------------------------------------------------------------------------
 
 def test_balance_vanishes_on_stationary_run(stationary_traj):
+    # constant data do no work: every bracket closes on an increment of 0
     data, traj = stationary_traj
-    rep = balance_residual(traj, data, TANH)
-    assert rep.max_abs <= 1e-10
+    lower, rise, upper, _ = energy_bracket(traj, TANH, data.lam)
+    assert np.abs(np.concatenate((lower, rise, upper))).max() <= 1e-15
+    v = check_energy_balance(traj, TANH, data.lam)
+    assert v.passed and v.note == f"bracket width 0 summed over {traj.m} steps", v
 
 
 def test_balance_hand_ledger_scalar_two_step():
-    # f steps 0 -> -3 at T/2; states 0, 0, -1; the pointwise time derivative
-    # of the step profile vanishes, so each residual is the bare energy
-    # increment: 0 for the first interval, E(-1, t2) - E(0, t1) = -1.5 for
-    # the second
+    # f steps 0 -> -3 at T/2; states 0, 0, -1 with h = 1, so J = 0, 0, -1.5
+    # (J_2(-1) = 1 + 0.5 - 3); the data work of step 2 is D_2(u) = 3u, so
+    # D_2(z_2) = -3 <= -1.5 <= 0 = D_2(z_1), and step 1 does no work
     g = Grid(0.0, 2.0, 1)
     step = time_profile(g, {"preset": "step_t", "before": 0.0, "after": -3.0,
                             "t_switch": 0.5}, "f")
@@ -85,17 +89,37 @@ def test_balance_hand_ledger_scalar_two_step():
                        source=step, initial=[0.0], horizon=1.0,
                        source_floor=[-3.0])
     traj = run_evolution(data, ZERO, m=2)
-    rep = balance_residual(traj, data, ZERO)
-    np.testing.assert_allclose(rep.residuals, [0.0, -1.5], atol=1e-12)
+    lower, rise, upper, _ = energy_bracket(traj, ZERO, data.lam)
+    np.testing.assert_allclose(lower, [0.0, -3.0], atol=1e-12)
+    np.testing.assert_allclose(rise, [0.0, -1.5], atol=1e-12)
+    np.testing.assert_allclose(upper, [0.0, 0.0], atol=1e-12)
+    v = check_energy_balance(traj, ZERO, data.lam)
+    assert v.passed and v.note == "bracket width 3 summed over 2 steps", v
 
 
 def test_balance_decays_linearly_under_step_refinement():
     data = ramp_data(n=21)
     rows = refinement_study(data, TANH, m_list=[8, 16, 32, 64], n_list=[])
-    totals = np.array([r.balance_sum for r in rows])
+    totals = np.array([r.bracket_width for r in rows])
     orders = np.array([r.order_estimate for r in rows[1:]])
     assert np.all(np.diff(totals) < 0)
     assert orders.mean() >= 0.9
+
+
+def test_bracket_width_has_order_one_on_the_run_contact_data():
+    cfg = cli.load_config(Path(__file__).parent / "golden" / "run-contact.json")
+    data, nl, _, quad_pts = cli.build_problem(cfg)
+    rows = refinement_study(data, nl, m_list=[25, 50, 100, 200], n_list=[],
+                            quad_pts=quad_pts)
+    np.testing.assert_allclose([r.bracket_width for r in rows],
+                               [3.09e-4, 1.57e-4, 7.91e-5, 3.97e-5], rtol=0.01)
+    for r in rows[1:]:
+        assert abs(r.order_estimate - 1.0) <= 0.1, r
+
+
+def test_energy_balance_on_runs(stationary_traj, moving):
+    for data, traj in (stationary_traj, moving):
+        assert check_energy_balance(traj, TANH, data.lam).passed
 
 
 # --------------------------------------------------------------------------
@@ -133,16 +157,21 @@ def test_minimality_detects_injected_fault(stationary_traj):
 
 @pytest.mark.parametrize("run", ["stationary_traj", "moving"])
 def test_step_verdicts_name_the_faulty_step_and_node(run, request):
+    # a lifted z_k also breaks the energy brackets of steps k and k+1, and
+    # the energy verdict names the first
     data, traj = request.getfixturevalue(run)
-    k, i = traj.m // 2, traj.grid.n // 2
-    states = traj.states.copy()
-    states[k, i] += 1e-3
-    bad = Trajectory(grid=traj.grid, times=traj.times, states=states,
-                     multipliers=traj.multipliers, energies=traj.energies,
-                     tau=traj.tau, step_meta=traj.step_meta, disc=traj.disc)
-    for v in (check_unilateral_minimality(bad, TANH, data.lam),
-              check_lewy_stampacchia(bad, data.lam, TANH)):
-        assert not v.passed and v.worst == (k, i), v
+    i = traj.grid.n // 2
+    for k in (1, traj.m // 2, traj.m):
+        states = traj.states.copy()
+        states[k, i] += 1e-3
+        bad = Trajectory(grid=traj.grid, times=traj.times, states=states,
+                         multipliers=traj.multipliers, energies=traj.energies,
+                         tau=traj.tau, step_meta=traj.step_meta, disc=traj.disc)
+        for v in (check_unilateral_minimality(bad, TANH, data.lam),
+                  check_lewy_stampacchia(bad, data.lam, TANH)):
+            assert not v.passed and v.worst == (k, i), v
+        v = check_energy_balance(bad, TANH, data.lam)
+        assert not v.passed and v.worst == (k,), v
 
 
 def test_minimality_deterministic(moving):
@@ -153,7 +182,7 @@ def test_minimality_deterministic(moving):
 
 
 # --------------------------------------------------------------------------
-# two-sided bound, irreversibility, dissipation
+# two-sided bound, irreversibility
 # --------------------------------------------------------------------------
 
 def test_lewy_stampacchia_on_runs(stationary_traj, moving):
@@ -213,11 +242,6 @@ def test_irreversibility_check_detects_upward_motion(moving):
                      multipliers=traj.multipliers, energies=traj.energies,
                      tau=traj.tau, step_meta=traj.step_meta, disc=traj.disc)
     assert not check_irreversibility(bad).passed
-
-
-def test_dissipation_sign(stationary_traj, moving):
-    for data, traj in (stationary_traj, moving):
-        assert check_dissipation_sign(traj, TANH, data.lam).passed
 
 
 # --------------------------------------------------------------------------
@@ -308,4 +332,4 @@ def test_refinement_h_gaps_recorded_and_decreasing(tmp_path):
     assert all(np.isfinite(r.step_rate) for r in rows)
     path = write_refinement_csv(rows, tmp_path / "table.csv")
     header = path.read_text().splitlines()[0]
-    assert header == "kind,m,n,gap_V,balance_sum,order_estimate,step_rate"
+    assert header == "kind,m,n,gap_V,bracket_width,order_estimate,step_rate"

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from irrev import (ATParams, Grid, at_nonlinearity, constant_profile, recover_displacement,
-                   run_fracture)
+from irrev import (ATParams, Grid, at_nonlinearity, check_energy_balance, constant_profile,
+                   recover_displacement, run_fracture)
 from irrev.fracture import at_energy, cumulative_load
 from irrev.presets import fracture_load
 
@@ -68,6 +68,15 @@ def test_reduction_consistency_identity(fracture_run):
         lhs = st.sigma[k] * np.asarray(result.nl.fn(z), float)
         rhs = z * st.ux_full[k, 1:-1] ** 2 / params.eps
         assert np.abs(lhs - rhs).max() <= 1e-10
+
+
+def test_energy_balance_holds_while_the_weight_ramps(fracture_run):
+    # the reduction's weight grows with the load, so the bracket's weight term is live
+    _, result = fracture_run
+    traj = result.traj
+    assert np.abs(np.diff(traj.disc.weight_avg, axis=0)).max() > 0.0
+    v = check_energy_balance(traj, result.nl, result.data.lam)
+    assert v.passed, v
 
 
 def test_at_energy_is_finite(fracture_run):

@@ -13,11 +13,11 @@ from irrev import cli
 
 PUBLIC = [
     "ATParams", "BC", "CheckVerdict", "CoercivityLost", "CoupledState", "DiscretizedData",
-    "EnergyReport", "EvolutionError", "FractureResult", "FractureSetupError", "Grid",
-    "LongtimeResult", "MaxIterations", "NewtonFailure", "Nonlinearity", "ObstacleError",
-    "ObstacleResult", "ProblemData", "SolverOptions", "StationaryProblem", "TimeProfile",
-    "Trajectory", "ValidationError", "ValidationReport", "at_nonlinearity",
-    "balance_residual", "check_irreversibility", "check_lewy_stampacchia",
+    "EvolutionError", "FractureResult", "FractureSetupError", "Grid", "LongtimeResult",
+    "MaxIterations", "NewtonFailure", "Nonlinearity", "ObstacleError", "ObstacleResult",
+    "ProblemData", "SolverOptions", "StationaryProblem", "TimeProfile", "Trajectory",
+    "ValidationError", "ValidationReport", "at_nonlinearity", "check_energy_balance",
+    "check_irreversibility", "check_lewy_stampacchia",
     "check_unilateral_minimality", "constant_profile", "default_lower_envelope",
     "discretize_time", "energy", "interp_constant", "load_to_sigma", "load_trajectory",
     "norm_h1", "recover_displacement", "refinement_study", "run_evolution", "run_fracture",

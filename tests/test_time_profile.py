@@ -12,14 +12,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from irrev import (Grid, ProblemData, TimeProfile, balance_residual,
-                   default_lower_envelope, discretize_time, run_evolution, run_longtime,
-                   solve_unconstrained)
+from irrev import (Grid, ProblemData, TimeProfile, default_lower_envelope, discretize_time,
+                   run_evolution, run_longtime, solve_unconstrained)
+from irrev.diagnostics import check_energy_balance, energy_bracket
 from irrev.fracture import ATParams, _cumtrapz, _interp_rows, cumulative_load, load_to_sigma
 from irrev.model import EVAL_BLOCK, QUAD_PTS, time_blocks
 from irrev.presets import fracture_load, nonlinearity, time_profile
 
-from reference_data import per_step_averages, per_step_balance, per_time_envelope
+from reference_data import per_step_averages, per_step_bracket, per_time_envelope
 
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -274,16 +274,22 @@ def test_lower_envelope_matches_per_time_loop(n, n_quad, source):
 
 
 @pytest.mark.parametrize("m", [3, 40])
-def test_balance_residual_matches_per_step_loop(m):
-    # at m = 40 the 320 quadrature points on 101 nodes span two blocks, the
-    # first ending inside a step
+def test_energy_balance_matches_per_step_loop(m):
+    # the weight varies in time, so the bracket's weight term is not zero;
+    # the zero initial state does not minimize J_0 below itself, so step 1
+    # breaks the lower half of its bracket
     n = 101
     specs = time_presets(Grid(0.0, 1.0, n), 0.5)
     data = problem(n, specs["exp_relax"], specs["linear_t"], horizon=1.0)
     tanh = nonlinearity({"preset": "tanh", "amplitude": 0.5})
     traj = run_evolution(data, tanh, m, validate_first=False)
-    assert_bitwise(balance_residual(traj, data, tanh).residuals,
-                   per_step_balance(traj, data, tanh, QUAD_PTS))
+    ref = per_step_bracket(traj, tanh, data.lam)
+    assert_bitwise(np.array(energy_bracket(traj, tanh, data.lam)), ref)
+    lower, rise, upper, scale = ref
+    ratio = np.maximum(np.maximum(lower - rise, rise - upper), 0.0) / scale
+    v = check_energy_balance(traj, tanh, data.lam)
+    assert v.max_violation == ratio.max() > 1e-12 and v.worst == (1,)
+    assert np.all(ratio[1:] <= 1e-12)
 
 
 # --------------------------------------------------------------------------
