@@ -175,26 +175,40 @@ def energy_bracket(traj, nl: Nonlinearity, lam: float):
     lower)``, the summed bracket width, shrinks as ``tau`` for data smooth
     in time.  ``scale`` is the larger of the two stamps' ``h*sum(|quadratic|
     + |w*primitive| + |f*u|)``, the size of the terms whose rounding the
-    bracket carries.  One pass over the ``m+1`` states evaluates the
-    primitive once; each entry equals the one-step evaluation to the last
-    bit.  Needs ``traj.disc``.
+    bracket carries.  The states are walked in the blocks of
+    :func:`~irrev.model.time_blocks`, each block with the last stamp of the
+    block before, so no array of all the stamps is stacked and the peak
+    memory beyond the trajectory is a few blocks; each entry equals the
+    one-step evaluation to the last bit.  Needs ``traj.disc``.
     """
     disc = _averaged_data(traj)
     g = traj.grid
     h = g.h
-    z = traj.states
-    f = np.vstack((disc.source_init, disc.source_avg))
-    w = np.vstack((disc.weight_init, disc.weight_avg))
-    p = np.asarray(nl.primitive(z), float)
-    du = forward_jumps(g, z)
-    quad = 0.5 * h * np.vecdot(du, du) + 0.5 * lam * h * np.vecdot(z, z)
-    del du  # freed before the data differences: five (m+1, n) arrays at the peak
-    energies = quad + h * np.vecdot(w, p) - h * np.vecdot(f, z)
-    size = quad + h * np.vecdot(np.abs(w), np.abs(p)) + h * np.vecdot(np.abs(f), np.abs(z))
-    df, dw = np.diff(f, axis=0), np.diff(w, axis=0)
-    lower = h * np.vecdot(dw, p[1:]) - h * np.vecdot(df, z[1:])
-    upper = h * np.vecdot(dw, p[:-1]) - h * np.vecdot(df, z[:-1])
+    m1 = traj.states.shape[0]
+    energies, size = np.empty(m1), np.empty(m1)
+    lower, upper = np.empty(m1 - 1), np.empty(m1 - 1)
+    for sl in time_blocks(m1, g.n):
+        j = max(sl.start - 1, 0)      # stamps j..stop-1: the steps j+1..stop-1
+        z = traj.states[j:sl.stop]
+        f = _stamp_rows(disc.source_init, disc.source_avg, j, sl.stop)
+        w = _stamp_rows(disc.weight_init, disc.weight_avg, j, sl.stop)
+        p = np.asarray(nl.primitive(z), float)
+        du = forward_jumps(g, z)
+        quad = 0.5 * h * np.vecdot(du, du) + 0.5 * lam * h * np.vecdot(z, z)
+        energies[j:sl.stop] = quad + h * np.vecdot(w, p) - h * np.vecdot(f, z)
+        size[j:sl.stop] = (quad + h * np.vecdot(np.abs(w), np.abs(p))
+                           + h * np.vecdot(np.abs(f), np.abs(z)))
+        df, dw = np.diff(f, axis=0), np.diff(w, axis=0)
+        lower[j:sl.stop - 1] = h * np.vecdot(dw, p[1:]) - h * np.vecdot(df, z[1:])
+        upper[j:sl.stop - 1] = h * np.vecdot(dw, p[:-1]) - h * np.vecdot(df, z[:-1])
     return lower, np.diff(energies), upper, np.maximum(size[:-1], size[1:])
+
+
+def _stamp_rows(init: np.ndarray, avg: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Rows ``start..stop-1`` of the stamp data ``[init, *avg]``: a view of
+    ``avg`` when ``start > 0``, else ``init`` stacked on the rows of ``avg``
+    (a copy of one block)."""
+    return avg[start - 1:stop - 1] if start else np.vstack((init, avg[:stop - 1]))
 
 
 def check_energy_balance(traj, nl: Nonlinearity, lam: float) -> CheckVerdict:
@@ -262,9 +276,11 @@ def refinement_study(data: ProblemData, nl: Nonlinearity, m_list, n_list,
     refinements the finer state is interpolated onto the coarser nodes
     first.  Also reports each run's summed energy bracket width (see
     :func:`energy_bracket`; order 1 in ``tau``), with its measured order
-    between consecutive rows of the same kind, and the trend quantity
-    ``max_k |z_k - z_{k-1}|_H1 / sqrt(tau)``, whose boundedness under
-    refinement is the practical form of the scheme's rate estimate.
+    between consecutive ``tau`` rows; an ``h`` row has none, since the width
+    measures the time discretization and barely moves with ``h``.  Each row
+    also carries the trend quantity ``max_k |z_k - z_{k-1}|_H1 / sqrt(tau)``,
+    whose boundedness under refinement is the practical form of the scheme's
+    rate estimate.
 
     Regridding the initial state perturbs its admissibility at the
     interpolation-error level, so the runs skip that gate; the per-step
@@ -297,7 +313,7 @@ def refinement_study(data: ProblemData, nl: Nonlinearity, m_list, n_list,
                 fine = np.array([np.interp(cg.nodes, fine_full_x, row) for row in
                                  full_values(g, traj.states[:prev_traj.m + 1])])
             gap = float(norm_h1(cg, fine - prev_traj.states).max())
-            if width > 0:
+            if kind == "tau" and width > 0:
                 order = float(np.log2(prev_width / width))
         rows.append(RefinementRow(kind, m, pdata.grid.n, gap, width, order, step_rate(traj)))
         prev = (kind, traj, width)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .grid import BC, Grid
 from .model import (QUAD_PTS, DiscretizedData, Nonlinearity, ProblemData,
-                    ValidationError, discretize_time, validate)
+                    ValidationError, discretize_time, time_blocks, validate)
 from .obstacle import ObstacleError, SolverOptions, solve_step
 
 
@@ -178,28 +178,64 @@ def write_long_csv(path: str | Path, times: np.ndarray, x: np.ndarray,
     ``fields`` maps each column name to its rows, one ``(x.size,)`` array
     per stamp.  The bytes are those of formatting every value with
     ``%.17g``, but each repeated value is formatted once: ``x`` once per
-    file, each ``t`` once per stamp, and a stamp's field rows once per run
-    of stamps whose field rows repeat bit for bit (a state that did not
-    move); a repeated stamp reuses the text of the stamp before with its
-    own ``t``.  The text is written one stamp at a time, so the text held
-    in memory is one stamp's rows.
+    file, each ``t`` once per stamp, a field row whose values share one bit
+    pattern (a zero multiplier, the nan row at ``t = 0``) once per stamp,
+    and a stamp's field rows once per run of stamps whose field rows repeat
+    bit for bit (a state that did not move); a repeated stamp reuses the
+    text of the stamp before with its own ``t``.
+
+    The stamps are taken in the blocks of :func:`~irrev.model.time_blocks`:
+    each block's field rows are stacked once, compared with the rows of the
+    stamp before in one pass, and its text is handed to the file in one
+    call, stamp by stamp, with no joined copy: the text held in memory is
+    one block's rows.
     """
-    cells = ",%.17g" * len(fields) + "\n"
-    # one piece per node; joining them with a stamp's t puts t before each row
-    pieces = [""] + ["," + "%.17g" % xi + cells for xi in x.tolist()]
-    key = text = stamp = None
+    xs = ["," + "%.17g" % xi for xi in x.tolist()]
+    # row templates keyed by a row's field cells (",%.17g" for a field
+    # formatted per node, the text of the one value of a constant field row):
+    # the pieces that, joined with a stamp's t, give its format string, and
+    # the positions of the formatted cells among a stamp's (node, field) values
+    templates: dict[str, tuple[list[str], np.ndarray]] = {}
+    prev = text = stamp = tails = None
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["t", "x", *fields]) + "\n")
-        for k, t in enumerate(times.tolist()):
-            values = np.column_stack([rows[k] for rows in fields.values()]).ravel()
-            last, stamp = stamp, "%.17g" % t
+        for sl in time_blocks(len(times), len(xs)):
+            values = np.stack([np.asarray(rows[sl], dtype=float) for rows in fields.values()],
+                              axis=-1)                     # (stamps, nodes, fields)
             # bits, not values: -0.0 == 0.0 but prints "-0"
-            if (bits := values.tobytes()) != key:
-                key, text = bits, stamp.join(pieces) % tuple(values.tolist())
-            else:
-                # a row's t follows the newline that ends the row before
-                text = ("\n" + text).replace("\n" + last, "\n" + stamp)[1:]
-            fh.write(text)
+            bits = values.view(np.uint64)
+            repeats = np.empty(len(bits), bool)
+            repeats[0] = prev is not None and np.array_equal(bits[0], prev)
+            repeats[1:] = (bits[1:] == bits[:-1]).all(axis=(1, 2))
+            constant = (bits == bits[:, :1]).all(axis=1)
+            prev = bits[-1]
+            block = []
+            for k, (t, repeat, const, first) in enumerate(zip(
+                    times[sl].tolist(), repeats.tolist(), constant.tolist(),
+                    values[:, 0].tolist())):
+                last, stamp = stamp, "%.17g" % t
+                if repeat:
+                    # a row's t follows the newline that ends the row before;
+                    # cut the text at the t's once per run of repeated stamps
+                    if tails is None:
+                        tails = ("\n" + text).split("\n" + last)
+                    text = ("\n" + stamp).join(tails)[1:]
+                else:
+                    tails = None
+                    cells = "".join("," + "%.17g" % v if c else ",%.17g"
+                                    for v, c in zip(first, const)) + "\n"
+                    if (template := templates.get(cells)) is None:
+                        # a template holds a string per node; rows constant at
+                        # ever new values (a uniform state) must not pile them up
+                        if len(templates) == 4:
+                            templates.clear()
+                        free = np.tile(np.logical_not(const), len(xs))
+                        template = templates[cells] = ([""] + [xt + cells for xt in xs],
+                                                       np.flatnonzero(free))
+                    pieces, free = template
+                    text = stamp.join(pieces) % tuple(values[k].ravel()[free].tolist())
+                block.append(text)
+            fh.writelines(block)
 
 
 def save_trajectory(traj: Trajectory, directory: str | Path,
@@ -208,10 +244,12 @@ def save_trajectory(traj: Trajectory, directory: str | Path,
 
     Values are printed with 17 significant digits so a round trip through
     :func:`load_trajectory` reproduces them to the last bit; the CSV is
-    written by :func:`write_long_csv`, one stamp at a time, which formats
-    the node coordinates once per file, each time once per stamp, and the
-    z and eta rows once per run of kept stamps whose state and multiplier
-    did not move (a held load, or data that have settled).  ``stride``
+    written by :func:`write_long_csv`, one block of stamps at a time, which
+    formats the node coordinates once per file, each time once per stamp,
+    an eta row with one value (no contact, or the nan row at ``t = 0``) once
+    per stamp, and the z and eta rows once per run of kept stamps whose
+    state and multiplier did not move (a held load, or data that have
+    settled).  ``stride``
     thins the stored time stamps (the initial and final stamps are always
     kept).  Multiplier entries at ``t == 0`` are written as ``nan`` (no step
     produced them).  The manifest is one line of JSON with sorted keys: a

@@ -452,12 +452,17 @@ def default_lower_envelope(data: ProblemData, n_quad: int = 1024) -> np.ndarray:
     x = g.nodes
     T = data.horizon
     pts = (np.arange(n_quad) + 0.5) * (T / n_quad)
-    acc = np.zeros(g.n)
-    for sl in time_blocks(n_quad, g.n):
-        d = np.abs(data.source.dt(x, pts[sl]))
-        if not np.all(np.isfinite(d)):
-            i = int(np.flatnonzero(~np.all(np.isfinite(d), axis=1))[0])
+    blocks = time_blocks(n_quad, g.n)
+    # row 0 carries the sum so far, the rows after it one block's |d/dt source|
+    rows = np.zeros((blocks[0].stop + 1, g.n))
+    for sl in blocks:
+        d = rows[:sl.stop - sl.start + 1]
+        np.abs(data.source.dt(x, pts[sl]), out=d[1:])
+        if not np.all(np.isfinite(d[1:])):
+            i = int(np.flatnonzero(~np.all(np.isfinite(d[1:]), axis=1))[0])
             raise ValueError(f"source time derivative non-finite at t={pts[sl][i]:.6g}")
-        # cumsum adds the rows one after another, as a per-time loop would
-        acc = np.cumsum(np.vstack((acc, d)), axis=0)[-1]
-    return data.source(x, 0.0) - acc * (T / n_quad)
+        # add the rows one after another, as a per-time loop would: numpy
+        # reduces the rows of a (k, n) array with n > 1 node by node in row
+        # order, but sums a single column pairwise, so one node takes cumsum
+        rows[0] = np.add.reduce(d, axis=0) if g.n > 1 else np.cumsum(d, axis=0)[-1]
+    return data.source(x, 0.0) - rows[0] * (T / n_quad)

@@ -144,6 +144,8 @@ def _sup_norm(v: np.ndarray) -> float:
 
 #: ``free`` of :func:`_newton_on_subset` when every node is free
 _EVERY_NODE = slice(None)
+#: the contact set of a step that starts from none
+_NO_NODE = np.zeros(0, np.intp)
 
 
 def _solve_free_jacobian(lap: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -289,12 +291,14 @@ def solve_step(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinearit
     _require_coercive(wv, lam, nl)
     lap = laplacian_diagonals(grid)
 
-    active = np.zeros(grid.n, bool)
-    if initial_active is not None:
+    # the mask is read only while the set is not empty
+    active, act = None, _NO_NODE
+    if initial_active is not None and len(initial_active):
+        active = np.zeros(grid.n, bool)
         active[np.asarray(initial_active, dtype=int)] = True
+        act = active.nonzero()[0]
 
     u = psi.copy()
-    act = active.nonzero()[0]
     best: Optional[ObstacleResult] = None
     for outer in range(1, opts.max_outer + 1):
         if act.size:

@@ -117,6 +117,32 @@ def test_bracket_width_has_order_one_on_the_run_contact_data():
         assert abs(r.order_estimate - 1.0) <= 0.1, r
 
 
+def test_energy_bracket_peak_memory_is_a_few_blocks():
+    # states, data and multipliers are made before tracing: 8.1 MB each
+    import tracemalloc
+    from irrev import DiscretizedData
+    g = Grid(0.0, 1.0, 10001)
+    m = 100
+    rng = np.random.default_rng(5)
+    times = np.linspace(0.0, 1.0, m + 1)
+    disc = DiscretizedData(m=m, tau=1.0 / m, times=times,
+                           source_avg=rng.normal(size=(m, g.n)),
+                           weight_avg=rng.uniform(0.0, 1.0, (m, g.n)),
+                           source_init=rng.normal(size=g.n),
+                           weight_init=rng.uniform(0.0, 1.0, g.n))
+    traj = Trajectory(grid=g, times=times, states=rng.normal(size=(m + 1, g.n)),
+                      multipliers=np.zeros((m, g.n)), energies=np.zeros(m + 1),
+                      tau=disc.tau, step_meta=(), disc=disc)
+    tracemalloc.start()
+    try:
+        bracket = energy_bracket(traj, TANH, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6, peak
+    assert all(np.all(np.isfinite(a)) and a.shape == (m,) for a in bracket)
+
+
 def test_energy_balance_on_runs(stationary_traj, moving):
     for data, traj in (stationary_traj, moving):
         assert check_energy_balance(traj, TANH, data.lam).passed
@@ -333,3 +359,14 @@ def test_refinement_h_gaps_recorded_and_decreasing(tmp_path):
     path = write_refinement_csv(rows, tmp_path / "table.csv")
     header = path.read_text().splitlines()[0]
     assert header == "kind,m,n,gap_V,bracket_width,order_estimate,step_rate"
+
+
+def test_refinement_h_rows_carry_no_order(tmp_path):
+    # the bracket width measures the time discretization: no order in h
+    from irrev.diagnostics import write_refinement_csv
+    rows = refinement_study(ramp_data(n=13), TANH, m_list=[8, 16], n_list=[13, 25])
+    assert [(r.kind, r.order_estimate is None) for r in rows] == [
+        ("tau", True), ("tau", False), ("h", True), ("h", True)]
+    assert rows[3].gap_v is not None
+    lines = write_refinement_csv(rows, tmp_path / "table.csv").read_text().splitlines()
+    assert [line.split(",")[5] == "" for line in lines[1:]] == [True, False, True, True]

@@ -4,7 +4,9 @@ import pytest
 from irrev import (EvolutionError, Grid, ProblemData, TimeProfile,
                    constant_profile, load_trajectory, run_evolution, save_trajectory,
                    solve_unconstrained)
+from irrev import model
 from irrev.evolution import write_csv, write_long_csv
+from irrev.model import EVAL_BLOCK
 from irrev.presets import nonlinearity
 
 from helpers import smooth_values
@@ -164,3 +166,48 @@ def test_settled_trajectory_writes_and_round_trips_bit_exactly(tmp_path, stride)
     for name, value in want.items():
         got = getattr(back, name)
         assert got.shape == value.shape and got.tobytes() == value.tobytes(), name
+
+
+def block_sequence(case):
+    """Field rows ``(a, b)`` of consecutive stamps on 3 nodes, with field rows
+    whose values share one bit pattern, or all but one."""
+    rng = np.random.default_rng(2)
+    a, b = rng.normal(size=(2, 3))
+    zero, neg_zero, nan = np.zeros(3), np.full(3, -0.0), np.full(3, np.nan)
+    if case == "+0.0 rows":
+        return [(a, zero), (zero, zero), (zero, zero), (a, b), (zero, b)]
+    if case == "-0.0 rows":           # print "-0", and differ from +0.0 in their bits
+        mixed = np.array([0.0, -0.0, 0.0])
+        return [(neg_zero, zero), (neg_zero, neg_zero), (zero, neg_zero), (mixed, neg_zero),
+                (a, mixed)]
+    if case == "nan rows":
+        return [(nan, nan), (a, nan), (nan, b), (nan, nan)]
+    if case == "one ulp off constant":
+        tenth = np.full(3, 0.1)
+        ulp = tenth.copy()
+        ulp[1] = np.nextafter(0.1, 1.0)
+        return [(tenth, ulp), (ulp, tenth), (ulp, ulp), (tenth, tenth)]
+    if case == "repeat opens a block":  # stamp 2 repeats stamp 1 at 1 or 2 stamps a block
+        return [(a, b), (zero, a), (zero, a), (zero, a), (b, zero)]
+    if case == "many constant rows":    # more row templates than the writer keeps
+        rows = [(np.full(3, float(c)), np.full(3, -float(c))) for c in range(7)]
+        return rows + rows[::-1]
+    raise ValueError(case)
+
+
+@pytest.mark.parametrize("eval_block", [1, 7, EVAL_BLOCK])
+@pytest.mark.parametrize("case", ["+0.0 rows", "-0.0 rows", "nan rows", "one ulp off constant",
+                                  "repeat opens a block", "many constant rows"])
+def test_long_writer_matches_reference_at_any_block_size(tmp_path, monkeypatch, case,
+                                                         eval_block):
+    # 3 nodes: one stamp a block, two, or every stamp in one block
+    monkeypatch.setattr(model, "EVAL_BLOCK", eval_block)
+    seq = block_sequence(case)
+    times = np.arange(len(seq)) / 4.0
+    x = np.array([0.0, 0.5, 1.0])
+    a, b = (np.array(rows) for rows in zip(*seq))
+    path = tmp_path / "long.csv"
+    write_long_csv(path, times, x, {"a": list(a), "b": b})
+    rows = np.column_stack([np.repeat(times, x.size), np.tile(x, len(seq)), a.ravel(), b.ravel()])
+    assert path.read_bytes() == reference_csv(("t", "x", "a", "b"), rows)
+    assert_reloads_bit_exactly(path, rows)

@@ -9,11 +9,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from irrev import (Grid, ProblemData, TimeProfile, default_lower_envelope, discretize_time,
                    run_evolution, run_longtime, solve_unconstrained)
+from irrev import model
 from irrev.diagnostics import check_energy_balance, energy_bracket
 from irrev.fracture import ATParams, _cumtrapz, _interp_rows, cumulative_load, load_to_sigma
 from irrev.model import EVAL_BLOCK, QUAD_PTS, time_blocks
@@ -266,6 +267,8 @@ def test_discretize_time_matches_per_step_loop(n, m, quad_pts, source, weight):
 @SETTINGS
 @given(n=st.sampled_from((1, 7, 101)), n_quad=st.integers(1, 3000),
        source=st.sampled_from(["linear_t", "exp_relax", "tabulated"]))
+# one node: numpy would sum the single column pairwise, not in time order
+@example(n=1, n_quad=26, source="exp_relax")
 def test_lower_envelope_matches_per_time_loop(n, n_quad, source):
     data = problem(n, time_presets(Grid(0.0, 1.0, n), 0.5)[source],
                    {"preset": "constant", "value": 1.0}, horizon=2.0)
@@ -290,6 +293,21 @@ def test_energy_balance_matches_per_step_loop(m):
     v = check_energy_balance(traj, tanh, data.lam)
     assert v.max_violation == ratio.max() > 1e-12 and v.worst == (1,)
     assert np.all(ratio[1:] <= 1e-12)
+
+
+@pytest.mark.parametrize("eval_block", [1, 250])
+def test_energy_bracket_matches_per_step_loop_across_blocks(eval_block, monkeypatch):
+    # 101 nodes: one stamp a block, or two; each block starts with the
+    # last stamp of the block before
+    n, m = 101, 9
+    specs = time_presets(Grid(0.0, 1.0, n), 0.5)
+    data = problem(n, specs["exp_relax"], specs["linear_t"], horizon=1.0)
+    tanh = nonlinearity({"preset": "tanh", "amplitude": 0.5})
+    traj = run_evolution(data, tanh, m, validate_first=False)
+    monkeypatch.setattr(model, "EVAL_BLOCK", eval_block)
+    assert len(time_blocks(m + 1, n)) == {1: 10, 250: 5}[eval_block]
+    assert_bitwise(np.array(energy_bracket(traj, tanh, data.lam)),
+                   per_step_bracket(traj, tanh, data.lam))
 
 
 # --------------------------------------------------------------------------
