@@ -8,9 +8,10 @@ absolutely or at a residual's rounding floor where larger);
 discretization-limited quantities, the gaps between refinements and the
 summed energy bracket width, are reported as refinement trends.
 
-Every verdict and series works on the whole stack of states in array
-passes, one per block of times where profiles are evaluated; each stacked
-evaluation equals the one-state call on its row to the last bit.
+Every verdict and series works on the states in array passes, one per
+block of times of :func:`~irrev.model.time_blocks`, so the memory beyond
+the trajectory is a few blocks; each stacked evaluation equals the
+one-state call on its row to the last bit.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from typing import Optional
 
 import numpy as np
 
+from .evolution import _csv_rows, interp_constant, run_evolution
 from .grid import Grid, forward_jumps, full_values, laplacian_diagonals, norm_h1
 from .model import (QUAD_PTS, ZERO_NONLINEARITY, DiscretizedData, Nonlinearity, ProblemData,
-                    _step_residual, rounding_floor, time_blocks)
+                    _step_residual, floor_of_sizes, rounding_sizes, time_blocks)
 from .obstacle import SolverOptions, step_energy
 
 
@@ -97,17 +99,22 @@ def check_unilateral_minimality(traj, nl: Nonlinearity, lam: float) -> CheckVerd
 
     Violation is the largest bound over all steps; ``worst`` is that step
     and the node of its most negative ``eta_k``.  Needs the trajectory's
-    averaged data, ``traj.disc``; all steps are evaluated in one pass.
+    averaged data, ``traj.disc``; the steps are evaluated in the blocks of
+    :func:`~irrev.model.time_blocks`, each bound equal to the one-step
+    evaluation to the last bit.
     """
     disc = _averaged_data(traj)
-    eta = -_step_residual(traj.states[1:], disc.source_avg, disc.weight_avg, lam, nl,
-                          laplacian_diagonals(traj.grid))
-    neg = np.minimum(eta, 0.0)
-    bounds = (traj.grid.h * (neg * neg).sum(axis=1)
-              / (2.0 * nl.convexity_margin(lam, disc.weight_avg)))
+    lap = laplacian_diagonals(traj.grid)
+    bounds, nodes = np.empty(traj.m), np.empty(traj.m, dtype=int)
+    for sl in time_blocks(traj.m, traj.grid.n):
+        eta = -_step_residual(traj.states[sl.start + 1:sl.stop + 1], disc.source_avg[sl],
+                              disc.weight_avg[sl], lam, nl, lap)
+        neg = np.minimum(eta, 0.0)
+        bounds[sl] = (traj.grid.h * (neg * neg).sum(axis=1)
+                      / (2.0 * nl.convexity_margin(lam, disc.weight_avg[sl])))
+        nodes[sl] = np.argmin(eta, axis=1)
     k = int(np.argmax(bounds))
-    return _verdict("unilateral_minimality", bounds[k], 1e-10,
-                    worst=(k + 1, int(np.argmin(eta[k]))),
+    return _verdict("unilateral_minimality", bounds[k], 1e-10, worst=(k + 1, int(nodes[k])),
                     note=f"averaged-data certificate over {traj.m} steps")
 
 
@@ -127,22 +134,36 @@ def check_lewy_stampacchia(traj, lam: float, nl: Nonlinearity) -> CheckVerdict:
             <= -Lap z_k + lam z_k + w_k fn(z_k) <= f_k.
 
     With the step residual ``G_k`` and ``A = -Lap + lam`` that reads ``G_k
-    <= 0`` and ``min(-G_k, A(z_{k-1} - z_k)) <= 0``, checked for all steps
-    in one pass.  Needs the trajectory's averaged data, ``traj.disc``.
-    Where 1e-8 fails, the tolerance is the larger of 1e-8 and the steps'
-    :func:`~irrev.model.rounding_floor` (kappa = 1): the solver accepted each
-    ``G_k`` within it or ``TOL_KKT``, and the drop is <= 0 at contact nodes.
+    <= 0`` and ``min(-G_k, A(z_{k-1} - z_k)) <= 0``, checked in the blocks of
+    steps of :func:`~irrev.model.time_blocks`.  Needs the trajectory's
+    averaged data, ``traj.disc``.  Where 1e-8 fails, the tolerance is the
+    larger of 1e-8 and the steps' :func:`~irrev.model.rounding_floor` (kappa
+    = 1, from the sup norms of all steps): the solver accepted each ``G_k``
+    within it or ``TOL_KKT``, and the drop is <= 0 at contact nodes.
     """
     disc = _averaged_data(traj)
     lap = laplacian_diagonals(traj.grid)
-    step = (traj.states[1:], disc.source_avg, disc.weight_avg, lam, nl, lap)
-    G = _step_residual(*step)
-    drop = _step_residual(traj.states[:-1] - step[0], 0.0, 0.0, lam, ZERO_NONLINEARITY, lap)
-    viol = np.maximum(np.minimum(-G, drop), G)
-    k, i = np.unravel_index(int(np.argmax(viol)), viol.shape)
-    worst = max(float(viol[k, i]), 0.0)
-    tol = 1e-8 if worst <= 1e-8 else max(1e-8, rounding_floor(*step))
-    return _verdict("lewy_stampacchia", worst, tol, worst=(int(k) + 1, int(i)))
+    blocks = time_blocks(traj.m, traj.grid.n)
+
+    def steps(sl: slice):
+        """The residual's state and data for the steps ``sl.start+1..sl.stop``."""
+        return traj.states[sl.start + 1:sl.stop + 1], disc.source_avg[sl], disc.weight_avg[sl]
+
+    peaks, nodes = np.empty(traj.m), np.empty(traj.m, dtype=int)
+    for sl in blocks:
+        z, f, w = steps(sl)
+        G = _step_residual(z, f, w, lam, nl, lap)
+        drop = _step_residual(traj.states[sl] - z, 0.0, 0.0, lam, ZERO_NONLINEARITY, lap)
+        viol = np.maximum(np.minimum(-G, drop), G)
+        nodes[sl] = np.argmax(viol, axis=1)
+        peaks[sl] = np.take_along_axis(viol, nodes[sl, None], axis=1)[:, 0]
+    k = int(np.argmax(peaks))
+    worst = max(float(peaks[k]), 0.0)
+    tol = 1e-8
+    if worst > tol:
+        sizes = np.max([rounding_sizes(*steps(sl), nl) for sl in blocks], axis=0)
+        tol = max(tol, floor_of_sizes(sizes, lam, lap))
+    return _verdict("lewy_stampacchia", worst, tol, worst=(k + 1, int(nodes[k])))
 
 
 def check_irreversibility(traj) -> CheckVerdict:
@@ -286,8 +307,6 @@ def refinement_study(data: ProblemData, nl: Nonlinearity, m_list, n_list,
     interpolation-error level, so the runs skip that gate; the per-step
     convexity guard still applies.
     """
-    from .evolution import interp_constant, run_evolution
-
     def step_rate(traj) -> float:
         return float(norm_h1(traj.grid, np.diff(traj.states, axis=0)).max()
                      / np.sqrt(traj.tau))
@@ -321,16 +340,18 @@ def refinement_study(data: ProblemData, nl: Nonlinearity, m_list, n_list,
 
 
 def write_refinement_csv(rows: list[RefinementRow], path: str | Path) -> Path:
-    """One line per row, values at 17 significant digits, an empty cell for
-    a missing gap or order; lines end in ``\\n``."""
-    def cell(v) -> str:
-        return "" if v is None else f"{v:.17g}"
-
+    """One line per row, its float values in the shortest text that reloads
+    to their bits (as :func:`~irrev.evolution.write_csv` writes them), an
+    empty cell for a missing gap or order; lines end in ``\\n``."""
+    floats = [[r.gap_v, r.bracket_width, r.order_estimate, r.step_rate] for r in rows]
+    texts = iter(_csv_rows(np.array([[v for row in floats for v in row if v is not None]]))
+                 .decode().rstrip("\n").split(","))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = ["kind,m,n,gap_V,bracket_width,order_estimate,step_rate"]
-    lines += [",".join([r.kind, str(r.m), str(r.n), cell(r.gap_v), cell(r.bracket_width),
-                        cell(r.order_estimate), cell(r.step_rate)]) for r in rows]
+    lines += [",".join([r.kind, str(r.m), str(r.n),
+                        *("" if v is None else next(texts) for v in row)])
+              for r, row in zip(rows, floats)]
     path.write_text("\n".join(lines) + "\n")
     return path
 

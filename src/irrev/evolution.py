@@ -9,18 +9,22 @@ step without contact) that does not settle in one sweep takes its start
 from a coarser grid (nested iteration, see :func:`irrev.obstacle.solve_step`).
 The full history (states, multipliers, energies, per-step solver metadata)
 is kept in memory -- these are desk-scale runs -- and can be thinned only at
-serialization time; the per-run work (the grid's operator, the stored
-energies) is done once, not per step.
+serialization time, which writes every number in the shortest text that
+reloads to its bits, so verdicts on a reloaded run see the run itself.  The
+per-run work (the grid's operator, the stored energies) is done once, not
+per step.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
+import orjson
 
 from .grid import BC, Grid
 from .model import (QUAD_PTS, DiscretizedData, Nonlinearity, ProblemData,
@@ -160,14 +164,42 @@ def interp_constant(traj: Trajectory, t: float) -> np.ndarray:
 # serialization: long CSV + JSON manifest
 # --------------------------------------------------------------------------
 
+def _csv_rows(table: np.ndarray) -> bytes:
+    """The rows of a float table (its last axis) as CSV text: every value in
+    the shortest decimal that reloads to its bits (``nan``, ``inf`` and
+    ``-inf`` for the non-finite ones), cells joined by ``,`` and every row
+    ended by ``\\n``; ``b""`` for an empty table.
+
+    orjson formats the flat values in one C pass (Ryu shortest round trip);
+    numpy then turns every row's last separator and the closing bracket of
+    the dump into line ends, so no value passes through Python.
+    """
+    table = np.ascontiguousarray(table, dtype=np.float64)
+    if table.size == 0:
+        return b""
+    width = table.shape[-1]
+    chars = np.frombuffer(bytearray(orjson.dumps(table.ravel(),
+                                                 option=orjson.OPT_SERIALIZE_NUMPY)), np.uint8)
+    chars[np.flatnonzero(chars == ord(","))[width - 1::width]] = ord("\n")
+    chars[-1] = ord("\n")                    # the closing "]"
+    text = chars[1:].tobytes()               # after the opening "["
+    finite = np.isfinite(table)
+    if not finite.all():
+        # orjson spells every non-finite value "null": put back each one's name
+        bad = table[~finite]
+        names = map((b"nan", b"inf", b"-inf").__getitem__, ((bad > 0) + 2 * (bad < 0)).tolist())
+        parts = text.split(b"null")
+        text = b"".join(chain.from_iterable(zip(parts, names))) + parts[-1]
+    return text
+
+
 def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
     """Write a flat table: a header line, then one row per entry of the
-    equal-length float ``columns``.  Values get 17 significant digits (a
-    reload reproduces them to the last bit) and lines end in ``\\n``."""
-    row = ",".join(["%.17g"] * len(header)) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write((row * len(columns[0])) % tuple(np.column_stack(columns).ravel().tolist()))
+    equal-length float ``columns``, each value in the shortest text that
+    reloads to its bits (:func:`_csv_rows`); lines end in ``\\n``."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        fh.write(_csv_rows(np.column_stack(columns)))
 
 
 def write_long_csv(path: str | Path, times: np.ndarray, x: np.ndarray,
@@ -176,86 +208,36 @@ def write_long_csv(path: str | Path, times: np.ndarray, x: np.ndarray,
     ``t_k, x_i, fields[name][k][i]...`` per stamp ``k`` and node ``i``.
 
     ``fields`` maps each column name to its rows, one ``(x.size,)`` array
-    per stamp.  The bytes are those of formatting every value with
-    ``%.17g``, but each repeated value is formatted once: ``x`` once per
-    file, each ``t`` once per stamp, a field row whose values share one bit
-    pattern (a zero multiplier, the nan row at ``t = 0``) once per stamp,
-    and a stamp's field rows once per run of stamps whose field rows repeat
-    bit for bit (a state that did not move); a repeated stamp reuses the
-    text of the stamp before with its own ``t``.
-
-    The stamps are taken in the blocks of :func:`~irrev.model.time_blocks`:
-    each block's field rows are stacked once, compared with the rows of the
-    stamp before in one pass, and its text is handed to the file in one
-    call, stamp by stamp, with no joined copy: the text held in memory is
-    one block's rows.
+    per stamp.  Values are written as by :func:`write_csv`.  The stamps are
+    taken in the blocks of :func:`~irrev.model.time_blocks`, counted in
+    values, not rows: each block's rows are filled into one table and
+    written in one call, so the text held in memory is one block's.
     """
-    xs = ["," + "%.17g" % xi for xi in x.tolist()]
-    # row templates keyed by a row's field cells (",%.17g" for a field
-    # formatted per node, the text of the one value of a constant field row):
-    # the pieces that, joined with a stamp's t, give its format string, and
-    # the positions of the formatted cells among a stamp's (node, field) values
-    templates: dict[str, tuple[list[str], np.ndarray]] = {}
-    prev = text = stamp = tails = None
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(["t", "x", *fields]) + "\n")
-        for sl in time_blocks(len(times), len(xs)):
-            values = np.stack([np.asarray(rows[sl], dtype=float) for rows in fields.values()],
-                              axis=-1)                     # (stamps, nodes, fields)
-            # bits, not values: -0.0 == 0.0 but prints "-0"
-            bits = values.view(np.uint64)
-            repeats = np.empty(len(bits), bool)
-            repeats[0] = prev is not None and np.array_equal(bits[0], prev)
-            repeats[1:] = (bits[1:] == bits[:-1]).all(axis=(1, 2))
-            constant = (bits == bits[:, :1]).all(axis=1)
-            prev = bits[-1]
-            block = []
-            for k, (t, repeat, const, first) in enumerate(zip(
-                    times[sl].tolist(), repeats.tolist(), constant.tolist(),
-                    values[:, 0].tolist())):
-                last, stamp = stamp, "%.17g" % t
-                if repeat:
-                    # a row's t follows the newline that ends the row before;
-                    # cut the text at the t's once per run of repeated stamps
-                    if tails is None:
-                        tails = ("\n" + text).split("\n" + last)
-                    text = ("\n" + stamp).join(tails)[1:]
-                else:
-                    tails = None
-                    cells = "".join("," + "%.17g" % v if c else ",%.17g"
-                                    for v, c in zip(first, const)) + "\n"
-                    if (template := templates.get(cells)) is None:
-                        # a template holds a string per node; rows constant at
-                        # ever new values (a uniform state) must not pile them up
-                        if len(templates) == 4:
-                            templates.clear()
-                        free = np.tile(np.logical_not(const), len(xs))
-                        template = templates[cells] = ([""] + [xt + cells for xt in xs],
-                                                       np.flatnonzero(free))
-                    pieces, free = template
-                    text = stamp.join(pieces) % tuple(values[k].ravel()[free].tolist())
-                block.append(text)
-            fh.writelines(block)
+    n, width = len(x), 2 + len(fields)
+    with open(path, "wb") as fh:
+        fh.write((",".join(["t", "x", *fields]) + "\n").encode())
+        for sl in time_blocks(len(times), n * width):
+            table = np.empty((sl.stop - sl.start, n, width))
+            table[..., 0] = times[sl, None]
+            table[..., 1] = x
+            for j, rows in enumerate(fields.values(), 2):
+                table[..., j] = rows[sl]
+            fh.write(_csv_rows(table))
 
 
 def save_trajectory(traj: Trajectory, directory: str | Path,
                     stride: int = 1) -> tuple[Path, Path]:
     """Write ``trajectory.csv`` (long format: t, x, z, eta) and ``trajectory.json``.
 
-    Values are printed with 17 significant digits so a round trip through
-    :func:`load_trajectory` reproduces them to the last bit; the CSV is
-    written by :func:`write_long_csv`, one block of stamps at a time, which
-    formats the node coordinates once per file, each time once per stamp,
-    an eta row with one value (no contact, or the nan row at ``t = 0``) once
-    per stamp, and the z and eta rows once per run of kept stamps whose
-    state and multiplier did not move (a held load, or data that have
-    settled).  ``stride``
-    thins the stored time stamps (the initial and final stamps are always
-    kept).  Multiplier entries at ``t == 0`` are written as ``nan`` (no step
-    produced them).  The manifest is one line of JSON with sorted keys: a
-    compact dump goes through CPython's C encoder, where an indented one
-    runs the pure-Python encoder, about three times slower on a long run's
-    stamps.
+    The CSV is written by :func:`write_long_csv`, one block of stamps at a
+    time, every value in the shortest text that reloads to its bits, so a
+    round trip through :func:`load_trajectory` reproduces the trajectory to
+    the last bit.  ``stride`` thins the stored time stamps (the initial and
+    final stamps are always kept).  Multiplier entries at ``t == 0`` are
+    written as ``nan`` (no step produced them).  The manifest is one line of
+    JSON with sorted keys: a compact dump goes through CPython's C encoder,
+    where an indented one runs the pure-Python encoder, about three times
+    slower on a long run's stamps.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")

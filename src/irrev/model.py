@@ -127,8 +127,19 @@ def rounding_floor(u, f, w, lam: float, nl: Nonlinearity,
     """Machine epsilon times ``(2*max(diag) + lam)*|u| + |w*fn(u)| + |f|`` (sup
     norms over one state or a stack), the residual rounding alone leaves; it
     grows as ``h^-2``: 9e-12 for a unit state at ``n = 101``, 9e-8 at 10001."""
-    size = [float(np.abs(v).max(initial=0.0)) for v in (u, w * np.asarray(nl.fn(u), float), f)]
-    return float(np.finfo(float).eps * ((2.0 * lap[1].max() + lam) * size[0] + size[1] + size[2]))
+    return floor_of_sizes(rounding_sizes(u, f, w, nl), lam, lap)
+
+
+def rounding_sizes(u, f, w, nl: Nonlinearity) -> list[float]:
+    """The sup norms ``|u|, |w*fn(u)|, |f|`` of :func:`rounding_floor`; those of
+    a stack are the elementwise max of those of its blocks."""
+    return [float(np.abs(v).max(initial=0.0)) for v in (u, w * np.asarray(nl.fn(u), float), f)]
+
+
+def floor_of_sizes(sizes, lam: float, lap: tuple[np.ndarray, np.ndarray, np.ndarray]) -> float:
+    """:func:`rounding_floor` from its :func:`rounding_sizes`."""
+    return float(np.finfo(float).eps * ((2.0 * lap[1].max() + lam) * sizes[0]
+                                        + sizes[1] + sizes[2]))
 
 
 def _zeros(s):

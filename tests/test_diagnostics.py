@@ -3,12 +3,15 @@ import pytest
 
 from pathlib import Path
 
-from irrev import (Grid, ProblemData, Trajectory, check_energy_balance,
+from irrev import (DiscretizedData, Grid, ProblemData, Trajectory, check_energy_balance,
                    check_irreversibility, check_lewy_stampacchia,
                    check_unilateral_minimality, cli, constant_profile, energy,
                    load_trajectory, refinement_study, run_evolution, save_trajectory,
                    solve_unconstrained, step_energy)
+from irrev import model
 from irrev.diagnostics import energy_bracket, verdicts_to_json
+from irrev.grid import laplacian_diagonals
+from irrev.model import EVAL_BLOCK, ZERO_NONLINEARITY, _step_residual, rounding_floor
 from irrev.presets import nonlinearity, time_profile
 
 from helpers import smooth_values
@@ -141,6 +144,103 @@ def test_energy_bracket_peak_memory_is_a_few_blocks():
         tracemalloc.stop()
     assert peak < 5e6, peak
     assert all(np.all(np.isfinite(a)) and a.shape == (m,) for a in bracket)
+
+
+def synthetic_trajectory(n: int, m: int, seed: int) -> Trajectory:
+    """Random states and averaged data on ``n`` nodes over ``m`` steps, rows
+    scaled apart so that each sup norm peaks at its own step, and so far
+    that the rounding floor of the steps exceeds 1e-8 from ``n = 50``."""
+    g = Grid(0.0, 1.0, n)
+    rng = np.random.default_rng(seed)
+    times = np.linspace(0.0, 1.0, m + 1)
+
+    def scaled(rows):
+        return rng.normal(size=(rows, n)) * 10.0 ** rng.uniform(-1, 5, (rows, 1))
+
+    disc = DiscretizedData(m=m, tau=1.0 / m, times=times, source_avg=scaled(m),
+                           weight_avg=rng.uniform(0.0, 1.0, (m, n)),
+                           source_init=rng.normal(size=n), weight_init=rng.uniform(0.0, 1.0, n))
+    return Trajectory(grid=g, times=times, states=scaled(m + 1), multipliers=np.zeros((m, n)),
+                      energies=np.zeros(m + 1), tau=disc.tau, step_meta=(), disc=disc)
+
+
+def tied_trajectory(n: int, m: int) -> Trajectory:
+    """Constant data, under which the initial state is an equilibrium, and
+    that state lifted by one amount at one node in every third step: the
+    step verdicts' rows tie, so the first must win."""
+    traj = synthetic_trajectory(n, m, seed=6)
+    disc = traj.disc
+    z = traj.states[0]
+    f = _step_residual(z, 0.0, disc.weight_avg[0], 1.0, TANH, laplacian_diagonals(traj.grid))
+    states = np.tile(z, (m + 1, 1))
+    states[3::3, n // 2] += 1e-3
+    disc = DiscretizedData(m=m, tau=disc.tau, times=disc.times, source_avg=np.tile(f, (m, 1)),
+                           weight_avg=np.tile(disc.weight_avg[0], (m, 1)),
+                           source_init=disc.source_init, weight_init=disc.weight_init)
+    return Trajectory(grid=traj.grid, times=traj.times, states=states,
+                      multipliers=traj.multipliers, energies=traj.energies, tau=traj.tau,
+                      step_meta=(), disc=disc)
+
+
+def stacked_minimality(traj, nl, lam):
+    """:func:`check_unilateral_minimality` on the whole stack of steps at once."""
+    disc = traj.disc
+    eta = -_step_residual(traj.states[1:], disc.source_avg, disc.weight_avg, lam, nl,
+                          laplacian_diagonals(traj.grid))
+    neg = np.minimum(eta, 0.0)
+    bounds = (traj.grid.h * (neg * neg).sum(axis=1)
+              / (2.0 * nl.convexity_margin(lam, disc.weight_avg)))
+    k = int(np.argmax(bounds))
+    return bounds[k], 1e-10, (k + 1, int(np.argmin(eta[k])))
+
+
+def stacked_lewy_stampacchia(traj, lam, nl):
+    """:func:`check_lewy_stampacchia` on the whole stack of steps at once."""
+    disc = traj.disc
+    lap = laplacian_diagonals(traj.grid)
+    step = (traj.states[1:], disc.source_avg, disc.weight_avg, lam, nl, lap)
+    G = _step_residual(*step)
+    drop = _step_residual(traj.states[:-1] - step[0], 0.0, 0.0, lam, ZERO_NONLINEARITY, lap)
+    viol = np.maximum(np.minimum(-G, drop), G)
+    k, i = np.unravel_index(int(np.argmax(viol)), viol.shape)
+    worst = max(float(viol[k, i]), 0.0)
+    tol = 1e-8 if worst <= 1e-8 else max(1e-8, rounding_floor(*step))
+    return worst, tol, (int(k) + 1, int(i))
+
+
+@pytest.mark.parametrize("eval_block", [1, 250, EVAL_BLOCK])
+def test_step_verdicts_match_their_stacked_form_across_blocks(monkeypatch, moving, eval_block):
+    # the 50-node trajectories: one step a block, five, or all in one block
+    data, traj = moving
+    synthetic, tied = synthetic_trajectory(50, 40, seed=7), tied_trajectory(50, 40)
+    monkeypatch.setattr(model, "EVAL_BLOCK", eval_block)
+    for run, lam in ((traj, data.lam), (synthetic, 1.0), (tied, 1.0)):
+        for got, want in ((check_unilateral_minimality(run, TANH, lam),
+                           stacked_minimality(run, TANH, lam)),
+                          (check_lewy_stampacchia(run, lam, TANH),
+                           stacked_lewy_stampacchia(run, lam, TANH))):
+            assert (got.max_violation, got.tolerance, got.worst) == want, (got, want)
+            assert np.float64(got.max_violation).tobytes() == np.float64(want[0]).tobytes()
+    assert check_lewy_stampacchia(tied, 1.0, TANH).worst == (3, 25)
+    assert check_unilateral_minimality(tied, TANH, 1.0).worst == (3, 25)
+    assert check_lewy_stampacchia(synthetic, 1.0, TANH).tolerance > 1e-8
+
+
+@pytest.mark.parametrize("check", [check_lewy_stampacchia, check_unilateral_minimality])
+def test_step_verdict_peak_memory_is_a_few_blocks(check):
+    # states and data are made before tracing: 8.1 MB each; the stacked
+    # forms peaked at 40.2 MB (two-sided bound) and 24.0 MB (minimality)
+    import tracemalloc
+    traj = synthetic_trajectory(10001, 100, seed=5)
+    args = (traj, 1.0, TANH) if check is check_lewy_stampacchia else (traj, TANH, 1.0)
+    tracemalloc.start()
+    try:
+        v = check(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6, peak
+    assert np.isfinite(v.max_violation) and np.isfinite(v.tolerance)
 
 
 def test_energy_balance_on_runs(stationary_traj, moving):

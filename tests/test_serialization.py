@@ -1,3 +1,5 @@
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
@@ -52,10 +54,25 @@ AWKWARD = [np.nan, 0.0, -0.0, 5e-324, 1.7976931348623157e308, -1.797693134862315
            1.0, -3.0, 12345678901234567.0, 0.1, -2.5e-300]
 
 
-def reference_csv(header, rows) -> bytes:
-    """The table formatted one value at a time with ``%.17g``."""
-    lines = [",".join(header)] + [",".join("%.17g" % v for v in row) for row in rows]
-    return ("\n".join(lines) + "\n").encode()
+def assert_matches_reference(path, header, rows):
+    """The file holds the header and one line per row, each cell the shortest
+    decimal text of its value that reloads to its bits (so ``-0.0`` keeps its
+    sign), or ``nan``, ``inf``, ``-inf``; every line ends in ``\\n``."""
+    lines = path.read_bytes().decode("ascii").split("\n")
+    assert lines[0] == ",".join(header) and lines[-1] == ""
+    rows = [[float(v) for v in row] for row in rows]
+    assert len(lines) - 2 == len(rows)
+    for line, row in zip(lines[1:-1], rows):
+        cells = line.split(",")
+        assert len(cells) == len(row), line
+        for cell, v in zip(cells, row):
+            if np.isnan(v):
+                assert cell == "nan", (cell, v)
+            elif np.isinf(v):
+                assert cell == ("inf" if v > 0 else "-inf"), (cell, v)
+            else:
+                assert Decimal(cell) == Decimal(repr(v)), (cell, v)
+                assert np.float64(cell).tobytes() == np.float64(v).tobytes(), (cell, v)
 
 
 def assert_reloads_bit_exactly(path, table):
@@ -79,12 +96,12 @@ def test_writers_match_row_by_row_reference_and_reload_bit_exactly(tmp_path):
     long_path = tmp_path / "long.csv"
     write_long_csv(long_path, times, x, {"a": a, "b": b})
     rows = np.column_stack([np.repeat(times, n), np.tile(x, stamps), a.ravel(), b.ravel()])
-    assert long_path.read_bytes() == reference_csv(("t", "x", "a", "b"), rows)
+    assert_matches_reference(long_path, ("t", "x", "a", "b"), rows)
     assert_reloads_bit_exactly(long_path, rows)
 
     flat_path = tmp_path / "flat.csv"
     write_csv(flat_path, ("x", "a"), (x, a[0]))
-    assert flat_path.read_bytes() == reference_csv(("x", "a"), zip(x, a[0]))
+    assert_matches_reference(flat_path, ("x", "a"), zip(x, a[0]))
     assert_reloads_bit_exactly(flat_path, np.column_stack([x, a[0]]))
 
 
@@ -129,7 +146,7 @@ def test_long_writer_gives_each_repeated_stamp_its_own_t(tmp_path, case):
     write_long_csv(path, times, x, {"a": list(a), "b": list(b)})
     n = x.size
     rows = np.column_stack([np.repeat(times, n), np.tile(x, len(seq)), a.ravel(), b.ravel()])
-    assert path.read_bytes() == reference_csv(("t", "x", "a", "b"), rows)
+    assert_matches_reference(path, ("t", "x", "a", "b"), rows)
 
 
 def settled_trajectory():
@@ -158,7 +175,7 @@ def test_settled_trajectory_writes_and_round_trips_bit_exactly(tmp_path, stride)
     etas = np.vstack([np.full(n, np.nan), traj.multipliers])[keep]
     rows = np.column_stack([np.repeat(traj.times[keep], n), np.tile(traj.grid.nodes, len(keep)),
                             traj.states[keep].ravel(), etas.ravel()])
-    assert (tmp_path / "trajectory.csv").read_bytes() == reference_csv(("t", "x", "z", "eta"), rows)
+    assert_matches_reference(tmp_path / "trajectory.csv", ("t", "x", "z", "eta"), rows)
 
     back = load_trajectory(tmp_path)
     want = {"times": traj.times[keep], "states": traj.states[keep],
@@ -187,20 +204,26 @@ def block_sequence(case):
         ulp = tenth.copy()
         ulp[1] = np.nextafter(0.1, 1.0)
         return [(tenth, ulp), (ulp, tenth), (ulp, ulp), (tenth, tenth)]
-    if case == "repeat opens a block":  # stamp 2 repeats stamp 1 at 1 or 2 stamps a block
+    if case == "repeat opens a block":  # stamp 2 repeats stamp 1
         return [(a, b), (zero, a), (zero, a), (zero, a), (b, zero)]
-    if case == "many constant rows":    # more row templates than the writer keeps
+    if case == "many constant rows":
         rows = [(np.full(3, float(c)), np.full(3, -float(c))) for c in range(7)]
         return rows + rows[::-1]
+    if case == "inf and nan mixed":   # each "null" of the dump gets its own name back
+        mixed = np.array([np.inf, np.nan, -np.inf])
+        return [(mixed, a), (b, mixed[::-1]), (np.full(3, -np.inf), mixed), (a, b)]
     raise ValueError(case)
 
 
-@pytest.mark.parametrize("eval_block", [1, 7, EVAL_BLOCK])
+@pytest.mark.parametrize("eval_block", [1, 7, 18, EVAL_BLOCK])
 @pytest.mark.parametrize("case", ["+0.0 rows", "-0.0 rows", "nan rows", "one ulp off constant",
-                                  "repeat opens a block", "many constant rows"])
+                                  "repeat opens a block", "many constant rows",
+                                  "inf and nan mixed"])
 def test_long_writer_matches_reference_at_any_block_size(tmp_path, monkeypatch, case,
                                                          eval_block):
-    # 3 nodes: one stamp a block, two, or every stamp in one block
+    # 3 nodes and 4 columns, 12 values a stamp: one stamp a block at 1, 7
+    # and 18 (where a block of 18 values would end inside the second stamp's
+    # cells), every stamp in one block at the default
     monkeypatch.setattr(model, "EVAL_BLOCK", eval_block)
     seq = block_sequence(case)
     times = np.arange(len(seq)) / 4.0
@@ -209,5 +232,14 @@ def test_long_writer_matches_reference_at_any_block_size(tmp_path, monkeypatch, 
     path = tmp_path / "long.csv"
     write_long_csv(path, times, x, {"a": list(a), "b": b})
     rows = np.column_stack([np.repeat(times, x.size), np.tile(x, len(seq)), a.ravel(), b.ravel()])
-    assert path.read_bytes() == reference_csv(("t", "x", "a", "b"), rows)
+    assert_matches_reference(path, ("t", "x", "a", "b"), rows)
     assert_reloads_bit_exactly(path, rows)
+
+
+def test_writers_write_only_the_header_for_an_empty_table(tmp_path):
+    long_path = tmp_path / "long.csv"
+    write_long_csv(long_path, np.zeros(0), np.array([0.0, 1.0]), {"a": np.zeros((0, 2))})
+    assert long_path.read_bytes() == b"t,x,a\n"
+    flat_path = tmp_path / "flat.csv"
+    write_csv(flat_path, ("x", "a"), (np.zeros(0), np.zeros(0)))
+    assert flat_path.read_bytes() == b"x,a\n"
