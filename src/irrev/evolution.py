@@ -4,9 +4,10 @@ Each step's obstacle is the previous state, so the discrete trajectory is
 nonincreasing in time by construction.  Because the evolution is
 irreversible, the contact set changes little from one step to the next, so
 every active-set solve after the first starts from the previous step's
-contact set.  A solve with no set to start from (the first, or one after a
-step without contact) that does not settle in one sweep takes its start
-from a coarser grid (nested iteration, see :func:`irrev.obstacle.solve_step`).
+contact set.  The steps after one without contact are solved in stacks
+(:func:`irrev.obstacle.solve_free_steps`) until one has contact; that one
+goes to a solve with no set to start from, which, unless it settles in one
+sweep, takes its start from a coarser grid (nested iteration).
 The full history (states, multipliers, energies, per-step solver metadata)
 is kept in memory -- these are desk-scale runs -- and can be thinned only at
 serialization time, which writes every number in the shortest text that
@@ -29,7 +30,7 @@ import orjson
 from .grid import BC, Grid
 from .model import (QUAD_PTS, DiscretizedData, Nonlinearity, ProblemData,
                     ValidationError, discretize_time, time_blocks, validate)
-from .obstacle import ObstacleError, SolverOptions, solve_step
+from .obstacle import ObstacleError, SolverOptions, solve_free_steps, solve_step
 
 
 class EvolutionError(RuntimeError):
@@ -88,10 +89,14 @@ def run_evolution(data: ProblemData, nl: Nonlinearity, m: int,
     obstacle.  Each active-set solve after the first starts from the
     contact set of the step before; the first has none, so unless its first
     sweep settles it takes its start from a coarser grid (nested iteration,
-    :func:`~irrev.obstacle.solve_step`).  On a per-step solver failure
-    the partial trajectory built so far is attached to the raised
-    :class:`EvolutionError`.  The stored energies are evaluated after the
-    steps, one stacked pass per block of times, data and energy alike.
+    :func:`~irrev.obstacle.solve_step`).  After a step without contact the
+    next ones go to :func:`~irrev.obstacle.solve_free_steps` in stacks of
+    2, 4, 8, ... rows, up to one time block; a kept row counts one sweep,
+    and the first row not kept is solved with no set to start from, the
+    stacks starting again at 2.  On a per-step solver failure the partial
+    trajectory built so far is attached to the raised :class:`EvolutionError`.
+    The stored energies are evaluated after the steps, one stacked pass per
+    block of times, data and energy alike.
     """
     from .diagnostics import energies
 
@@ -110,8 +115,23 @@ def run_evolution(data: ProblemData, nl: Nonlinearity, m: int,
 
     states[0] = data.initial
 
-    active = None
-    for k in range(1, m + 1):
+    cap = time_blocks(m, n)[0].stop   # the most rows of one stack
+    active, block, k = None, 0, 1     # block: rows of the next stack, 0 after contact
+    while k <= m:
+        rows = slice(k - 1, min(k - 1 + block, m))
+        if block:
+            try:
+                Z, kkt = solve_free_steps(g, states[k - 1], disc.source_avg[rows],
+                                          disc.weight_avg[rows], data.lam, nl)
+            except ObstacleError:   # solve_step raises it again, or recovers
+                Z, kkt = states[:0], np.empty(0)
+            states[k:k + len(Z)] = Z
+            meta += [StepMeta(k=k + j, iters=1, kkt_residual=r, n_active=0)
+                     for j, r in enumerate(kkt.tolist())]
+            k += len(Z)
+            if k == rows.stop + 1:
+                block = min(2 * block, cap)
+                continue
         try:
             res = solve_step(g, states[k - 1], disc.source_avg[k - 1],
                              disc.weight_avg[k - 1], data.lam, nl, opts,
@@ -128,6 +148,8 @@ def run_evolution(data: ProblemData, nl: Nonlinearity, m: int,
         multipliers[k - 1] = res.eta
         meta.append(StepMeta(k=k, iters=res.iters, kkt_residual=res.kkt_residual,
                              n_active=int(res.active.size)))
+        block = 0 if active.size else min(2, cap)
+        k += 1
 
     return Trajectory(grid=g, times=disc.times, states=states,
                       multipliers=multipliers,

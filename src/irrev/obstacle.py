@@ -25,7 +25,9 @@ Most steps of a long run have no contact at all: a sweep with an empty
 active set Newton-solves on every node, and then works on whole arrays,
 with no gather, scatter or index build, doing the same floating-point
 operations in the same order as the index path would.  The solver's
-outputs do not depend on which path a sweep took, to the last bit.
+outputs do not depend on which path a sweep took, to the last bit.  Such
+a step's minimizer does not depend on the step before, so a stretch of them
+is solved as one stack of rows by the same Newton (:func:`solve_free_steps`).
 """
 
 from __future__ import annotations
@@ -134,8 +136,8 @@ def _require_coercive(wv: np.ndarray, lam: float, nl: Nonlinearity) -> None:
 
 
 def _sup_norm(v: np.ndarray) -> float:
-    """Worst nodewise |v|, through the ufunc (``ndarray.max`` wraps it in Python)."""
-    return float(np.maximum.reduce(np.abs(v), initial=0.0))
+    """Worst |v| over every axis, through the ufunc (``ndarray.max`` wraps it in Python)."""
+    return float(np.maximum.reduce(np.abs(v), axis=None, initial=0.0))
 
 
 # --------------------------------------------------------------------------
@@ -158,14 +160,19 @@ def _solve_free_jacobian(lap: tuple[np.ndarray, np.ndarray, np.ndarray],
     Laplacian's off-diagonals from ``lap``; non-adjacent free nodes decouple.
     The system goes straight to LAPACK's ``dgtsv``, the routine
     ``scipy.linalg.solve_banded`` calls for one band on either side, without
-    that wrapper's checks and copies; one free node is a division, and with
-    every node free the off-diagonals are copies of the Laplacian's.  ``jd``
-    and ``rhs`` are overwritten.
+    that wrapper's checks and copies; one free node is a division.  With
+    every node free, ``jd`` and ``rhs`` may be stacks ``(k, n)``, solved as
+    one system of ``k*n`` unknowns with zero off-diagonals at the seams
+    between rows, so the rows decouple.  ``jd`` and ``rhs`` are overwritten.
     """
     if jd.size == 1:
         return rhs / jd
     sub, diag, sup = lap
-    if jd.size == diag.size:
+    shape = rhs.shape
+    if jd.ndim == 2:   # one system, with zero off-diagonals at the seams
+        dl, du = (np.tile(np.append(d, 0.0), len(jd))[:-1] for d in (sub, sup))
+        jd, rhs = jd.ravel(), rhs.ravel()
+    elif jd.size == diag.size:
         dl, du = sub.copy(), sup.copy()
     else:
         consec = (idx[1:] - idx[:-1]) == 1
@@ -175,7 +182,7 @@ def _solve_free_jacobian(lap: tuple[np.ndarray, np.ndarray, np.ndarray],
                              overwrite_du=1, overwrite_b=1)
     if info != 0:  # pragma: no cover - SPD by margin
         raise NewtonFailure(f"singular step Jacobian (dgtsv info={info})")
-    return x
+    return x.reshape(shape)
 
 
 def _newton_on_subset(u: np.ndarray, free: np.ndarray | slice,
@@ -185,11 +192,12 @@ def _newton_on_subset(u: np.ndarray, free: np.ndarray | slice,
     """Solve G(u) = 0 on the nodes ``free``, the rest held fixed.
 
     ``free`` is a sorted index array, or :data:`_EVERY_NODE` for every node:
-    then no value is gathered or scattered, and the floating-point
-    operations are those of the index array ``arange(n)``.  The Jacobian is
-    the tridiagonal matrix -Lap + lam + w*fn'(u); its restriction to the
-    free nodes stays tridiagonal and is solved by
-    :func:`_solve_free_jacobian`.  Damped Newton with multiplicative
+    then no value is gathered or scattered, the floating-point operations
+    are those of the index array ``arange(n)``, and ``u`` and the data may be
+    stacks ``(k, n)``, whose rows decouple but share one residual norm,
+    damping and stop.  The Jacobian is the tridiagonal matrix -Lap + lam +
+    w*fn'(u); its restriction to the free nodes stays tridiagonal and is
+    solved by :func:`_solve_free_jacobian`.  Damped Newton with multiplicative
     backtracking down to :data:`TOL_NEWTON`, or, where it stops short, to
     the state's :func:`~irrev.model.rounding_floor`; returns the accepted
     state and its residual on all nodes.
@@ -333,6 +341,36 @@ def solve_step(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinearit
     raise MaxIterations(
         f"no stable active set within {opts.max_outer} sweeps "
         f"(best KKT residual {best.kkt_residual:.3g})", result=best)
+
+
+def solve_free_steps(grid: Grid, start, sources, weights, lam: float,
+                     nl: Nonlinearity) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the steps whose data are the rows of ``sources`` and ``weights``
+    ``(k, n)``, the first from the state ``start``, as if none had contact.
+
+    A step without contact minimizes its energy whatever the state before,
+    so every row starts from ``start`` in one every-node Newton.  Returns
+    the states and KKT residuals of the leading rows that pass the test of
+    :func:`solve_step`'s first sweep from no contact: the convexity margin
+    (rows from the first without it are not solved), no node above the row
+    before, and the KKT residual within :data:`TOL_KKT` or its rounding floor.
+    """
+    fv, wv = np.asarray(sources, dtype=float), np.asarray(weights, dtype=float)
+    psi = np.asarray(start, dtype=float)
+    k = int(np.logical_and.accumulate(nl.convexity_margin(lam, wv) >= MARGIN_FLOOR).sum())
+    lap = laplacian_diagonals(grid)
+    Z, G = _newton_on_subset(np.repeat(psi[None], k, axis=0), _EVERY_NODE,
+                             fv[:k], wv[:k], lam, nl, lap)
+    slack = np.concatenate([psi[None], Z])[:-1] - Z
+    kkt = np.maximum.reduce(np.abs(np.minimum(-G, slack)), axis=-1, initial=0.0)
+    clean = ~(slack < 0.0).any(axis=-1)
+    ok = clean & (kkt <= TOL_KKT)
+    for j in np.flatnonzero(~ok):   # the rest pass only within their rounding floor
+        ok[j] = clean[j] and kkt[j] <= rounding_floor(Z[j], fv[j], wv[j], lam, nl, lap)
+        if not ok[j]:
+            break
+    keep = int(np.logical_and.accumulate(ok).sum())   # the leading rows that pass
+    return Z[:keep], kkt[:keep]
 
 
 def _coarse_active(grid: Grid, psi: np.ndarray, fv: np.ndarray, wv: np.ndarray,

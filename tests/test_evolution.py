@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
+from irrev import evolution, model, obstacle
 from irrev import (EvolutionError, Grid, ProblemData, TimeProfile,
                    ValidationError, constant_profile, energy, interp_constant,
                    load_trajectory, norm_h1, run_evolution, save_trajectory,
                    solve_step, solve_unconstrained)
 from irrev.diagnostics import energies
+from irrev.evolution import StepMeta
+from irrev.obstacle import TOL_KKT
 from irrev.presets import nonlinearity, time_profile
 
 from helpers import smooth_values
@@ -116,7 +121,9 @@ def test_step_failure_attaches_partial_trajectory():
     with pytest.raises(EvolutionError) as err:
         run_evolution(data, nl, m=10, validate_first=False)
     exc = err.value
-    assert 1 <= exc.step <= 10
+    # step k averages the weight to (2k-1)/10: the margin 1 - (2k-1)/10 is
+    # first below MARGIN_FLOOR at k = 6, inside a stack of contact-free steps
+    assert exc.step == 6
     assert exc.partial.times.size == exc.step
     np.testing.assert_array_equal(exc.partial.states[0], np.zeros(5))
     partial = exc.partial
@@ -156,6 +163,107 @@ def test_warm_start_matches_cold_steps(n):
     assert min(res.active.size for res in cold) > 0
     for k, res in enumerate(cold, start=1):
         np.testing.assert_allclose(traj.states[k], res.z, rtol=0, atol=1e-12)
+
+
+def bump(x):
+    return np.exp(-((np.asarray(x) - 0.5) / 0.2) ** 2)
+
+
+def profile_data(source, n=41, horizon=1.0):
+    """Weight 1, lam 1, z0 the equilibrium of the source at t = 0."""
+    g = Grid(0.0, 1.0, n)
+    weight = constant_profile(1.0)
+    z0 = solve_unconstrained(g, source(g.nodes, 0.0), weight(g.nodes, 0.0), 1.0, TANH)
+    return ProblemData(grid=g, lam=1.0, weight=weight, source=source,
+                       initial=z0, horizon=horizon)
+
+
+def relax_data(n=41, horizon=4.0):
+    """f = 1/2 + exp(-t)*bump: the source falls everywhere, so no step has contact."""
+    return profile_data(TimeProfile(lambda x, t: 0.5 + np.exp(-t) * bump(x),
+                                    lambda x, t: -np.exp(-t) * bump(x)), n, horizon)
+
+
+def onset_data(n=41):
+    """f = 1/2 + 4*(t - 1/2)^2*bump: the source falls until t = 1/2 and rises
+    after, so contact starts in the middle of a contact-free stretch."""
+    return profile_data(TimeProfile(lambda x, t: 0.5 + 4.0 * (t - 0.5) ** 2 * bump(x),
+                                    lambda x, t: 8.0 * (t - 0.5) * bump(x)), n)
+
+
+def step_walk(data, traj, warm):
+    """``solve_step`` one step after another on the run's own step data,
+    from the last step's contact set (``warm``) or from none."""
+    states, results, active = [traj.states[0]], [], None
+    for k in range(traj.m):
+        res = solve_step(data.grid, states[-1], traj.disc.source_avg[k],
+                         traj.disc.weight_avg[k], data.lam, TANH,
+                         initial_active=active if warm else None)
+        states.append(res.z)
+        results.append(res)
+        active = res.active
+    return np.array(states), results
+
+
+def test_contact_free_stretch_matches_the_cold_walk():
+    data = relax_data()
+    traj = run_evolution(data, TANH, m=40)
+    states, cold = step_walk(data, traj, warm=False)
+    assert traj.max_movement() > 1e-3
+    np.testing.assert_allclose(traj.states, states, rtol=0, atol=1e-12)
+    assert [(s.k, s.iters, s.n_active) for s in traj.step_meta] == \
+        [(k, res.iters, res.active.size) for k, res in enumerate(cold, start=1)]
+    assert [res.active.size for res in cold] == [0] * traj.m
+    assert max(s.kkt_residual for s in traj.step_meta) <= TOL_KKT
+    assert (traj.states[1:] <= traj.states[:-1]).all()
+
+
+def test_contact_onset_in_a_stretch_matches_the_cold_walk():
+    data = onset_data()
+    traj = run_evolution(data, TANH, m=40)
+    states, cold = step_walk(data, traj, warm=False)
+    n_active = [res.active.size for res in cold]
+    assert n_active[0] == 0 and n_active[-1] > 0  # the stretch ends in contact
+    assert [s.n_active for s in traj.step_meta] == n_active
+    np.testing.assert_allclose(traj.states, states, rtol=0, atol=1e-12)
+    assert (traj.states[1:] <= traj.states[:-1]).all()
+
+
+@pytest.mark.parametrize("make", [relax_data, onset_data])
+def test_one_row_stacks_equal_the_sequential_walk(monkeypatch, make):
+    # with one time block of one row each stack starts from the state
+    # before, as the first sweep of solve_step does, to the last bit
+    monkeypatch.setattr(model, "EVAL_BLOCK", 1)
+    data = make()
+    traj = run_evolution(data, TANH, m=40)
+    states, warm = step_walk(data, traj, warm=True)
+    np.testing.assert_array_equal(traj.states, states)
+    np.testing.assert_array_equal(traj.multipliers, [res.eta for res in warm])
+    assert traj.step_meta == tuple(
+        StepMeta(k=k, iters=res.iters, kkt_residual=res.kkt_residual,
+                 n_active=int(res.active.size)) for k, res in enumerate(warm, start=1))
+
+
+def test_long_contact_free_run_takes_few_stacked_solves(monkeypatch):
+    counts = {"solve_step": 0, "stacks": 0}
+
+    def counted_step(*args, **kwargs):
+        counts["solve_step"] += 1
+        return solve_step(*args, **kwargs)
+
+    def counted_newton(u, *args):
+        counts["stacks"] += np.ndim(u) == 2
+        return newton(u, *args)
+
+    newton = obstacle._newton_on_subset
+    monkeypatch.setattr(evolution, "solve_step", counted_step)
+    monkeypatch.setattr(obstacle, "_newton_on_subset", counted_newton)
+    m = 640
+    traj = run_evolution(relax_data(horizon=40.0), TANH, m=m)
+    assert [s.n_active for s in traj.step_meta] == [0] * m
+    assert counts["solve_step"] == 1
+    # stacks of 2, 4, 8, ... rows
+    assert 1 <= counts["stacks"] <= 2 * math.ceil(math.log2(m))
 
 
 # --------------------------------------------------------------------------
