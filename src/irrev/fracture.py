@@ -131,42 +131,25 @@ def cumulative_load(grid: Grid, params: ATParams, t) -> np.ndarray:
     """H on all nodes: trapezoid integral of the load from the left end.
 
     A scalar ``t`` gives shape ``(n+2,)``, an array of times one row per
-    time.  Checks the zero-average requirement on every row (``|H(right
-    end)|`` must vanish within quadrature tolerance) and raises on the
-    first violation.
+    time.  Raises on the first row that fails :func:`_check_zero_average`.
     """
     x_full = grid.nodes_full
     H = _cumtrapz(x_full, params.load(x_full, t))
+    _check_zero_average(H, t)
+    return H
+
+
+def _check_zero_average(H: np.ndarray, t=None) -> None:
+    """Raise unless every row of ``H``, the cumulative load at the times ``t``
+    (or its space factor's), ends within quadrature tolerance of 0."""
     rows = np.atleast_2d(H)
     scale = np.abs(rows).max(axis=1)
     bad = np.flatnonzero(np.abs(rows[:, -1]) > 1e-8 * scale + 1e-14)
     if bad.size:
         i = int(bad[0])
-        raise ValueError(
-            f"load has nonzero spatial average at t={np.atleast_1d(t)[i]:.6g}: "
-            f"H(end)={rows[i, -1]:.3g} vs scale {scale[i]:.3g}")
-    return H
-
-
-def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    """``np.interp(x, xp, fp[i])`` for every row ``i`` of ``fp`` in one pass
-    (a single row when 1-D), for query points ``x`` of shape ``(n,)``, knots
-    ``xp`` in increasing order and a finite table.
-
-    The bracket of each point is found once, with ``np.interp``'s rules: a
-    point at a knot or outside ``[xp[0], xp[-1]]`` takes the table value
-    there as it stands, any other ``slope*(x - xp[j]) + fp[j]`` with
-    ``slope = (fp[j+1] - fp[j])/(xp[j+1] - xp[j])``, which is
-    ``np.interp``'s own formula, so each row equals it to the last bit.
-    """
-    j = np.searchsorted(xp, x, side="right") - 1         # xp[j] <= x < xp[j+1]
-    knot = np.clip(j, 0, xp.size - 1)
-    between = (j >= 0) & (j < xp.size - 1) & (xp[knot] != x)
-    out = fp[..., knot]
-    jb = j[between]
-    lo = fp[..., jb]
-    out[..., between] = (fp[..., jb + 1] - lo) / (xp[jb + 1] - xp[jb]) * (x[between] - xp[jb]) + lo
-    return out
+        when = "in its space factor" if t is None else f"at t={np.atleast_1d(t)[i]:.6g}"
+        raise ValueError(f"load has nonzero spatial average {when}: "
+                         f"H(end)={rows[i, -1]:.3g} vs scale {scale[i]:.3g}")
 
 
 def load_to_sigma(grid: Grid, params: ATParams) -> TimeProfile:
@@ -175,23 +158,31 @@ def load_to_sigma(grid: Grid, params: ATParams) -> TimeProfile:
 
     Grid-bound: H is integrated on the construction grid and linearly
     interpolated at requested coordinates (exact at the grid's own nodes).
-    H is integrated over the whole grid once per time (the first entry of
-    each row of the broadcast ``t``), and all its rows are interpolated at
-    the node row (:func:`~irrev.model.node_row`) in one pass.
+    A load ``space(x)*b(t)`` of one term (every load preset) has ``H = b*C``
+    with ``C`` the cumulative ``space``, integrated and checked for zero
+    average once, here: the weight is the term ``(C^2, b^2, 2*b*b')``.  Any
+    other load is integrated and interpolated row by row at each time.
     """
     x_full = grid.nodes_full
+    if len(params.load.terms) == 1:
+        space, b, db = params.load.terms[0]
+        C = _cumtrapz(x_full, np.broadcast_to(space(x_full), x_full.shape).astype(float))
+        _check_zero_average(C)
+        return TimeProfile(terms=[(lambda x: np.interp(x, x_full, C) ** 2,
+                                   None if b is None else lambda t: b(t) ** 2,
+                                   None if db is None else lambda t: 2.0 * b(t) * db(t))])
 
-    def evaluator(x, t):
-        H = cumulative_load(grid, params, t[..., 0])
-        return _interp_rows(node_row(x), x_full, H) ** 2
+    def rows(x, H):
+        xr = node_row(x)
+        return np.reshape([np.interp(xr, x_full, h) for h in H.reshape(-1, H.shape[-1])],
+                          H.shape[:-1] + xr.shape)
 
     def dt_evaluator(x, t):
-        H = cumulative_load(grid, params, t[..., 0])
         dH = _cumtrapz(x_full, params.load.dt(x_full, t[..., 0]))
-        xr = node_row(x)
-        return 2.0 * _interp_rows(xr, x_full, H) * _interp_rows(xr, x_full, dH)
+        return 2.0 * rows(x, cumulative_load(grid, params, t[..., 0])) * rows(x, dH)
 
-    return TimeProfile(evaluator, dt_evaluator)
+    return TimeProfile(lambda x, t: rows(x, cumulative_load(grid, params, t[..., 0])) ** 2,
+                       dt_evaluator)
 
 
 def recover_displacement(grid: Grid, z: np.ndarray, params: ATParams,

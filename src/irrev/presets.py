@@ -121,66 +121,47 @@ def time_profile(grid: Grid, spec: dict, where: str = "profile") -> TimeProfile:
     ``exp_relax`` (limit, bump, optional rate), ``step_t`` (before, after,
     t_switch), ``tabulated`` (times, values).
 
-    The evaluators interpolate their nodal tables once on the node row and
-    compute each time factor once per time (see :class:`TimeProfile`).
-    Every preset has its exact time derivative.  ``tabulated`` is linear in
-    t between its knots and constant outside them, so its derivative is
-    piecewise constant: at a knot the slope of the interval to its right
-    applies, and at the last knot and beyond it is 0."""
+    Every preset but ``tabulated`` is factored (:class:`TimeProfile`
+    ``terms``), with the bits of its pointwise formula, and every preset
+    has its exact time derivative.  ``tabulated`` is linear in t between
+    its knots and constant outside them, so its derivative is piecewise
+    constant: at a knot the slope of the interval to its right applies,
+    and at the last knot and beyond it is 0."""
     kind = spec.get("preset")
     x_nodes = grid.nodes
 
+    def table(name: str, p: dict):
+        vals = space_values(grid, p[name], f"{where}.{name}")
+        return lambda x: np.interp(x, x_nodes, vals)
+
     if kind == "constant":
         p = _take(spec, f"{where}:constant", optional=("value", "space"))
-        if "space" in p:
-            vals = space_values(grid, p["space"], f"{where}.space")
-            interp = lambda x, t: np.interp(node_row(x), x_nodes, vals)
-            return TimeProfile(interp, lambda x, t: np.zeros(np.shape(x)), limit=vals)
         v = float(p.get("value", 0.0))
-        return TimeProfile(lambda x, t: np.full(np.shape(x), v),
-                           lambda x, t: np.zeros(np.shape(x)),
-                           limit=np.full(grid.n, v))
+        space = table("space", p) if "space" in p else (lambda x: v)
+        return TimeProfile(terms=[(space, None, None)], limit=np.full(grid.n, space(x_nodes)))
 
     if kind == "linear_t":
         p = _take(spec, f"{where}:linear_t", required=("base", "rate"))
-        base = space_values(grid, p["base"], f"{where}.base")
-        rate = space_values(grid, p["rate"], f"{where}.rate")
-
-        def ev(x, t):
-            xr = node_row(x)
-            return np.interp(xr, x_nodes, base) + t * np.interp(xr, x_nodes, rate)
-
-        return TimeProfile(ev, lambda x, t: np.interp(node_row(x), x_nodes, rate))
+        return TimeProfile(terms=[(table("base", p), None, None),
+                                  (table("rate", p), lambda t: t, lambda t: 1.0)])
 
     if kind == "exp_relax":
         p = _take(spec, f"{where}:exp_relax", required=("limit", "bump"),
                   optional=("rate",))
-        lim = space_values(grid, p["limit"], f"{where}.limit")
-        bump = space_values(grid, p["bump"], f"{where}.bump")
+        limit, bump = table("limit", p), table("bump", p)
         r = float(p.get("rate", 1.0))
-
-        def ev(x, t):
-            xr = node_row(x)
-            return (np.interp(xr, x_nodes, lim)
-                    + np.exp(-r * time_column(t)) * np.interp(xr, x_nodes, bump))
-
-        def dev(x, t):
-            return -r * np.exp(-r * time_column(t)) * np.interp(node_row(x), x_nodes, bump)
-
-        return TimeProfile(ev, dev, limit=lim)
+        return TimeProfile(terms=[(limit, None, None), (bump, lambda t: np.exp(-r * t),
+                                                        lambda t: -r * np.exp(-r * t))],
+                           limit=limit(x_nodes))
 
     if kind == "step_t":
         p = _take(spec, f"{where}:step_t", required=("before", "after", "t_switch"))
         before, after = float(p["before"]), float(p["after"])
         ts = float(p["t_switch"])
-
-        def ev(x, t):
-            return np.where(t > ts, after, before)
-
-        # derivative is zero away from the switch; the jump itself carries
-        # the change and is invisible to pointwise sampling
-        return TimeProfile(ev, lambda x, t: np.zeros(np.shape(x)),
-                           limit=np.full(grid.n, after))
+        # no dtime, as the derivative is 0 off the switch; the jump carries the
+        # change, which the lower envelope sees in the sampled time factor
+        return TimeProfile(terms=[(lambda x: 1.0, lambda t: np.where(t > ts, after, before),
+                                   None)], limit=np.full(grid.n, after))
 
     if kind == "tabulated":
         p = _take(spec, f"{where}:tabulated", required=("times", "values"))
@@ -213,9 +194,6 @@ def time_profile(grid: Grid, spec: dict, where: str = "profile") -> TimeProfile:
             return (1 - theta) * lo + theta * hi
 
         def dev(x, t):
-            # piecewise constant: at a knot the slope of the interval that
-            # starts there applies; 0 before the first time and from the
-            # last time on, where the table is held constant
             _, j, lo, hi = bracket(x, t)
             tq = time_column(t)
             inside = (tq >= times[0]) & (tq < times[-1])
@@ -261,12 +239,6 @@ def fracture_load(spec: dict) -> TimeProfile:
         if ramp <= 0:
             raise PresetError("load ramp_time must be positive")
         shape = (lambda x: x) if kind == "ramp_linear" else (lambda x: np.sin(np.pi * x))
-
-        def ev(x, t):
-            return scale * np.minimum(time_column(t) / ramp, 1.0) * shape(node_row(x))
-
-        def dev(x, t):
-            return np.where(time_column(t) < ramp, scale / ramp, 0.0) * shape(node_row(x))
-
-        return TimeProfile(ev, dev)
+        return TimeProfile(terms=[(shape, lambda t: scale * np.minimum(t / ramp, 1.0),
+                                   lambda t: np.where(t < ramp, scale / ramp, 0.0))])
     raise PresetError(f"unknown load preset {kind!r}")

@@ -31,6 +31,18 @@ def test_check_exit_codes(tmp_path, capsys):
     assert "FAIL  coercivity_margin: " in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("after,gap", [(0.5, "0"), (1.5, "0.5")],
+                         ids=["decreasing", "increasing"])
+def test_check_accepts_a_step_source_either_way(tmp_path, capsys, after, gap):
+    # the default envelope sees the jump through the sampled variation of the
+    # step's time factor: before - |after - before| = 0.5 either way
+    cfg = with_blocks(LONGTIME)
+    cfg["problem"].update(T=1.0, f={"preset": "step_t", "before": 1.0, "after": after,
+                                    "t_switch": 0.5})
+    assert run_cli(tmp_path, "check", cfg)[0] == cli.EXIT_OK
+    assert f"PASS  source_above_floor: value={gap} " in capsys.readouterr().out
+
+
 def test_refine_writes_refinement_csv(tmp_path):
     cfg = with_blocks(RUN, refine={"m_list": [5, 10, 20], "n_list": [21, 41]})
     rc, out = run_cli(tmp_path, "refine", cfg)

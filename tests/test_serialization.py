@@ -1,3 +1,4 @@
+import dataclasses
 from decimal import Decimal
 
 import numpy as np
@@ -37,6 +38,17 @@ def test_one_stamp_partial_round_trips_bit_exactly(tmp_path):
         want, got = getattr(exc.partial, name), getattr(back, name)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
     assert back.multipliers.shape == (0, 7)
+
+
+def test_nonfinite_energies_round_trip(tmp_path):
+    # the manifest's encoder writes a non-finite number as null
+    partial = one_stamp_partial().partial
+    traj = dataclasses.replace(partial, energies=np.array([np.nan]))
+    save_trajectory(traj, tmp_path)
+    assert b"null" in (tmp_path / "trajectory.json").read_bytes()
+    back = load_trajectory(tmp_path)
+    assert back.energies.dtype == float and np.isnan(back.energies).all()
+    assert back.energies.shape == (1,)
 
 
 def test_load_rejects_a_missing_row(tmp_path):

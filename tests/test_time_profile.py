@@ -1,10 +1,16 @@
-"""The array contract of TimeProfile and the blocked evaluation of the data.
+"""The array contract of TimeProfile and the two ways the stages evaluate data.
 
 Every preset evaluated over an array of times must equal, to the last bit,
-the same preset evaluated one time at a time; and the blocked stages must
-equal the per-time loops they replaced (``reference_data``).
+the same preset evaluated one time at a time.  The blocked stages, which
+evaluate a profile at every time point, must equal the per-time loops they
+replaced (``reference_data``) to the last bit; they are pinned here on
+``tabulated`` and on copies of factored presets stripped of their terms.
+The factored stages, which average and bound each scalar time factor once,
+sum in another order, so they must equal those loops to 1e-14 of the
+data's size.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +22,7 @@ from irrev import (Grid, ProblemData, TimeProfile, default_lower_envelope, discr
                    run_evolution, run_longtime, solve_unconstrained)
 from irrev import model
 from irrev.diagnostics import check_energy_balance, energy_bracket
-from irrev.fracture import ATParams, _cumtrapz, _interp_rows, cumulative_load, load_to_sigma
+from irrev.fracture import ATParams, _cumtrapz, cumulative_load, load_to_sigma
 from irrev.model import EVAL_BLOCK, QUAD_PTS, time_blocks
 from irrev.presets import fracture_load, nonlinearity, time_profile
 
@@ -33,6 +39,18 @@ def assert_bitwise(got, want):
     got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def assert_close(got, want):
+    """Equal within 1e-14 of the largest magnitude of ``want``."""
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max(initial=0.0))
+
+
+def stripped(profile: TimeProfile) -> TimeProfile:
+    """The profile's own evaluators without its terms: the stages then take
+    the blocked path, on the same pointwise values."""
+    return TimeProfile(profile._eval, profile._dt, profile.limit)
 
 
 def time_presets(grid: Grid, knot: float) -> dict:
@@ -69,12 +87,14 @@ def profiles(kind: str, name: str, n: int, knot: float):
         grid = Grid(-1.0, 1.0, n)
         return fracture_load(load_spec(name)), grid.nodes_full
     grid = Grid(-1.0, 1.0, n)
-    params = ATParams(eps=0.1, delta=1e-3, load=fracture_load(load_spec(name)))
+    load = fracture_load(load_spec(name))
+    # "integrated": the weight of a load given by evaluators, not by terms
+    params = ATParams(eps=0.1, delta=1e-3, load=stripped(load) if kind == "integrated" else load)
     return load_to_sigma(grid, params), grid.nodes
 
 
 CASES = ([("time", name) for name in time_presets(Grid(0.0, 1.0, 1), 0.5)]
-         + [("load", name) for name in LOADS] + [("sigma", name) for name in LOADS])
+         + [(kind, name) for kind in ("load", "sigma", "integrated") for name in LOADS])
 
 
 def times_strategy(knot: float):
@@ -153,32 +173,28 @@ def query_points(grid: Grid) -> np.ndarray:
     return np.concatenate([grid.nodes, [grid.a, grid.b], mids, near, outside])
 
 
-@SETTINGS
-@given(n_knots=st.integers(2, 12), n_rows=st.integers(1, 5), data=st.data())
-def test_interp_rows_matches_np_interp_per_row(n_knots, n_rows, data):
-    value = st.one_of(st.floats(-1e6, 1e6, allow_nan=False), st.sampled_from([0.0, -0.0]))
-    xp = np.cumsum(np.array(data.draw(st.lists(st.floats(1e-3, 2.0), min_size=n_knots,
-                                                max_size=n_knots))))
-    fp = np.array(data.draw(st.lists(st.lists(value, min_size=n_knots, max_size=n_knots),
-                                     min_size=n_rows, max_size=n_rows)))
-    x = np.concatenate([xp, 0.5 * (xp[:-1] + xp[1:]), [xp[0] - 1.0, xp[-1] + 1.0],
-                        data.draw(st.lists(st.floats(-5.0, 30.0), max_size=8))])
-    assert_bitwise(_interp_rows(x, xp, fp), np.stack([np.interp(x, xp, row) for row in fp]))
-    assert_bitwise(_interp_rows(x, xp, fp[0]), np.interp(x, xp, fp[0]))
-
-
 @pytest.mark.parametrize("load", LOADS)
 @pytest.mark.parametrize("n", [1, 8, 41])
 def test_load_to_sigma_matches_per_row_interpolation(load, n):
-    """H on the construction grid, interpolated per row by np.interp, at
-    nodes, off-grid points, both endpoints and outside [a, b], for a scalar
-    t and for arrays of t."""
+    """The one-term weight ``(C^2, b^2, 2*b*b')`` of a load ``space*b``, with
+    ``C`` the cumulative space factor interpolated by np.interp, at nodes,
+    off-grid points, both endpoints and outside [a, b], for a scalar t and
+    for arrays of t; and, to rounding, H^2 and 2*H*dH/dt of the cumulative
+    load interpolated per row."""
     grid = Grid(-1.0, 1.0, n)
     params = ATParams(eps=0.1, delta=1e-3, load=fracture_load(load_spec(load)))
     sigma = load_to_sigma(grid, params)
     x, x_full = query_points(grid), grid.nodes_full
+    space, b, db = params.load.terms[0]
+    C = _cumtrapz(x_full, np.broadcast_to(space(x_full), x_full.shape).astype(float))
+    c2 = np.interp(x, x_full, C) ** 2
 
     def per_row(t):
+        if b is None:
+            return c2, np.zeros_like(c2)
+        return c2 * b(t) ** 2, c2 * (2.0 * b(t) * db(t))
+
+    def integrated(t):
         H = cumulative_load(grid, params, t)
         dH = _cumtrapz(x_full, params.load.dt(x_full, t))
         h = np.interp(x, x_full, H)
@@ -186,12 +202,13 @@ def test_load_to_sigma_matches_per_row_interpolation(load, n):
 
     for ts in (0.0, 0.35, 0.6, 2.0, np.array([0.25]),
                np.array([0.0, 0.1, 0.6, 0.59, 1.3, 0.2, 5.0])):
-        rows = [per_row(t) for t in np.atleast_1d(ts)]
-        want = [np.stack([r[i] for r in rows]) for i in (0, 1)]
-        if np.ndim(ts) == 0:
-            want = [w[0] for w in want]
-        assert_bitwise(sigma(x, ts), want[0])
-        assert_bitwise(sigma.dt(x, ts), want[1])
+        for reference, close in ((per_row, assert_bitwise), (integrated, assert_close)):
+            rows = [reference(np.float64(t)) for t in np.atleast_1d(ts)]
+            want = [np.stack([r[i] for r in rows]) for i in (0, 1)]
+            if np.ndim(ts) == 0:
+                want = [w[0] for w in want]
+            close(sigma(x, ts), want[0])
+            close(sigma.dt(x, ts), want[1])
 
 
 def interpolating_profiles(n: int):
@@ -248,20 +265,85 @@ def problem(n: int, source: dict, weight: dict, horizon: float) -> ProblemData:
                        initial=np.zeros(n), horizon=horizon)
 
 
+FACTORED = ("constant", "constant-space", "linear_t", "exp_relax", "step_t")
+
+
 @SETTINGS
 @given(n=st.sampled_from((1, 7, 101)), m=st.integers(1, 400),
        quad_pts=st.sampled_from((1, 3, QUAD_PTS)),
        source=st.sampled_from(["linear_t", "exp_relax", "step_t", "tabulated"]),
        weight=st.sampled_from(["constant-space", "exp_relax"]))
 def test_discretize_time_matches_per_step_loop(n, m, quad_pts, source, weight):
+    # the blocked path: tabulated, and the factored presets stripped of terms
     specs = time_presets(Grid(0.0, 1.0, n), 0.5)
     data = problem(n, specs[source], specs[weight], horizon=1.5)
+    data = dataclasses.replace(data, source=stripped(data.source),
+                               weight=stripped(data.weight))
     disc = discretize_time(data, m, quad_pts)
     x = data.grid.nodes
     assert_bitwise(disc.source_avg,
                    per_step_averages(data.source, x, disc.times, disc.tau, quad_pts))
     assert_bitwise(disc.weight_avg,
                    per_step_averages(data.weight, x, disc.times, disc.tau, quad_pts))
+
+
+@SETTINGS
+@given(n=st.sampled_from((1, 7, 101)), m=st.integers(1, 400),
+       quad_pts=st.sampled_from((1, 3, QUAD_PTS)), knot=st.sampled_from([0.25, 0.5]),
+       source=st.sampled_from(FACTORED), weight=st.sampled_from(FACTORED))
+def test_factored_averages_match_per_step_loop(n, m, quad_pts, knot, source, weight):
+    specs = time_presets(Grid(0.0, 1.0, n), knot)
+    data = problem(n, specs[source], specs[weight], horizon=1.5)
+    assert data.source.terms and data.weight.terms
+    disc = discretize_time(data, m, quad_pts)
+    x = data.grid.nodes
+    assert_close(disc.source_avg,
+                 per_step_averages(data.source, x, disc.times, disc.tau, quad_pts))
+    assert_close(disc.weight_avg,
+                 per_step_averages(data.weight, x, disc.times, disc.tau, quad_pts))
+
+
+@pytest.mark.parametrize("load", LOADS)
+@pytest.mark.parametrize("n", [1, 41, 1001])
+def test_factored_fracture_weight_averages_match_per_step_loop(load, n):
+    grid = Grid(-1.0, 1.0, n)
+    params = ATParams(eps=0.1, delta=1e-3, load=fracture_load(load_spec(load)))
+    data = ProblemData(grid=grid, lam=params.lam, weight=load_to_sigma(grid, params),
+                       source=model.constant_profile(params.lam), initial=np.zeros(n),
+                       horizon=1.0)
+    disc = discretize_time(data, 37)
+    # the reference integrates the load at every quadrature point
+    integrated = load_to_sigma(grid, dataclasses.replace(params, load=stripped(params.load)))
+    assert not integrated.terms
+    assert_close(disc.weight_avg, per_step_averages(integrated, grid.nodes, disc.times,
+                                                    disc.tau, QUAD_PTS))
+
+
+def test_factored_averages_evaluate_each_space_factor_once():
+    """Per profile, each space factor once for all the averages and once for
+    the value at t = 0, whatever m."""
+    n, m = 41, 6400
+    calls = []
+    specs = time_presets(Grid(0.0, 1.0, n), 0.5)
+    data = problem(n, specs["exp_relax"], specs["linear_t"], horizon=1.0)
+
+    def counted_terms(profile):
+        terms = [(counted_space(space, calls), time, dtime)
+                 for space, time, dtime in profile.terms]
+        return TimeProfile(terms=terms, limit=profile.limit)
+
+    data = dataclasses.replace(data, source=counted_terms(data.source),
+                               weight=counted_terms(data.weight))
+    discretize_time(data, m)
+    assert sorted(calls) == sorted([id(space) for profile in (data.source, data.weight)
+                                    for space, *_ in profile.terms] * 2)
+
+
+def counted_space(space, calls: list):
+    def wrapped(x):
+        calls.append(id(wrapped))
+        return space(x)
+    return wrapped
 
 
 @SETTINGS
@@ -272,8 +354,40 @@ def test_discretize_time_matches_per_step_loop(n, m, quad_pts, source, weight):
 def test_lower_envelope_matches_per_time_loop(n, n_quad, source):
     data = problem(n, time_presets(Grid(0.0, 1.0, n), 0.5)[source],
                    {"preset": "constant", "value": 1.0}, horizon=2.0)
+    data = dataclasses.replace(data, source=stripped(data.source))
     assert_bitwise(default_lower_envelope(data, n_quad=n_quad),
                    per_time_envelope(data, n_quad))
+
+
+#: a factored source that is not monotone in t: (1 + x) sin(2 pi t)
+SWINGING = TimeProfile(terms=[(lambda x: 1.0 + x, lambda t: np.sin(2.0 * np.pi * t),
+                               lambda t: 2.0 * np.pi * np.cos(2.0 * np.pi * t))])
+
+
+@SETTINGS
+@given(n=st.sampled_from((1, 7, 101)), n_quad=st.integers(1, 3000),
+       knot=st.sampled_from([0.25, 0.5, 1.5]), source=st.sampled_from(FACTORED + ("swinging",)))
+def test_factored_envelope_is_the_sampled_variation_bound(n, n_quad, knot, source):
+    """``source(x, 0) - sum |space_i| V_i`` bounds the source at every sampled
+    time; for presets monotone in t it is the integral of ``|d/dt source|``
+    to quadrature error, and for ``step_t`` exactly ``before - |after -
+    before|`` when the switch falls in [0, T)."""
+    horizon = 2.0
+    specs = time_presets(Grid(0.0, 1.0, n), knot)
+    data = problem(n, specs.get(source, specs["constant"]),
+                   {"preset": "constant", "value": 1.0}, horizon=horizon)
+    if source == "swinging":
+        data = dataclasses.replace(data, source=SWINGING)
+    env = default_lower_envelope(data, n_quad=n_quad)
+    s = np.linspace(0.0, horizon, n_quad + 1)
+    values = data.source(data.grid.nodes, s)
+    assert np.all(values - env >= -1e-14 * (1.0 + np.abs(values).max()))
+    if source == "step_t":
+        assert_bitwise(env, np.full(n, -1.0 - 3.5))
+    elif source != "swinging":
+        scale = 1.0 + np.abs(values).max()
+        assert np.abs(env - per_time_envelope(data, n_quad)).max() <= \
+            (horizon / n_quad) ** 2 * scale
 
 
 @pytest.mark.parametrize("m", [3, 40])
