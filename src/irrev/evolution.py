@@ -4,10 +4,10 @@ Each step's obstacle is the previous state, so the discrete trajectory is
 nonincreasing in time by construction.  Because the evolution is
 irreversible, the contact set changes little from one step to the next, so
 every active-set solve after the first starts from the previous step's
-contact set.  The steps after one without contact are solved in stacks
-(:func:`irrev.obstacle.solve_free_steps`) until one has contact; that one
-goes to a solve with no set to start from, which, unless it settles in one
-sweep, takes its start from a coarser grid (nested iteration).
+contact set; the first, unless it settles in one sweep, takes its start from
+a coarser grid (nested iteration).  After a step whose set held, the steps
+that keep that set are solved in stacks
+(:func:`irrev.obstacle.solve_held_steps`) until one moves it.
 The full history (states, multipliers, energies, per-step solver metadata)
 is kept in memory -- these are desk-scale runs -- and can be thinned only at
 serialization time, which writes every number in the shortest text that
@@ -30,7 +30,7 @@ import orjson
 from .grid import BC, Grid
 from .model import (QUAD_PTS, DiscretizedData, Nonlinearity, ProblemData,
                     ValidationError, discretize_time, time_blocks, validate)
-from .obstacle import ObstacleError, SolverOptions, solve_free_steps, solve_step
+from .obstacle import ObstacleError, SolverOptions, solve_held_steps, solve_step
 
 
 class EvolutionError(RuntimeError):
@@ -89,11 +89,12 @@ def run_evolution(data: ProblemData, nl: Nonlinearity, m: int,
     obstacle.  Each active-set solve after the first starts from the
     contact set of the step before; the first has none, so unless its first
     sweep settles it takes its start from a coarser grid (nested iteration,
-    :func:`~irrev.obstacle.solve_step`).  After a step without contact the
-    next ones go to :func:`~irrev.obstacle.solve_free_steps` in stacks of
-    2, 4, 8, ... rows, up to one time block; a kept row counts one sweep,
-    and the first row not kept is solved with no set to start from, the
-    stacks starting again at 2.  On a per-step solver failure the partial
+    :func:`~irrev.obstacle.solve_step`).  After a step that settled in one
+    sweep, so that its set held, the next steps go to
+    :func:`~irrev.obstacle.solve_held_steps` with that set in stacks of 2, 4,
+    8, ... rows, up to one time block; a kept row counts one sweep, the first
+    row not kept is solved from that set, and stacks start again at 2 after
+    the next one-sweep step.  On a per-step solver failure the partial
     trajectory built so far is attached to the raised :class:`EvolutionError`.
     The stored energies are evaluated after the steps, one stacked pass per
     block of times, data and energy alike.
@@ -116,17 +117,18 @@ def run_evolution(data: ProblemData, nl: Nonlinearity, m: int,
     states[0] = data.initial
 
     cap = time_blocks(m, n)[0].stop   # the most rows of one stack
-    active, block, k = None, 0, 1     # block: rows of the next stack, 0 after contact
+    active, block, k = None, 0, 1     # block: rows of the next stack, 0 after a set moved
     while k <= m:
         rows = slice(k - 1, min(k - 1 + block, m))
         if block:
             try:
-                Z, kkt = solve_free_steps(g, states[k - 1], disc.source_avg[rows],
-                                          disc.weight_avg[rows], data.lam, nl)
+                Z, eta, kkt = solve_held_steps(g, states[k - 1], active, disc.source_avg[rows],
+                                               disc.weight_avg[rows], data.lam, nl)
             except ObstacleError:   # solve_step raises it again, or recovers
-                Z, kkt = states[:0], np.empty(0)
+                Z, eta, kkt = states[:0], states[:0], np.empty(0)
             states[k:k + len(Z)] = Z
-            meta += [StepMeta(k=k + j, iters=1, kkt_residual=r, n_active=0)
+            multipliers[k - 1:k - 1 + len(Z)] = eta
+            meta += [StepMeta(k=k + j, iters=1, kkt_residual=r, n_active=int(active.size))
                      for j, r in enumerate(kkt.tolist())]
             k += len(Z)
             if k == rows.stop + 1:
@@ -148,7 +150,7 @@ def run_evolution(data: ProblemData, nl: Nonlinearity, m: int,
         multipliers[k - 1] = res.eta
         meta.append(StepMeta(k=k, iters=res.iters, kkt_residual=res.kkt_residual,
                              n_active=int(res.active.size)))
-        block = 0 if active.size else min(2, cap)
+        block = min(2, cap) if res.iters == 1 else 0
         k += 1
 
     return Trajectory(grid=g, times=disc.times, states=states,

@@ -152,6 +152,15 @@ def _check_zero_average(H: np.ndarray, t=None) -> None:
                          f"H(end)={rows[i, -1]:.3g} vs scale {scale[i]:.3g}")
 
 
+def _cumulative_space(grid: Grid, params: ATParams) -> np.ndarray:
+    """``C``, the cumulative space factor of a load ``space(x)*b(t)`` of one
+    term, checked for zero average: the load's ``H`` is ``b*C``."""
+    x_full, space = grid.nodes_full, params.load.terms[0][0]
+    C = _cumtrapz(x_full, np.broadcast_to(space(x_full), x_full.shape).astype(float))
+    _check_zero_average(C)
+    return C
+
+
 def load_to_sigma(grid: Grid, params: ATParams) -> TimeProfile:
     """Weight profile ``H(x,t)^2`` induced by the load, with its exact time
     derivative ``2*H*dH/dt``.
@@ -165,9 +174,8 @@ def load_to_sigma(grid: Grid, params: ATParams) -> TimeProfile:
     """
     x_full = grid.nodes_full
     if len(params.load.terms) == 1:
-        space, b, db = params.load.terms[0]
-        C = _cumtrapz(x_full, np.broadcast_to(space(x_full), x_full.shape).astype(float))
-        _check_zero_average(C)
+        _, b, db = params.load.terms[0]
+        C = _cumulative_space(grid, params)
         return TimeProfile(terms=[(lambda x: np.interp(x, x_full, C) ** 2,
                                    None if b is None else lambda t: b(t) ** 2,
                                    None if db is None else lambda t: 2.0 * b(t) * db(t))])
@@ -198,7 +206,11 @@ def recover_displacement(grid: Grid, z: np.ndarray, params: ATParams,
     """
     x_full = grid.nodes_full
     z_full = full_values(grid, z)
-    H = cumulative_load(grid, params, t)
+    if len(params.load.terms) == 1:   # H = b*C, as in load_to_sigma
+        b = params.load.terms[0][1] or np.ones_like
+        H = b(np.asarray(t, dtype=float)[..., None]) * _cumulative_space(grid, params)
+    else:
+        H = cumulative_load(grid, params, t)
     ux = -H / (z_full * z_full + params.delta)
     return CoupledState(z=z_full[..., 1:-1], x_full=x_full, u_full=_cumtrapz(x_full, ux),
                         ux_full=ux, sigma=H[..., 1:-1] ** 2, t=t)

@@ -21,13 +21,14 @@ guess from the same problem on a grid of half as many nodes (nested
 iteration), so a cold solve needs a number of sweeps that does not grow
 with ``n``.
 
-Most steps of a long run have no contact at all: a sweep with an empty
-active set Newton-solves on every node, and then works on whole arrays,
-with no gather, scatter or index build, doing the same floating-point
-operations in the same order as the index path would.  The solver's
-outputs do not depend on which path a sweep took, to the last bit.  Such
-a step's minimizer does not depend on the step before, so a stretch of them
-is solved as one stack of rows by the same Newton (:func:`solve_free_steps`).
+Most steps of a long run keep the contact set of the step before, often an
+empty one.  A sweep with an empty active set Newton-solves on every node and
+works on whole arrays, with no gather, scatter or index build, doing the same
+floating-point operations in the same order as the index path would, so the
+outputs do not depend on the path to the last bit.  While a set holds, its
+nodes stay on the obstacle and a step's free-node problem does not depend on
+the step before: a stretch of such steps is one stack of rows for the same
+Newton (:func:`solve_held_steps`).
 """
 
 from __future__ import annotations
@@ -160,24 +161,23 @@ def _solve_free_jacobian(lap: tuple[np.ndarray, np.ndarray, np.ndarray],
     Laplacian's off-diagonals from ``lap``; non-adjacent free nodes decouple.
     The system goes straight to LAPACK's ``dgtsv``, the routine
     ``scipy.linalg.solve_banded`` calls for one band on either side, without
-    that wrapper's checks and copies; one free node is a division.  With
-    every node free, ``jd`` and ``rhs`` may be stacks ``(k, n)``, solved as
-    one system of ``k*n`` unknowns with zero off-diagonals at the seams
-    between rows, so the rows decouple.  ``jd`` and ``rhs`` are overwritten.
+    that wrapper's checks and copies; one free node is a division.  Stacks
+    ``jd`` and ``rhs`` ``(k, len(idx))`` are one system of ``k*len(idx)``
+    unknowns, with zero off-diagonals at the seams, so the rows decouple.
+    ``jd`` and ``rhs`` are overwritten.
     """
     if jd.size == 1:
         return rhs / jd
-    sub, diag, sup = lap
-    shape = rhs.shape
-    if jd.ndim == 2:   # one system, with zero off-diagonals at the seams
-        dl, du = (np.tile(np.append(d, 0.0), len(jd))[:-1] for d in (sub, sup))
-        jd, rhs = jd.ravel(), rhs.ravel()
-    elif jd.size == diag.size:
-        dl, du = sub.copy(), sup.copy()
+    sub, _, sup = lap
+    if isinstance(idx, slice):
+        dl, du = sub.copy(), sup.copy()   # dgtsv overwrites them
     else:
         consec = (idx[1:] - idx[:-1]) == 1
-        dl = np.where(consec, sub[idx[:-1]], 0.0)
-        du = np.where(consec, sup[idx[:-1]], 0.0)
+        dl, du = (np.where(consec, d[idx[:-1]], 0.0) for d in (sub, sup))
+    shape = rhs.shape
+    if jd.ndim == 2:   # one system, with zero off-diagonals at the seams
+        dl, du = (np.tile(np.append(d, 0.0), len(jd))[:-1] for d in (dl, du))
+        jd, rhs = jd.ravel(), rhs.ravel()
     _, _, _, x, info = dgtsv(dl, jd, du, rhs, overwrite_dl=1, overwrite_d=1,
                              overwrite_du=1, overwrite_b=1)
     if info != 0:  # pragma: no cover - SPD by margin
@@ -191,21 +191,22 @@ def _newton_on_subset(u: np.ndarray, free: np.ndarray | slice,
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Solve G(u) = 0 on the nodes ``free``, the rest held fixed.
 
-    ``free`` is a sorted index array, or :data:`_EVERY_NODE` for every node:
-    then no value is gathered or scattered, the floating-point operations
-    are those of the index array ``arange(n)``, and ``u`` and the data may be
-    stacks ``(k, n)``, whose rows decouple but share one residual norm,
-    damping and stop.  The Jacobian is the tridiagonal matrix -Lap + lam +
-    w*fn'(u); its restriction to the free nodes stays tridiagonal and is
-    solved by :func:`_solve_free_jacobian`.  Damped Newton with multiplicative
-    backtracking down to :data:`TOL_NEWTON`, or, where it stops short, to
-    the state's :func:`~irrev.model.rounding_floor`; returns the accepted
+    ``free`` is a sorted index array, or :data:`_EVERY_NODE` for every node,
+    where nothing is gathered or scattered and the floating-point operations
+    are those of the index array ``arange(n)``.  ``u`` and the data may be
+    stacks ``(k, n)``, whose rows hold the same nodes and decouple but share
+    one residual norm, damping and stop.  The Jacobian is the tridiagonal
+    matrix -Lap + lam + w*fn'(u); its restriction to the free nodes stays
+    tridiagonal and is solved by :func:`_solve_free_jacobian`.  Damped Newton
+    with multiplicative backtracking down to :data:`TOL_NEWTON`; a state
+    within its :func:`~irrev.model.rounding_floor` is accepted where a full
+    step fails the Armijo test or Newton stops short.  Returns the accepted
     state and its residual on all nodes.
     A residual that is not finite at the start (non-finite data or state)
     raises :class:`NewtonFailure` at once.
     """
     G = _step_residual(u, fv, wv, lam, nl, lap)
-    g_free = G[free]
+    g_free = G[..., free]
     if g_free.size == 0:
         return u, G
     r = _sup_norm(g_free)
@@ -216,22 +217,24 @@ def _newton_on_subset(u: np.ndarray, free: np.ndarray | slice,
         return u, G
     # the Jacobian's diagonal is (lap + lam) + w*fn'(u), added in that order
     jd_fixed = lap[1][free] + lam
-    w_free = wv[free]
+    w_free = wv[..., free]
     alpha_floor = NEWTON_DAMPING ** 40
 
     for _ in range(MAX_NEWTON):
-        jd = jd_fixed + w_free * nl.deriv(u[free])
-        delta = _solve_free_jacobian(lap, free, jd, -G[free])
+        jd = jd_fixed + w_free * nl.deriv(u[..., free])
+        delta = _solve_free_jacobian(lap, free, jd, -G[..., free])
 
         alpha = 1.0
         while alpha >= alpha_floor:
             u_try = u.copy()
-            u_try[free] += delta if alpha == 1.0 else alpha * delta
+            u_try[..., free] += delta if alpha == 1.0 else alpha * delta
             G_try = _step_residual(u_try, fv, wv, lam, nl, lap)
-            r_try = _sup_norm(G_try[free])
+            r_try = _sup_norm(G_try[..., free])
             if r_try <= (1.0 - 1e-4 * alpha) * r or r_try <= TOL_NEWTON:
                 u, G, r = u_try, G_try, r_try
                 break
+            if alpha == 1.0 and r <= rounding_floor(u, fv, wv, lam, nl, lap):
+                return u, G   # rounding alone is left: no shorter step would pass
             alpha *= NEWTON_DAMPING
         else:
             failure = f"Newton stalled at residual {r:.3g} (damping floor reached)"
@@ -343,34 +346,42 @@ def solve_step(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinearit
         f"(best KKT residual {best.kkt_residual:.3g})", result=best)
 
 
-def solve_free_steps(grid: Grid, start, sources, weights, lam: float,
-                     nl: Nonlinearity) -> tuple[np.ndarray, np.ndarray]:
+def solve_held_steps(grid: Grid, start, active, sources, weights, lam: float,
+                     nl: Nonlinearity) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve the steps whose data are the rows of ``sources`` and ``weights``
-    ``(k, n)``, the first from the state ``start``, as if none had contact.
+    ``(k, n)``, the first from the state ``start``, as if each kept the
+    contact set ``active`` (sorted node indices) of the step before.
 
-    A step without contact minimizes its energy whatever the state before,
-    so every row starts from ``start`` in one every-node Newton.  Returns
-    the states and KKT residuals of the leading rows that pass the test of
-    :func:`solve_step`'s first sweep from no contact: the convexity margin
-    (rows from the first without it are not solved), no node above the row
-    before, and the KKT residual within :data:`TOL_KKT` or its rounding floor.
+    A held contact node stays on its obstacle, so such a step's free-node
+    problem does not depend on the step before: every row starts from
+    ``start``, with ``active`` held there, in one Newton on the free nodes of
+    the stack (every node if ``active`` is empty).  Returns the states,
+    multipliers and KKT residuals of the leading rows that pass the test of
+    :func:`solve_step`'s first sweep from ``active``: the convexity margin
+    (rows from the first without it are not solved), the predictor giving
+    ``active`` against the row before, and the KKT residual within
+    :data:`TOL_KKT` or its rounding floor.
     """
     fv, wv = np.asarray(sources, dtype=float), np.asarray(weights, dtype=float)
     psi = np.asarray(start, dtype=float)
+    held = np.zeros(grid.n, bool)
+    held[active] = True
+    free = (~held).nonzero()[0] if len(active) else _EVERY_NODE
     k = int(np.logical_and.accumulate(nl.convexity_margin(lam, wv) >= MARGIN_FLOOR).sum())
     lap = laplacian_diagonals(grid)
-    Z, G = _newton_on_subset(np.repeat(psi[None], k, axis=0), _EVERY_NODE,
+    Z, G = _newton_on_subset(np.repeat(psi[None], k, axis=0), free,
                              fv[:k], wv[:k], lam, nl, lap)
     slack = np.concatenate([psi[None], Z])[:-1] - Z
     kkt = np.maximum.reduce(np.abs(np.minimum(-G, slack)), axis=-1, initial=0.0)
-    clean = ~(slack < 0.0).any(axis=-1)
-    ok = clean & (kkt <= TOL_KKT)
+    eta = np.where(held, -G, 0.0)
+    same = ((eta - slack > 0.0) == held).all(axis=-1)
+    ok = same & (kkt <= TOL_KKT)
     for j in np.flatnonzero(~ok):   # the rest pass only within their rounding floor
-        ok[j] = clean[j] and kkt[j] <= rounding_floor(Z[j], fv[j], wv[j], lam, nl, lap)
+        ok[j] = same[j] and kkt[j] <= rounding_floor(Z[j], fv[j], wv[j], lam, nl, lap)
         if not ok[j]:
             break
     keep = int(np.logical_and.accumulate(ok).sum())   # the leading rows that pass
-    return Z[:keep], kkt[:keep]
+    return Z[:keep], eta[:keep], kkt[:keep]
 
 
 def _coarse_active(grid: Grid, psi: np.ndarray, fv: np.ndarray, wv: np.ndarray,

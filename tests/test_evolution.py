@@ -191,13 +191,24 @@ def onset_data(n=41):
                                     lambda x, t: 8.0 * (t - 0.5) * bump(x)), n)
 
 
-def step_walk(data, traj, warm):
+def travelling_data(n=301):
+    """f = 1 + t*sin(2 pi (x - 0.3 t)): the rising half of the source moves
+    right, so the contact set moves almost every step."""
+    def phase(x, t):
+        return 2.0 * np.pi * (np.asarray(x) - 0.3 * t)
+
+    source = TimeProfile(lambda x, t: 1.0 + t * np.sin(phase(x, t)),
+                         lambda x, t: np.sin(phase(x, t)) - 0.6 * np.pi * t * np.cos(phase(x, t)))
+    return profile_data(source, n)
+
+
+def step_walk(data, traj, warm, nl=TANH):
     """``solve_step`` one step after another on the run's own step data,
     from the last step's contact set (``warm``) or from none."""
     states, results, active = [traj.states[0]], [], None
     for k in range(traj.m):
         res = solve_step(data.grid, states[-1], traj.disc.source_avg[k],
-                         traj.disc.weight_avg[k], data.lam, TANH,
+                         traj.disc.weight_avg[k], data.lam, nl,
                          initial_active=active if warm else None)
         states.append(res.z)
         results.append(res)
@@ -229,14 +240,20 @@ def test_contact_onset_in_a_stretch_matches_the_cold_walk():
     assert (traj.states[1:] <= traj.states[:-1]).all()
 
 
-@pytest.mark.parametrize("make", [relax_data, onset_data])
-def test_one_row_stacks_equal_the_sequential_walk(monkeypatch, make):
+#: (data, nonlinearity) makers; contact is the golden run-contact config
+RUNS = {"relax_data": lambda: (relax_data(), TANH), "onset_data": lambda: (onset_data(), TANH),
+        "contact": lambda: contact_data(301)}
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_one_row_stacks_equal_the_sequential_walk(monkeypatch, name):
     # with one time block of one row each stack starts from the state
-    # before, as the first sweep of solve_step does, to the last bit
+    # before, with its contact set held, as the first sweep of solve_step
+    # does from that set, to the last bit
     monkeypatch.setattr(model, "EVAL_BLOCK", 1)
-    data = make()
-    traj = run_evolution(data, TANH, m=40)
-    states, warm = step_walk(data, traj, warm=True)
+    data, nl = RUNS[name]()
+    traj = run_evolution(data, nl, m=40)
+    states, warm = step_walk(data, traj, warm=True, nl=nl)
     np.testing.assert_array_equal(traj.states, states)
     np.testing.assert_array_equal(traj.multipliers, [res.eta for res in warm])
     assert traj.step_meta == tuple(
@@ -244,26 +261,76 @@ def test_one_row_stacks_equal_the_sequential_walk(monkeypatch, make):
                  n_active=int(res.active.size)) for k, res in enumerate(warm, start=1))
 
 
-def test_long_contact_free_run_takes_few_stacked_solves(monkeypatch):
-    counts = {"solve_step": 0, "stacks": 0}
+@pytest.mark.parametrize("name", ["contact", "onset_data"])
+def test_held_set_stretch_matches_the_warm_walk(name):
+    data, nl = RUNS[name]()
+    traj = run_evolution(data, nl, m=50)
+    states, warm = step_walk(data, traj, warm=True, nl=nl)
+    meta = [(s.k, s.iters, s.n_active) for s in traj.step_meta]
+    assert meta == [(k, res.iters, res.active.size) for k, res in enumerate(warm, start=1)]
+    # a stretch of steps that keep a nonempty contact set
+    assert sum(1 for (_, iters, n_active) in meta[1:] if iters == 1 and n_active) > 10
+    np.testing.assert_allclose(traj.states, states, rtol=0, atol=1e-12)
+    assert (traj.states[1:] <= traj.states[:-1]).all()
+    assert traj.multipliers.min() >= -TOL_KKT
+
+
+def counted_run(monkeypatch, data, nl, m):
+    """``run_evolution`` with its ``solve_step`` calls, its stacked Newton
+    runs and the stack rows it asks for and does not keep counted."""
+    counts = {"solve_step": 0, "stacks": 0, "rows_lost": 0}
 
     def counted_step(*args, **kwargs):
         counts["solve_step"] += 1
         return solve_step(*args, **kwargs)
 
+    def counted_held(grid, start, active, sources, *args):
+        out = held(grid, start, active, sources, *args)
+        counts["rows_lost"] += len(sources) - len(out[0])
+        return out
+
     def counted_newton(u, *args):
         counts["stacks"] += np.ndim(u) == 2
         return newton(u, *args)
 
-    newton = obstacle._newton_on_subset
+    newton, held = obstacle._newton_on_subset, evolution.solve_held_steps
     monkeypatch.setattr(evolution, "solve_step", counted_step)
+    monkeypatch.setattr(evolution, "solve_held_steps", counted_held)
     monkeypatch.setattr(obstacle, "_newton_on_subset", counted_newton)
+    return run_evolution(data, nl, m=m), counts
+
+
+def test_long_contact_free_run_takes_few_stacked_solves(monkeypatch):
     m = 640
-    traj = run_evolution(relax_data(horizon=40.0), TANH, m=m)
+    traj, counts = counted_run(monkeypatch, relax_data(horizon=40.0), TANH, m)
     assert [s.n_active for s in traj.step_meta] == [0] * m
     assert counts["solve_step"] == 1
     # stacks of 2, 4, 8, ... rows
     assert 1 <= counts["stacks"] <= 2 * math.ceil(math.log2(m))
+
+
+def test_held_contact_set_run_takes_two_step_solves(monkeypatch):
+    # run-contact keeps one contact set from step 1 on: step 1 finds it
+    # cold, step 2 confirms it in one sweep, and stacks solve the rest
+    m = 50
+    traj, counts = counted_run(monkeypatch, *contact_data(301), m)
+    assert min(s.n_active for s in traj.step_meta) > 0
+    assert counts["solve_step"] == 2
+    assert 1 <= counts["stacks"] <= 2 * math.ceil(math.log2(m))
+    assert counts["rows_lost"] == 0
+
+
+def test_a_moving_contact_set_wastes_few_stack_rows(monkeypatch):
+    # stacks follow only a step whose set held, so a set that moves almost
+    # every step asks for few rows that it cannot keep
+    data, nl = travelling_data(), TANH
+    traj, counts = counted_run(monkeypatch, data, nl, 200)
+    iters = [s.iters for s in traj.step_meta]
+    assert sum(i > 1 for i in iters) > 150    # the set moves
+    assert counts["rows_lost"] <= 4
+    states, warm = step_walk(data, traj, warm=True, nl=nl)
+    np.testing.assert_allclose(traj.states, states, rtol=0, atol=1e-12)
+    assert iters == [res.iters for res in warm]
 
 
 # --------------------------------------------------------------------------

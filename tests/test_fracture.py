@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from irrev import (ATParams, Grid, at_nonlinearity, check_energy_balance, constant_profile,
-                   recover_displacement, run_fracture)
+from irrev import (ATParams, Grid, TimeProfile, at_nonlinearity, check_energy_balance,
+                   constant_profile, recover_displacement, run_fracture)
 from irrev.fracture import at_energy, cumulative_load
 from irrev.presets import fracture_load
 
@@ -46,10 +48,31 @@ def test_recovery_of_a_stack_equals_its_rows():
                                   [at_energy(grid, r, params) for r in rows])
 
 
+@pytest.mark.parametrize("preset", ["ramp_sine", "ramp_linear"])
+def test_one_term_load_takes_h_from_its_space_factor(preset):
+    # with delta = 2^-10 and z = 0, u_x = -H/delta holds H exactly
+    grid = Grid(-1.0, 1.0, 201)
+    load = fracture_load({"preset": preset, "scale": 0.37, "ramp_time": 0.7})
+    params = ATParams(eps=EPS, delta=2.0 ** -10, load=load)
+    t = np.linspace(0.0, 1.5, 13)
+    H = -recover_displacement(grid, np.zeros((t.size, grid.n)), params, t).ux_full * params.delta
+    want = cumulative_load(grid, params, t)
+    assert (np.abs(H - want) <= 1e-14 * np.abs(want).max(axis=1, keepdims=True)).all()
+    single = recover_displacement(grid, np.zeros(grid.n), params, t[5])
+    np.testing.assert_array_equal(-single.ux_full * params.delta, H[5])
+
+
 def test_cumulative_load_rejects_nonzero_mean():
     params = ATParams(eps=EPS, delta=DELTA, load=constant_profile(1.0))
+    grid = Grid(-1.0, 1.0, 21)
     with pytest.raises(ValueError, match="nonzero spatial average"):
-        cumulative_load(Grid(-1.0, 1.0, 21), params, 0.5)
+        cumulative_load(grid, params, 0.5)
+    # a one-term load is checked in its space factor, any other at each time
+    with pytest.raises(ValueError, match="nonzero spatial average in its space factor"):
+        recover_displacement(grid, np.zeros(grid.n), params, 0.5)
+    unfactored = TimeProfile(lambda x, t: np.ones(np.shape(x)), lambda x, t: np.zeros(np.shape(x)))
+    with pytest.raises(ValueError, match="nonzero spatial average at t=0.5"):
+        recover_displacement(grid, np.zeros(grid.n), replace(params, load=unfactored), 0.5)
 
 
 @pytest.fixture(scope="module")
