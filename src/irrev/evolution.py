@@ -7,18 +7,24 @@ every active-set solve after the first starts from the previous step's
 contact set; the first, unless it settles in one sweep, takes its start from
 a coarser grid (nested iteration).  After a step whose set held, the steps
 that keep that set are solved in stacks
-(:func:`irrev.obstacle.solve_held_steps`) until one moves it.
+(:func:`irrev.obstacle.solve_held_steps`) until one moves it.  A step whose
+data repeat the step before's to the last bit is held and copies that
+step's state, which is exact: with the same data, the minimizer over
+``{v <= z_{k-2}}`` lies in the smaller set ``{v <= z_{k-1}}``, so it
+minimizes there too.
 The full history (states, multipliers, energies, per-step solver metadata)
 is kept in memory -- these are desk-scale runs -- and can be thinned only at
 serialization time, which writes every number in the shortest text that
-reloads to its bits, so verdicts on a reloaded run see the run itself.  The
-per-run work (the grid's operator, the stored energies) is done once, not
-per step.
+reloads to its bits, so verdicts on a reloaded run see the run itself; a
+stamp whose field rows repeat the stamp before's, as a held step's do, is
+written from that stamp's text with only its time put in.  The per-run work
+(the grid's operator, the stored energies) is done once, not per step.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -27,10 +33,12 @@ from typing import Optional, Sequence
 import numpy as np
 import orjson
 
-from .grid import BC, Grid
+from .grid import BC, Grid, laplacian_diagonals
 from .model import (QUAD_PTS, DiscretizedData, Nonlinearity, ProblemData,
-                    ValidationError, discretize_time, time_blocks, validate)
-from .obstacle import ObstacleError, SolverOptions, solve_held_steps, solve_step
+                    ValidationError, _step_residual, discretize_time, time_blocks,
+                    validate)
+from .obstacle import (ObstacleError, SolverOptions, _sup_norm, solve_held_steps,
+                       solve_step)
 
 
 class EvolutionError(RuntimeError):
@@ -94,8 +102,16 @@ def run_evolution(data: ProblemData, nl: Nonlinearity, m: int,
     :func:`~irrev.obstacle.solve_held_steps` with that set in stacks of 2, 4,
     8, ... rows, up to one time block; a kept row counts one sweep, the first
     row not kept is solved from that set, and stacks start again at 2 after
-    the next one-sweep step.  On a per-step solver failure the partial
-    trajectory built so far is attached to the raised :class:`EvolutionError`.
+    the next one-sweep step.  A step ``k >= 2`` whose ``source_avg`` and
+    ``weight_avg`` rows have the bits of step ``k-1``'s is held: ``z_{k-1}``
+    minimizes the step energy over ``{v <= z_{k-2}}``, which contains ``{v
+    <= z_{k-1}}``, so it is step ``k``'s minimizer.  A held step copies the state
+    and multiplier of the step before, keeps its contact set and is solved by
+    nothing; its :class:`StepMeta` is what :func:`~irrev.obstacle.solve_step`
+    from that set returns, one sweep with the KKT residual of the state at zero
+    slack, ``sup max(G, 0)``, and the stack sizes go on after it as before.
+    On a per-step solver failure the partial trajectory built so far is
+    attached to the raised :class:`EvolutionError`.
     The stored energies are evaluated after the steps, one stacked pass per
     block of times, data and energy alike.
     """
@@ -116,10 +132,27 @@ def run_evolution(data: ProblemData, nl: Nonlinearity, m: int,
 
     states[0] = data.initial
 
+    # row j of the step data is held when it repeats row j-1; a stretch of
+    # held rows, or of rows that are not, ends at the next edge
+    held = _repeats(disc.source_avg) & _repeats(disc.weight_avg)
+    edges = [*(np.flatnonzero(held[1:] != held[:-1]) + 1).tolist(), m]
+    lap = laplacian_diagonals(g)
+
     cap = time_blocks(m, n)[0].stop   # the most rows of one stack
     active, block, k = None, 0, 1     # block: rows of the next stack, 0 after a set moved
     while k <= m:
-        rows = slice(k - 1, min(k - 1 + block, m))
+        edge = edges[bisect_right(edges, k - 1)]
+        if held[k - 1]:   # steps k..edge repeat step k-1: they keep its state
+            states[k:edge + 1] = states[k - 1]
+            multipliers[k - 1:edge] = multipliers[k - 2]
+            G = _step_residual(states[k - 1], disc.source_avg[k - 1], disc.weight_avg[k - 1],
+                               data.lam, nl, lap)
+            kkt = _sup_norm(np.minimum(-G, 0.0))   # solve_step's, with zero slack
+            meta += [StepMeta(k=j, iters=1, kkt_residual=kkt, n_active=int(active.size))
+                     for j in range(k, edge + 1)]
+            k = edge + 1
+            continue
+        rows = slice(k - 1, min(k - 1 + block, edge))
         if block:
             try:
                 Z, eta, kkt = solve_held_steps(g, states[k - 1], active, disc.source_avg[rows],
@@ -157,6 +190,19 @@ def run_evolution(data: ProblemData, nl: Nonlinearity, m: int,
                       multipliers=multipliers,
                       energies=energies(data, nl, states, disc.times),
                       tau=disc.tau, step_meta=tuple(meta), disc=disc)
+
+
+def _repeats(rows: np.ndarray, before: Optional[np.ndarray] = None) -> np.ndarray:
+    """Whether each row of ``rows`` (its first axis) has the bits of the row
+    before; the first row is compared with ``before``, and without it never
+    repeats.  Bits, not values: ``-0.0`` does not repeat ``0.0``, and a nan
+    repeats a nan of the same payload."""
+    bits = np.reshape(rows, (len(rows), -1)).view(np.uint64)
+    same = np.zeros(len(rows), bool)
+    same[1:] = (bits[1:] == bits[:-1]).all(axis=1)
+    if before is not None and len(rows):
+        same[0] = (bits[0] == before.reshape(-1).view(np.uint64)).all()
+    return same
 
 
 # --------------------------------------------------------------------------
@@ -204,17 +250,23 @@ def _csv_rows(table: np.ndarray) -> bytes:
     width = table.shape[-1]
     chars = np.frombuffer(bytearray(orjson.dumps(table.ravel(),
                                                  option=orjson.OPT_SERIALIZE_NUMPY)), np.uint8)
-    chars[np.flatnonzero(chars == ord(","))[width - 1::width]] = ord("\n")
-    chars[-1] = ord("\n")                    # the closing "]"
-    text = chars[1:].tobytes()               # after the opening "["
-    finite = np.isfinite(table)
-    if not finite.all():
-        # orjson spells every non-finite value "null": put back each one's name
-        bad = table[~finite]
-        names = map((b"nan", b"inf", b"-inf").__getitem__, ((bad > 0) + 2 * (bad < 0)).tolist())
-        parts = text.split(b"null")
-        text = b"".join(chain.from_iterable(zip(parts, names))) + parts[-1]
-    return text
+    chars[0] = ord(",")                           # the opening "[", as the first value's separator
+    seps = np.flatnonzero(chars == ord(","))      # seps[j] is the separator before value j
+    chars[seps[width::width]] = ord("\n")
+    chars[-1] = ord("\n")                         # the closing "]"
+    bad = np.flatnonzero(~np.isfinite(table).ravel())
+    starts = (seps[bad] + 1).tolist()
+    del seps   # freed before the text is copied: a live block this size slows the copy
+    if not starts:
+        return chars[1:].tobytes()
+    # orjson spells every non-finite value "null": splice each one's name in
+    # at the start of its value
+    values = table.ravel()[bad]
+    names = map((b"nan", b"inf", b"-inf").__getitem__, ((values > 0) + 2 * (values < 0)).tolist())
+    text = memoryview(chars)
+    parts = [text[i:j] for i, j in zip([1, *(i + len(b"null") for i in starts)],
+                                       [*starts, chars.size])]
+    return b"".join([*chain.from_iterable(zip(parts, names)), parts[-1]])
 
 
 def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
@@ -234,19 +286,38 @@ def write_long_csv(path: str | Path, times: np.ndarray, x: np.ndarray,
     ``fields`` maps each column name to its rows, one ``(x.size,)`` array
     per stamp.  Values are written as by :func:`write_csv`.  The stamps are
     taken in the blocks of :func:`~irrev.model.time_blocks`, counted in
-    values, not rows: each block's rows are filled into one table and
-    written in one call, so the text held in memory is one block's.
+    values, not rows: each block's rows are filled into one table, so the
+    text held in memory is one block's.  A stamp whose field rows have the
+    bits of the stamp before's (a held step, say) prints that stamp's lines
+    after its own time, so a stretch of such stamps is written from one
+    template, the lines with ``\\0`` in each time's place, and only the times
+    are formatted; the other stamps of a block are formatted in one
+    :func:`_csv_rows` pass per stretch.
     """
     n, width = len(x), 2 + len(fields)
     with open(path, "wb") as fh:
         fh.write((",".join(["t", "x", *fields]) + "\n").encode())
+        last = None       # the block before's last stamp, without its time
+        template = None   # a stretch's template, while its stamps are the last written
         for sl in time_blocks(len(times), n * width):
             table = np.empty((sl.stop - sl.start, n, width))
-            table[..., 0] = times[sl, None]
+            table[..., 0] = 0.0   # the times go in after the stamps are compared
             table[..., 1] = x
             for j, rows in enumerate(fields.values(), 2):
                 table[..., j] = rows[sl]
-            fh.write(_csv_rows(table))
+            same = _repeats(table, last)
+            last = table[-1].copy()
+            table[..., 0] = times[sl, None]
+            edges = [0, *(np.flatnonzero(same[1:] != same[:-1]) + 1).tolist(), len(same)]
+            for a, b in zip(edges, edges[1:]):
+                if not same[a]:
+                    fh.write(_csv_rows(table[a:b]))
+                    template = None
+                    continue
+                if template is None:   # stamp a's lines are every stamp's of the stretch
+                    template = (b"\0," + _csv_rows(table[a, :, 1:]).replace(b"\n", b"\n\0,"))[:-2]
+                fh.writelines(template.replace(b"\0", t)
+                              for t in _csv_rows(times[sl][a:b, None]).split())
 
 
 def save_trajectory(traj: Trajectory, directory: str | Path,

@@ -17,6 +17,12 @@ the generic model with
 This module builds those ingredients, recovers the displacement from a
 phase field, and drives coupled quasistatic runs.
 
+A ramp load (``ramp_linear``, ``ramp_sine``) holds its value after
+``ramp_time``, so the weight has the same bits at every later time, and a
+run under it ends in a held stretch: from the second step whose interval
+lies past the ramp on, each step repeats the data of the step before, and
+:func:`irrev.evolution.run_evolution` copies its state instead of solving.
+
 Known limitation: the convexity margin ``lam - L*sup(weight)`` uses the
 global slope bound ``L = 1/(4*eps*delta^2)`` of ``fn``, while the weight
 grows with the square of the load.  For a ``ramp_sine`` load at eps = 0.1,

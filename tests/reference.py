@@ -14,15 +14,19 @@ bit, so it shares the production operator and residual and differs only in
 how the sweeps and Newton iterations are organised.  It predates the
 rounding floor: its ``opts`` must carry ``tol_kkt`` and ``max_outer``, and
 it raises a Newton stall that the production kernel may accept within the
-floor.
+floor.  :func:`plain_long_csv` is a frozen copy of the long-table writer as
+it was before repeated stamps were copied, formatting the whole table in one
+pass.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Optional
 
 import numpy as np
+import orjson
 from scipy.linalg.lapack import dgtsv
 
 from irrev import (BC, CheckVerdict, CoercivityLost, Grid, MaxIterations, NewtonFailure,
@@ -425,3 +429,43 @@ def check_comparison(data_a: ProblemData, data_b: ProblemData, nl: Nonlinearity,
     worst = max(float(gap[k, i]), 0.0)
     return CheckVerdict(name="comparison", max_violation=worst, tolerance=tol,
                         passed=worst <= tol, worst=(int(k), int(i)))
+
+
+# --------------------------------------------------------------------------
+# serialization
+# --------------------------------------------------------------------------
+
+def plain_csv_rows(table: np.ndarray) -> bytes:
+    """The rows of a float table (its last axis) as CSV text, every value in
+    its shortest round-trip text and ``nan``, ``inf``, ``-inf`` for the
+    non-finite ones: orjson's dump with every row's last separator turned
+    into a line end and each ``null`` replaced in turn by its value's name."""
+    table = np.ascontiguousarray(table, dtype=np.float64)
+    if table.size == 0:
+        return b""
+    width = table.shape[-1]
+    chars = np.frombuffer(bytearray(orjson.dumps(table.ravel(),
+                                                 option=orjson.OPT_SERIALIZE_NUMPY)), np.uint8)
+    chars[np.flatnonzero(chars == ord(","))[width - 1::width]] = ord("\n")
+    chars[-1] = ord("\n")
+    text = chars[1:].tobytes()
+    finite = np.isfinite(table)
+    if not finite.all():
+        bad = table[~finite]
+        names = map((b"nan", b"inf", b"-inf").__getitem__, ((bad > 0) + 2 * (bad < 0)).tolist())
+        parts = text.split(b"null")
+        text = b"".join(chain.from_iterable(zip(parts, names))) + parts[-1]
+    return text
+
+
+def plain_long_csv(times, x, fields: dict) -> bytes:
+    """The bytes of :func:`irrev.evolution.write_long_csv` for the same
+    arguments: the header, then the whole table of ``t, x, fields...`` rows,
+    stamp by stamp, in one :func:`plain_csv_rows` pass."""
+    times, x = np.asarray(times, dtype=float), np.asarray(x, dtype=float)
+    table = np.empty((times.size, x.size, 2 + len(fields)))
+    table[..., 0] = times[:, None]
+    table[..., 1] = x
+    for j, rows in enumerate(fields.values(), 2):
+        table[..., j] = np.reshape(rows, (times.size, x.size))
+    return (",".join(["t", "x", *fields]) + "\n").encode() + plain_csv_rows(table)

@@ -10,8 +10,9 @@ from irrev import (EvolutionError, Grid, ProblemData, TimeProfile,
                    solve_step, solve_unconstrained)
 from irrev.diagnostics import energies
 from irrev.evolution import StepMeta
+from irrev.fracture import ATParams, build_problem
 from irrev.obstacle import TOL_KKT
-from irrev.presets import nonlinearity, time_profile
+from irrev.presets import fracture_load, nonlinearity, time_profile
 
 from helpers import smooth_values
 from reference import interp_linear
@@ -277,8 +278,9 @@ def test_held_set_stretch_matches_the_warm_walk(name):
 
 def counted_run(monkeypatch, data, nl, m):
     """``run_evolution`` with its ``solve_step`` calls, its stacked Newton
-    runs and the stack rows it asks for and does not keep counted."""
-    counts = {"solve_step": 0, "stacks": 0, "rows_lost": 0}
+    runs and the stack rows it asks for (``rows``) and does not keep
+    (``rows_lost``) counted."""
+    counts = {"solve_step": 0, "stacks": 0, "rows": 0, "rows_lost": 0}
 
     def counted_step(*args, **kwargs):
         counts["solve_step"] += 1
@@ -286,6 +288,7 @@ def counted_run(monkeypatch, data, nl, m):
 
     def counted_held(grid, start, active, sources, *args):
         out = held(grid, start, active, sources, *args)
+        counts["rows"] += len(sources)
         counts["rows_lost"] += len(sources) - len(out[0])
         return out
 
@@ -331,6 +334,103 @@ def test_a_moving_contact_set_wastes_few_stack_rows(monkeypatch):
     states, warm = step_walk(data, traj, warm=True, nl=nl)
     np.testing.assert_allclose(traj.states, states, rtol=0, atol=1e-12)
     assert iters == [res.iters for res in warm]
+
+
+def fracture_data(n=101):
+    """The fracture reduction under a ``ramp_sine`` load that ramps up to
+    t = 0.55 and holds after, so every step from the first whose interval
+    lies in the hold repeats the data of the step before to the last bit."""
+    grid = Grid(-1.0, 1.0, n, "dirichlet", "dirichlet")
+    load = fracture_load({"preset": "ramp_sine", "scale": 0.009, "ramp_time": 0.55})
+    return build_problem(grid, ATParams(eps=0.1, delta=1e-3, load=load), None, 1.0)
+
+
+def rise_and_hold_data():
+    """f = 1/2 + min(t, 0.3)*(bump - 0.4): rises in the middle and falls at
+    the sides until t = 0.3, then holds, with 7 of 41 nodes in contact."""
+    return profile_data(TimeProfile(lambda x, t: 0.5 + np.minimum(t, 0.3) * (bump(x) - 0.4),
+                                    lambda x, t: (t < 0.3) * (bump(x) - 0.4))), TANH
+
+
+def ramp_hold_ramp_data():
+    """f = 1/2 + g(t)*bump with g falling on (0, 0.3), held on (0.3, 0.6) and
+    falling again: a contact-free run whose hold sits inside a stack."""
+    def g(t):
+        return 1.0 - np.minimum(t, 0.3) - np.maximum(t - 0.6, 0.0)
+
+    def dg(t):
+        return -1.0 * (t < 0.3) - 1.0 * (t > 0.6)
+
+    return profile_data(TimeProfile(lambda x, t: 0.5 + g(t) * bump(x),
+                                    lambda x, t: dg(t) * bump(x))), TANH
+
+
+HOLDS = {"fracture": fracture_data, "rise_and_hold": rise_and_hold_data}
+
+
+def held_steps(traj):
+    """The steps k >= 2 whose source and weight rows have the bits of step k-1's."""
+    bits = [v.view(np.uint64) for v in (traj.disc.source_avg, traj.disc.weight_avg)]
+    return [k for k in range(2, traj.m + 1) if all((b[k - 1] == b[k - 2]).all() for b in bits)]
+
+
+@pytest.mark.parametrize("name", list(HOLDS))
+def test_held_steps_equal_the_warm_walk_bit_for_bit(monkeypatch, name):
+    # with one-row stacks every solved step is the walk's own solve, so the
+    # held copies must be what solve_step returns from the state before
+    monkeypatch.setattr(model, "EVAL_BLOCK", 1)
+    data, nl = HOLDS[name]()
+    traj = run_evolution(data, nl, m=100)
+    held = held_steps(traj)
+    assert len(held) > 40 and held[-1] == traj.m
+    assert all(traj.step_meta[k - 1].n_active == (7 if name == "rise_and_hold" else 0)
+               for k in held)
+    states, warm = step_walk(data, traj, warm=True, nl=nl)
+    np.testing.assert_array_equal(traj.states, states)
+    np.testing.assert_array_equal(traj.multipliers, [res.eta for res in warm])
+    assert traj.step_meta == tuple(
+        StepMeta(k=k, iters=res.iters, kkt_residual=res.kkt_residual,
+                 n_active=int(res.active.size)) for k, res in enumerate(warm, start=1))
+
+
+@pytest.mark.parametrize("name", list(HOLDS))
+def test_held_steps_copy_the_step_before_and_call_no_solver(monkeypatch, name):
+    data, nl = HOLDS[name]()
+    m = 100
+    traj, counts = counted_run(monkeypatch, data, nl, m)
+    held = held_steps(traj)
+    assert len(held) > 40
+    # every solver row, in solve_step or in a stack, is a step that is not held
+    assert counts["solve_step"] + counts["rows"] - counts["rows_lost"] == m - len(held)
+    for k in held:
+        assert traj.states[k].tobytes() == traj.states[k - 1].tobytes()
+        assert traj.multipliers[k - 1].tobytes() == traj.multipliers[k - 2].tobytes()
+        # what solve_step returns from the run's own state before and its set
+        res = solve_step(data.grid, traj.states[k - 1], traj.disc.source_avg[k - 1],
+                         traj.disc.weight_avg[k - 1], data.lam, nl,
+                         initial_active=np.flatnonzero(traj.multipliers[k - 2] > 0))
+        assert res.z.tobytes() == traj.states[k].tobytes()
+        assert res.eta.tobytes() == traj.multipliers[k - 1].tobytes()
+        assert traj.step_meta[k - 1] == StepMeta(k=k, iters=res.iters, kkt_residual=res.kkt_residual,
+                                                 n_active=int(res.active.size))
+
+
+def test_a_hold_inside_a_stack_loses_no_stack_row(monkeypatch):
+    # the stack from step 16 to 31 starts inside the hold (steps 14 to 24);
+    # stacked from their start, the held rows moved a few ulps above it and
+    # were lost, 26 rows over the run with four solve_step calls, until the
+    # held steps were copied out of the stacks
+    data, nl = ramp_hold_ramp_data()
+    m = 40
+    traj, counts = counted_run(monkeypatch, data, nl, m)
+    held = held_steps(traj)
+    assert held == list(range(14, 25))
+    assert [s.n_active for s in traj.step_meta] == [0] * m
+    assert counts["solve_step"] == 1 and counts["rows_lost"] == 0
+    assert counts["rows"] == m - 1 - len(held)
+    states, cold = step_walk(data, traj, warm=False)
+    np.testing.assert_allclose(traj.states, states, rtol=0, atol=1e-12)
+    assert (traj.states[1:] <= traj.states[:-1]).all()
 
 
 # --------------------------------------------------------------------------

@@ -8,11 +8,12 @@ from irrev import (EvolutionError, Grid, ProblemData, TimeProfile,
                    constant_profile, load_trajectory, run_evolution, save_trajectory,
                    solve_unconstrained)
 from irrev import model
-from irrev.evolution import write_csv, write_long_csv
+from irrev.evolution import _csv_rows, write_csv, write_long_csv
 from irrev.model import EVAL_BLOCK
 from irrev.presets import nonlinearity
 
 from helpers import smooth_values
+from reference import plain_csv_rows, plain_long_csv
 
 
 def one_stamp_partial() -> EvolutionError:
@@ -159,6 +160,7 @@ def test_long_writer_gives_each_repeated_stamp_its_own_t(tmp_path, case):
     n = x.size
     rows = np.column_stack([np.repeat(times, n), np.tile(x, len(seq)), a.ravel(), b.ravel()])
     assert_matches_reference(path, ("t", "x", "a", "b"), rows)
+    assert path.read_bytes() == plain_long_csv(times, x, {"a": a, "b": b})
 
 
 def settled_trajectory():
@@ -246,6 +248,7 @@ def test_long_writer_matches_reference_at_any_block_size(tmp_path, monkeypatch, 
     rows = np.column_stack([np.repeat(times, x.size), np.tile(x, len(seq)), a.ravel(), b.ravel()])
     assert_matches_reference(path, ("t", "x", "a", "b"), rows)
     assert_reloads_bit_exactly(path, rows)
+    assert path.read_bytes() == plain_long_csv(times, x, {"a": a, "b": b})
 
 
 def test_writers_write_only_the_header_for_an_empty_table(tmp_path):
@@ -255,3 +258,76 @@ def test_writers_write_only_the_header_for_an_empty_table(tmp_path):
     flat_path = tmp_path / "flat.csv"
     write_csv(flat_path, ("x", "a"), (np.zeros(0), np.zeros(0)))
     assert flat_path.read_bytes() == b"x,a\n"
+
+
+def nonfinite_table(case):
+    """A (4, 3) table of finite values with the non-finite ones of ``case``."""
+    table = np.random.default_rng(5).normal(size=(4, 3))
+    if case == "first and last value":
+        table[0, 0], table[-1, -1] = np.nan, -np.inf
+    elif case == "side by side":
+        table[1] = [np.inf, np.nan, -np.inf]
+        table[2, 0] = np.nan
+    elif case == "whole row":
+        table[2] = np.nan
+    elif case == "every value":
+        table[:] = np.inf
+    elif case == "one value":
+        table = np.array([[-np.inf]])
+    return table
+
+
+@pytest.mark.parametrize("case", ["first and last value", "side by side", "whole row",
+                                  "every value", "one value"])
+def test_csv_rows_names_nonfinite_values_as_the_plain_writer(case):
+    table = nonfinite_table(case)
+    assert _csv_rows(table) == plain_csv_rows(table)
+    # a block of rows whose last stamp ends in a non-finite value
+    assert _csv_rows(table[:, None]) == plain_csv_rows(table[:, None])
+
+
+#: times whose shortest texts differ in length, or are not numbers
+ODD_TIMES = [0.5, 0.51, 0.5800000000000001, 0.30000000000000004, 1.0, 1e-07, -0.0, 12.25,
+             np.nan, np.inf, -np.inf, 5e-324, 3.0, 0.1]
+
+
+def held_stamp_case(case):
+    """Times, nodes and field rows ``(a, b)`` per stamp, with stretches of
+    stamps whose field rows have the bits of the stamp before's."""
+    rng = np.random.default_rng(4)
+    x = np.array([0.0, 0.25, 0.5])
+    a, b, c = rng.normal(size=(3, 3))
+    nan = np.full(3, np.nan)
+    if case == "held from stamp 1":
+        seq = [(a, b)] * 5 + [(b, c), (a, c)]
+    elif case == "held across blocks":
+        seq = [(a, b)] + [(c, b)] * 9 + [(a, a)] * 4
+    elif case == "time texts of many lengths":
+        seq = [(a, b)] + [(c, a)] * (len(ODD_TIMES) - 1)
+    elif case == "0.0 to -0.0":       # equal in value, not in bits: not held
+        zero, neg = a.copy(), a.copy()
+        zero[1], neg[1] = 0.0, -0.0
+        seq = [(zero, b), (zero, b), (neg, b), (neg, b), (zero, b)]
+    elif case == "nan fields":
+        seq = [(a, nan), (a, nan), (nan, nan), (nan, nan), (nan, b), (a, b), (a, b)]
+    elif case == "n = 1":
+        x = x[:1]
+        seq = [(v[:1], w[:1]) for v, w in [(a, b)] * 4 + [(c, b)] + [(c, a)] * 3]
+    else:
+        raise ValueError(case)
+    return np.array(ODD_TIMES[:len(seq)]), x, {"a": [v for v, _ in seq], "b": [w for _, w in seq]}
+
+
+@pytest.mark.parametrize("eval_block", [1, 24, 36, EVAL_BLOCK])
+@pytest.mark.parametrize("case", ["held from stamp 1", "held across blocks",
+                                  "time texts of many lengths", "0.0 to -0.0", "nan fields",
+                                  "n = 1"])
+def test_long_writer_matches_the_plain_writer_byte_for_byte(tmp_path, monkeypatch, case,
+                                                           eval_block):
+    # 3 nodes and 4 columns, 12 values a stamp: one stamp a block at 1, two
+    # at 24 and three at 36, so stretches of held stamps cross blocks
+    monkeypatch.setattr(model, "EVAL_BLOCK", eval_block)
+    times, x, fields = held_stamp_case(case)
+    path = tmp_path / "long.csv"
+    write_long_csv(path, times, x, fields)
+    assert path.read_bytes() == plain_long_csv(times, x, fields)
