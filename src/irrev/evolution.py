@@ -37,7 +37,7 @@ from .grid import BC, Grid, laplacian_diagonals
 from .model import (QUAD_PTS, DiscretizedData, Nonlinearity, ProblemData,
                     ValidationError, _step_residual, discretize_time, time_blocks,
                     validate)
-from .obstacle import (ObstacleError, SolverOptions, _sup_norm, solve_held_steps,
+from .obstacle import (ObstacleError, SolverOptions, _sweep_certificate, solve_held_steps,
                        solve_step)
 
 
@@ -147,7 +147,7 @@ def run_evolution(data: ProblemData, nl: Nonlinearity, m: int,
             multipliers[k - 1:edge] = multipliers[k - 2]
             G = _step_residual(states[k - 1], disc.source_avg[k - 1], disc.weight_avg[k - 1],
                                data.lam, nl, lap)
-            kkt = _sup_norm(np.minimum(-G, 0.0))   # solve_step's, with zero slack
+            kkt = float(_sweep_certificate(states[k - 1], G, states[k - 1], False)[1])
             meta += [StepMeta(k=j, iters=1, kkt_residual=kkt, n_active=int(active.size))
                      for j in range(k, edge + 1)]
             k = edge + 1

@@ -21,14 +21,15 @@ guess from the same problem on a grid of half as many nodes (nested
 iteration), so a cold solve needs a number of sweeps that does not grow
 with ``n``.
 
-Most steps of a long run keep the contact set of the step before, often an
-empty one.  A sweep with an empty active set Newton-solves on every node and
-works on whole arrays, with no gather, scatter or index build, doing the same
-floating-point operations in the same order as the index path would, so the
-outputs do not depend on the path to the last bit.  While a set holds, its
-nodes stay on the obstacle and a step's free-node problem does not depend on
-the step before: a stretch of such steps is one stack of rows for the same
-Newton (:func:`solve_held_steps`).
+Every sweep and every stack of steps runs the same Newton on whole arrays:
+a held node (one of the active set) is an identity row of the Jacobian
+with a zero right-hand side, cut from its neighbours, so it keeps its bits
+and the free nodes get the floating-point operations of their own
+subsystem; an empty set is a mask with no node held.  While a set holds,
+its nodes stay on the obstacle and a step's free-node problem does not
+depend on the step before: a stretch of such steps is one stack of rows for
+the same Newton (:func:`solve_held_steps`), certified by the same sweep test
+as :func:`solve_step`.
 """
 
 from __future__ import annotations
@@ -136,44 +137,36 @@ def _require_coercive(wv: np.ndarray, lam: float, nl: Nonlinearity) -> None:
         raise CoercivityLost(margin)
 
 
-def _sup_norm(v: np.ndarray) -> float:
-    """Worst |v| over every axis, through the ufunc (``ndarray.max`` wraps it in Python)."""
-    return float(np.maximum.reduce(np.abs(v), axis=None, initial=0.0))
+def _sup_norm(v: np.ndarray, where=True) -> float:
+    """Worst |v| over every axis, on the entries ``where`` flags, through the
+    ufunc (``ndarray.max`` wraps it in Python)."""
+    return float(np.maximum.reduce(np.abs(v), axis=None, initial=0.0, where=where))
 
 
 # --------------------------------------------------------------------------
 # Newton inner solve on a node subset
 # --------------------------------------------------------------------------
 
-#: ``free`` of :func:`_newton_on_subset` when every node is free
-_EVERY_NODE = slice(None)
-#: the contact set of a step that starts from none
-_NO_NODE = np.zeros(0, np.intp)
-
-
 def _solve_free_jacobian(lap: tuple[np.ndarray, np.ndarray, np.ndarray],
-                         idx: np.ndarray | slice, jd: np.ndarray,
+                         free: np.ndarray, jd: np.ndarray,
                          rhs: np.ndarray) -> np.ndarray:
-    """Solve the Newton system on the free nodes ``idx`` (sorted indices, or
-    :data:`_EVERY_NODE`).
+    """Solve the Newton system on whole arrays: the diagonal ``jd``, and the
+    Laplacian's off-diagonals from ``lap`` between adjacent nodes that the
+    mask ``free`` flags, zero elsewhere, so a held node is a row of its own.
 
-    The matrix has the diagonal ``jd`` and, between adjacent free nodes, the
-    Laplacian's off-diagonals from ``lap``; non-adjacent free nodes decouple.
-    The system goes straight to LAPACK's ``dgtsv``, the routine
-    ``scipy.linalg.solve_banded`` calls for one band on either side, without
-    that wrapper's checks and copies; one free node is a division.  Stacks
-    ``jd`` and ``rhs`` ``(k, len(idx))`` are one system of ``k*len(idx)``
-    unknowns, with zero off-diagonals at the seams, so the rows decouple.
-    ``jd`` and ``rhs`` are overwritten.
+    LAPACK's ``dgtsv`` (what ``scipy.linalg.solve_banded`` calls for one band
+    on either side, without its checks and copies) carries nothing across a
+    zero off-diagonal: the free nodes get the operations of their own
+    subsystem, and a held row with ``jd`` 1 and ``rhs`` 0 solves to 0.  One
+    node is a division.  Stacks ``(k, n)`` are one system with zero
+    off-diagonals at the seams, so the rows decouple.  ``jd`` and ``rhs``
+    are overwritten.
     """
     if jd.size == 1:
         return rhs / jd
     sub, _, sup = lap
-    if isinstance(idx, slice):
-        dl, du = sub.copy(), sup.copy()   # dgtsv overwrites them
-    else:
-        consec = (idx[1:] - idx[:-1]) == 1
-        dl, du = (np.where(consec, d[idx[:-1]], 0.0) for d in (sub, sup))
+    both = free[1:] & free[:-1]
+    dl, du = (np.where(both, d, 0.0) for d in (sub, sup))
     shape = rhs.shape
     if jd.ndim == 2:   # one system, with zero off-diagonals at the seams
         dl, du = (np.tile(np.append(d, 0.0), len(jd))[:-1] for d in (dl, du))
@@ -185,51 +178,44 @@ def _solve_free_jacobian(lap: tuple[np.ndarray, np.ndarray, np.ndarray],
     return x.reshape(shape)
 
 
-def _newton_on_subset(u: np.ndarray, free: np.ndarray | slice,
+def _newton_on_subset(u: np.ndarray, free: np.ndarray,
                       fv: np.ndarray, wv: np.ndarray, lam: float, nl: Nonlinearity,
                       lap: tuple[np.ndarray, np.ndarray, np.ndarray]
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve G(u) = 0 on the nodes ``free``, the rest held fixed.
+    """Solve G(u) = 0 on the nodes the mask ``free`` flags, the rest held.
 
-    ``free`` is a sorted index array, or :data:`_EVERY_NODE` for every node,
-    where nothing is gathered or scattered and the floating-point operations
-    are those of the index array ``arange(n)``.  ``u`` and the data may be
-    stacks ``(k, n)``, whose rows hold the same nodes and decouple but share
-    one residual norm, damping and stop.  The Jacobian is the tridiagonal
-    matrix -Lap + lam + w*fn'(u); its restriction to the free nodes stays
-    tridiagonal and is solved by :func:`_solve_free_jacobian`.  Damped Newton
-    with multiplicative backtracking down to :data:`TOL_NEWTON`; a state
-    within its :func:`~irrev.model.rounding_floor` is accepted where a full
-    step fails the Armijo test or Newton stops short.  Returns the accepted
-    state and its residual on all nodes.
-    A residual that is not finite at the start (non-finite data or state)
-    raises :class:`NewtonFailure` at once.
+    ``u`` and the data may be stacks ``(k, n)``, whose rows decouple but
+    share one residual norm, damping and stop.  The Jacobian is the
+    tridiagonal -Lap + lam + w*fn'(u) on free nodes and the identity, with
+    a zero right-hand side, on held ones (:func:`_solve_free_jacobian`);
+    updates go through the mask, so a held node keeps its bits, ``-0.0``
+    included.  Damped Newton with multiplicative backtracking down to
+    :data:`TOL_NEWTON` in the free-node residual; a state within its
+    :func:`~irrev.model.rounding_floor` is accepted where a full step fails
+    the Armijo test or Newton stops short.  Returns the accepted state and
+    its residual on all nodes.  A free-node residual that is not finite at
+    the start (non-finite data or state) raises :class:`NewtonFailure` at once.
     """
     G = _step_residual(u, fv, wv, lam, nl, lap)
-    g_free = G[..., free]
-    if g_free.size == 0:
-        return u, G
-    r = _sup_norm(g_free)
+    r = _sup_norm(G, free)
     if not math.isfinite(r):
         raise NewtonFailure(f"non-finite residual {r} on the free nodes: "
                             "the step data or state is not finite")
     if r <= TOL_NEWTON:
         return u, G
     # the Jacobian's diagonal is (lap + lam) + w*fn'(u), added in that order
-    jd_fixed = lap[1][free] + lam
-    w_free = wv[..., free]
+    jd_fixed = lap[1] + lam
     alpha_floor = NEWTON_DAMPING ** 40
 
     for _ in range(MAX_NEWTON):
-        jd = jd_fixed + w_free * nl.deriv(u[..., free])
-        delta = _solve_free_jacobian(lap, free, jd, -G[..., free])
+        jd = np.where(free, jd_fixed + wv * nl.deriv(u), 1.0)
+        delta = _solve_free_jacobian(lap, free, jd, np.where(free, -G, 0.0))
 
         alpha = 1.0
         while alpha >= alpha_floor:
-            u_try = u.copy()
-            u_try[..., free] += delta if alpha == 1.0 else alpha * delta
+            u_try = np.where(free, u + (delta if alpha == 1.0 else alpha * delta), u)
             G_try = _step_residual(u_try, fv, wv, lam, nl, lap)
-            r_try = _sup_norm(G_try[..., free])
+            r_try = _sup_norm(G_try, free)
             if r_try <= (1.0 - 1e-4 * alpha) * r or r_try <= TOL_NEWTON:
                 u, G, r = u_try, G_try, r_try
                 break
@@ -254,12 +240,39 @@ def solve_unconstrained(grid: Grid, source, weight, lam: float, nl: Nonlinearity
     wv = np.asarray(weight, dtype=float)
     _require_coercive(wv, lam, nl)
     lap = laplacian_diagonals(grid)
-    return _newton_on_subset(np.zeros(grid.n), _EVERY_NODE, fv, wv, lam, nl, lap)[0]
+    return _newton_on_subset(np.zeros(grid.n), np.ones(grid.n, bool), fv, wv, lam, nl, lap)[0]
 
 
 # --------------------------------------------------------------------------
 # primal-dual active set
 # --------------------------------------------------------------------------
+
+def _sweep_certificate(u: np.ndarray, G: np.ndarray, psi: np.ndarray, held
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A sweep's multiplier, KKT residual and predicted contact set, from the
+    state ``u`` (or a stack ``(k, n)``), its residual ``G``, the obstacle
+    ``psi`` and the mask ``held`` of the nodes held on it (``False`` for
+    none).
+
+    All come from one ``-G`` and one ``slack = psi - u``: the multiplier is
+    ``-G`` on held nodes and 0 elsewhere, the KKT residual the worst
+    ``|min(-G, slack)|`` per row (a 0-d array for one state), and the
+    predicted set ``eta - slack > 0``, which equals ``eta + (u - psi) > 0``
+    to the last bit, rounding being sign-symmetric.
+    """
+    neg_g = -G
+    slack = psi - u
+    kkt = np.maximum.reduce(np.abs(np.minimum(neg_g, slack)), axis=-1, initial=0.0)
+    eta = np.where(held, neg_g, 0.0)
+    return eta, kkt, (eta - slack) > 0.0
+
+
+def _settled(kkt: float, u: np.ndarray, fv: np.ndarray, wv: np.ndarray, lam: float,
+             nl: Nonlinearity, lap: tuple[np.ndarray, np.ndarray, np.ndarray]) -> bool:
+    """Whether the KKT residual ``kkt`` of the state ``u`` is within
+    :data:`TOL_KKT` or the rounding floor of the state and its data."""
+    return kkt <= TOL_KKT or kkt <= rounding_floor(u, fv, wv, lam, nl, lap)
+
 
 def solve_step(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinearity,
                opts: Optional[SolverOptions] = None,
@@ -269,19 +282,13 @@ def solve_step(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinearit
     Starting from a caller-supplied active-set guess
     (:func:`irrev.evolution.run_evolution` passes the previous step's
     contact set, from which a sweep or two usually suffice) or from none,
-    each sweep fixes the active nodes on the obstacle, Newton-solves the
-    force balance on the rest, recovers the multiplier on the active set and
-    re-predicts it from ``eta + (u - psi) > 0`` (only signs enter, so a
-    scaling constant on ``u - psi`` would select the same set).  Terminates
-    when the set is stable and the KKT residual of the accepted state (from
-    Newton's residual) is within :data:`TOL_KKT` or the state's rounding floor.
-
-    A sweep's bookkeeping comes from one ``-G`` and one ``slack = psi - u``:
-    the KKT residual, the multiplier, and the predictor, evaluated as
-    ``eta - slack > 0``, which equals ``eta + (u - psi)`` to the last bit.
-    A sweep with no active node runs the Newton solve on whole arrays
-    (every node free), its multiplier is zero and its predictor reduces to
-    ``slack < 0``.
+    each sweep holds the active nodes on the obstacle, Newton-solves the
+    force balance on the rest, and takes the multiplier, the KKT residual
+    and the next set (re-predicted from ``eta + (u - psi) > 0``; only signs
+    enter, so a scaling constant on ``u - psi`` would select the same set)
+    from :func:`_sweep_certificate`.  Terminates when the set is stable and
+    the KKT residual of the accepted state is within :data:`TOL_KKT` or the
+    state's rounding floor (:func:`_settled`).
 
     From an empty set the contact boundary moves about one node per sweep.
     So when the first sweep from an empty set does not settle, the second
@@ -302,45 +309,26 @@ def solve_step(grid: Grid, obstacle, source, weight, lam: float, nl: Nonlinearit
     _require_coercive(wv, lam, nl)
     lap = laplacian_diagonals(grid)
 
-    # the mask is read only while the set is not empty
-    active, act = None, _NO_NODE
-    if initial_active is not None and len(initial_active):
-        active = np.zeros(grid.n, bool)
-        active[np.asarray(initial_active, dtype=int)] = True
-        act = active.nonzero()[0]
+    held = np.zeros(grid.n, bool)
+    if initial_active is not None:
+        held[np.asarray(initial_active, dtype=int)] = True
 
-    u = psi.copy()
+    u = psi
     best: Optional[ObstacleResult] = None
     for outer in range(1, opts.max_outer + 1):
-        if act.size:
-            u[act] = psi[act]
-            free = (~active).nonzero()[0]
-        else:
-            free = _EVERY_NODE
-        u, G = _newton_on_subset(u, free, fv, wv, lam, nl, lap)
-        neg_g = -G
-        slack = psi - u
-        kkt = _sup_norm(np.minimum(neg_g, slack))
-        # eta - slack is eta + (u - psi) to the last bit: rounding is sign-symmetric
-        if act.size:
-            eta = np.where(active, neg_g, 0.0)
-            new_active = (eta - slack) > 0.0
-        else:
-            eta = np.zeros(grid.n)
-            new_active = slack < 0.0
-        new_act = new_active.nonzero()[0]
-        stable = new_act.size == act.size and (not act.size or (new_act == act).all())
-        if stable and (kkt <= TOL_KKT or kkt <= rounding_floor(u, fv, wv, lam, nl, lap)):
-            return ObstacleResult(z=u, eta=eta, active=act, iters=outer, kkt_residual=kkt)
-        if best is None or kkt < best.kkt_residual:
-            # the next sweep writes into u, and the best result must keep its own
-            best = ObstacleResult(z=u.copy(), eta=eta, active=act, iters=outer,
-                                  kkt_residual=kkt)
+        # a fresh state every sweep, so a result keeps its own
+        u, G = _newton_on_subset(np.where(held, psi, u), ~held, fv, wv, lam, nl, lap)
+        eta, kkt, new_held = _sweep_certificate(u, G, psi, held)
+        result = ObstacleResult(z=u, eta=eta, active=held.nonzero()[0], iters=outer,
+                                kkt_residual=float(kkt))
+        if (new_held == held).all() and _settled(result.kkt_residual, u, fv, wv, lam, nl, lap):
+            return result
+        if best is None or result.kkt_residual < best.kkt_residual:
+            best = result
         if (outer == 1 and opts.max_outer > 1 and (grid.n - 1) // 2 >= COARSEST_N
-                and not act.size):
-            new_active = _coarse_active(grid, psi, fv, wv, lam, nl, opts, new_active)
-            new_act = new_active.nonzero()[0]
-        active, act = new_active, new_act
+                and not held.any()):
+            new_held = _coarse_active(grid, psi, fv, wv, lam, nl, opts, new_held)
+        held = new_held
     raise MaxIterations(
         f"no stable active set within {opts.max_outer} sweeps "
         f"(best KKT residual {best.kkt_residual:.3g})", result=best)
@@ -354,33 +342,27 @@ def solve_held_steps(grid: Grid, start, active, sources, weights, lam: float,
 
     A held contact node stays on its obstacle, so such a step's free-node
     problem does not depend on the step before: every row starts from
-    ``start``, with ``active`` held there, in one Newton on the free nodes of
-    the stack (every node if ``active`` is empty).  Returns the states,
-    multipliers and KKT residuals of the leading rows that pass the test of
-    :func:`solve_step`'s first sweep from ``active``: the convexity margin
-    (rows from the first without it are not solved), the predictor giving
-    ``active`` against the row before, and the KKT residual within
-    :data:`TOL_KKT` or its rounding floor.
+    ``start``, with ``active`` held there, in one Newton on the stack.
+    Returns the states, multipliers and KKT residuals of the leading rows
+    that pass the test of :func:`solve_step`'s first sweep from ``active``:
+    the convexity margin (rows from the first without it are not solved),
+    and, from :func:`_sweep_certificate` against the row before, the
+    predictor giving ``active`` and the KKT residual :func:`_settled`.
     """
     fv, wv = np.asarray(sources, dtype=float), np.asarray(weights, dtype=float)
     psi = np.asarray(start, dtype=float)
     held = np.zeros(grid.n, bool)
     held[active] = True
-    free = (~held).nonzero()[0] if len(active) else _EVERY_NODE
     k = int(np.logical_and.accumulate(nl.convexity_margin(lam, wv) >= MARGIN_FLOOR).sum())
     lap = laplacian_diagonals(grid)
-    Z, G = _newton_on_subset(np.repeat(psi[None], k, axis=0), free,
+    Z, G = _newton_on_subset(np.repeat(psi[None], k, axis=0), ~held,
                              fv[:k], wv[:k], lam, nl, lap)
-    slack = np.concatenate([psi[None], Z])[:-1] - Z
-    kkt = np.maximum.reduce(np.abs(np.minimum(-G, slack)), axis=-1, initial=0.0)
-    eta = np.where(held, -G, 0.0)
-    same = ((eta - slack > 0.0) == held).all(axis=-1)
-    ok = same & (kkt <= TOL_KKT)
-    for j in np.flatnonzero(~ok):   # the rest pass only within their rounding floor
-        ok[j] = same[j] and kkt[j] <= rounding_floor(Z[j], fv[j], wv[j], lam, nl, lap)
-        if not ok[j]:
-            break
-    keep = int(np.logical_and.accumulate(ok).sum())   # the leading rows that pass
+    eta, kkt, predicted = _sweep_certificate(Z, G, np.concatenate([psi[None], Z])[:-1], held)
+    same = (predicted == held).all(axis=-1)
+    keep = 0   # the leading rows that pass
+    while keep < k and same[keep] and _settled(kkt[keep], Z[keep], fv[keep], wv[keep],
+                                               lam, nl, lap):
+        keep += 1
     return Z[:keep], eta[:keep], kkt[:keep]
 
 

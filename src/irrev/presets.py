@@ -31,6 +31,18 @@ def _take(spec: dict, where: str, required=(), optional=()) -> dict:
     return out
 
 
+def _number(p: dict, key: str, where: str, default=None, integer: bool = False):
+    """``p[key]`` (``default`` when absent), a number or a (nested) list of
+    numbers, as floats, or as an int with ``integer``.  A boolean, a string,
+    or a non-integer where an integer is asked is refused: ``float()`` would
+    take the first two and ``int()`` truncate the last."""
+    v = p.get(key, default)
+    if np.asarray(v).dtype.kind not in ("iu" if integer else "iuf"):
+        raise PresetError(f"{where}: {key} must be {'an integer' if integer else 'numeric'}, "
+                          f"got {v!r:.40}")
+    return int(v) if integer else (float(v) if np.ndim(v) == 0 else np.asarray(v, dtype=float))
+
+
 # --------------------------------------------------------------------------
 # nonlinearities
 # --------------------------------------------------------------------------
@@ -44,7 +56,7 @@ def nonlinearity(spec: dict) -> Nonlinearity:
         return ZERO_NONLINEARITY
     if kind == "linear":
         p = _take(spec, "gamma:linear", required=("slope",))
-        g = float(p["slope"])
+        g = _number(p, "slope", "gamma:linear")
         return Nonlinearity(
             fn=lambda s: g * np.asarray(s, dtype=float),
             primitive=lambda s: 0.5 * g * np.asarray(s, dtype=float) ** 2,
@@ -52,7 +64,7 @@ def nonlinearity(spec: dict) -> Nonlinearity:
             slope_bound=max(0.0, -g), growth=max(abs(g), 1e-12))
     if kind == "tanh":
         p = _take(spec, "gamma:tanh", required=("amplitude",))
-        a = float(p["amplitude"])
+        a = _number(p, "amplitude", "gamma:tanh")
         if a < 0:
             raise PresetError("gamma:tanh amplitude must be >= 0")
         def log_cosh(s):
@@ -67,8 +79,8 @@ def nonlinearity(spec: dict) -> Nonlinearity:
     if kind == "at":
         from .fracture import ATParams, at_nonlinearity
         p = _take(spec, "gamma:at", required=("eps", "delta"))
-        params = ATParams(eps=float(p["eps"]), delta=float(p["delta"]),
-                          load=constant_profile(0.0))
+        eps, delta = (_number(p, key, "gamma:at") for key in ("eps", "delta"))
+        params = ATParams(eps=eps, delta=delta, load=constant_profile(0.0))
         return at_nonlinearity(params)
     raise PresetError(f"unknown gamma preset {kind!r}")
 
@@ -88,21 +100,23 @@ def space_values(grid: Grid, spec: dict, where: str = "space") -> np.ndarray:
         vals = np.zeros(grid.n)
     elif kind == "constant":
         p = _take(spec, f"{where}:constant", required=("value",))
-        vals = np.full(grid.n, float(p["value"]))
+        vals = np.full(grid.n, _number(p, "value", f"{where}:constant"))
     elif kind == "bump":
         p = _take(spec, f"{where}:bump", required=("amplitude",),
                   optional=("center", "width"))
-        c = float(p.get("center", 0.5 * (grid.a + grid.b)))
-        w = float(p.get("width", 0.2 * (grid.b - grid.a)))
+        c = _number(p, "center", f"{where}:bump", 0.5 * (grid.a + grid.b))
+        w = _number(p, "width", f"{where}:bump", 0.2 * (grid.b - grid.a))
+        amplitude = _number(p, "amplitude", f"{where}:bump")
         with np.errstate(divide="ignore", invalid="ignore"):  # width 0: refused below
-            vals = float(p["amplitude"]) * np.exp(-((x - c) / w) ** 2)
+            vals = amplitude * np.exp(-((x - c) / w) ** 2)
     elif kind == "sine":
         p = _take(spec, f"{where}:sine", required=("amplitude",), optional=("mode",))
-        mode = int(p.get("mode", 1))
-        vals = float(p["amplitude"]) * np.sin(mode * np.pi * (x - grid.a) / (grid.b - grid.a))
+        amplitude = _number(p, "amplitude", f"{where}:sine")
+        mode = _number(p, "mode", f"{where}:sine", 1, integer=True)
+        vals = amplitude * np.sin(mode * np.pi * (x - grid.a) / (grid.b - grid.a))
     elif kind == "values":
         p = _take(spec, f"{where}:values", required=("values",))
-        vals = np.asarray(p["values"], dtype=float)
+        vals = _number(p, "values", f"{where}:values")
         if vals.shape != (grid.n,):
             raise PresetError(f"{where}: need exactly {grid.n} nodal values")
     else:
@@ -136,7 +150,7 @@ def time_profile(grid: Grid, spec: dict, where: str = "profile") -> TimeProfile:
 
     if kind == "constant":
         p = _take(spec, f"{where}:constant", optional=("value", "space"))
-        v = float(p.get("value", 0.0))
+        v = _number(p, "value", f"{where}:constant", 0.0)
         space = table("space", p) if "space" in p else (lambda x: v)
         return TimeProfile(terms=[(space, None, None)], limit=np.full(grid.n, space(x_nodes)))
 
@@ -149,15 +163,15 @@ def time_profile(grid: Grid, spec: dict, where: str = "profile") -> TimeProfile:
         p = _take(spec, f"{where}:exp_relax", required=("limit", "bump"),
                   optional=("rate",))
         limit, bump = table("limit", p), table("bump", p)
-        r = float(p.get("rate", 1.0))
+        r = _number(p, "rate", f"{where}:exp_relax", 1.0)
         return TimeProfile(terms=[(limit, None, None), (bump, lambda t: np.exp(-r * t),
                                                         lambda t: -r * np.exp(-r * t))],
                            limit=limit(x_nodes))
 
     if kind == "step_t":
         p = _take(spec, f"{where}:step_t", required=("before", "after", "t_switch"))
-        before, after = float(p["before"]), float(p["after"])
-        ts = float(p["t_switch"])
+        before, after, ts = (_number(p, key, f"{where}:step_t")
+                             for key in ("before", "after", "t_switch"))
         # no dtime, as the derivative is 0 off the switch; the jump carries the
         # change, which the lower envelope sees in the sampled time factor
         return TimeProfile(terms=[(lambda x: 1.0, lambda t: np.where(t > ts, after, before),
@@ -165,8 +179,8 @@ def time_profile(grid: Grid, spec: dict, where: str = "profile") -> TimeProfile:
 
     if kind == "tabulated":
         p = _take(spec, f"{where}:tabulated", required=("times", "values"))
-        times = np.asarray(p["times"], dtype=float)
-        table = np.asarray(p["values"], dtype=float)
+        times = _number(p, "times", f"{where}:tabulated")
+        table = _number(p, "values", f"{where}:tabulated")
         if times.ndim != 1 or table.shape != (times.size, grid.n):
             raise PresetError(
                 f"{where}: tabulated values must be (len(times), n) = "
@@ -234,8 +248,8 @@ def fracture_load(spec: dict) -> TimeProfile:
         return constant_profile(0.0)
     if kind in ("ramp_linear", "ramp_sine"):
         p = _take(spec, f"load:{kind}", required=("scale",), optional=("ramp_time",))
-        scale = float(p["scale"])
-        ramp = float(p.get("ramp_time", 1.0))
+        scale = _number(p, "scale", f"load:{kind}")
+        ramp = _number(p, "ramp_time", f"load:{kind}", 1.0)
         if ramp <= 0:
             raise PresetError("load ramp_time must be positive")
         shape = (lambda x: x) if kind == "ramp_linear" else (lambda x: np.sin(np.pi * x))

@@ -326,7 +326,7 @@ def frozen_solve_step(grid: Grid, obstacle, source, weight, lam: float, nl: Nonl
                       opts: Optional[SolverOptions] = None,
                       initial_active: Optional[np.ndarray] = None) -> ObstacleResult:
     """The primal-dual active-set step of :func:`irrev.solve_step` as it was
-    before its sweeps took whole arrays on an empty set: boolean masks,
+    when its Newton gathered and scattered the free nodes: boolean masks,
     ``np.where`` multiplier, predictor ``eta + (u - psi) > 0``, a fresh
     result every sweep, and nested iteration through
     :func:`_frozen_coarse_active`."""

@@ -229,6 +229,21 @@ def test_config_errors_exit_3_and_write_nothing(tmp_path, capsys, blocks):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("problem,named", [
+    ({"f": {"preset": "constant", "space": {"preset": "sine", "amplitude": 1.0, "mode": 1.5}}},
+     "mode must be an integer, got 1.5"),
+    ({"gamma": {"preset": "tanh", "amplitude": "1"}}, "amplitude must be numeric, got '1'"),
+    ({"f": {"preset": "constant", "value": True}}, "value must be numeric, got True"),
+], ids=["mode-float", "amplitude-str", "value-bool"])
+def test_preset_parameters_fail_closed_and_exit_3(tmp_path, capsys, problem, named):
+    # float() would take the string and the boolean, int() truncate the mode
+    rc, out = run_cli(tmp_path, "check", with_blocks(RUN, problem=dict(RUN["problem"], **problem)))
+    assert rc == cli.EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "config error: " in err and named in err
+    assert not out.exists()
+
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 

@@ -12,11 +12,12 @@ from irrev import (CoercivityLost, DiscretizedData, Grid, MaxIterations, NewtonF
                    solve_unconstrained, step_energy)
 from irrev import obstacle as obstacle_module
 from irrev.grid import laplacian_diagonals
-from irrev.model import _step_residual, rounding_floor
-from irrev.obstacle import TOL_KKT, TOL_NEWTON, _solve_free_jacobian
+from irrev.model import _step_residual, discretize_time, rounding_floor
+from irrev.obstacle import TOL_KKT, TOL_NEWTON, _solve_free_jacobian, solve_held_steps
 from irrev.presets import nonlinearity
 
 from helpers import random_step_instance, smooth_values
+from test_evolution import TANH, contact_data, relax_data
 from reference import (frozen_solve_step, inner_l2, neg_laplacian, oracle_enumerate,
                        solve_step_pg)
 
@@ -138,10 +139,14 @@ def test_reference_solvers_keep_the_coercivity_guard(solver):
     [3, 5, 7, 9],               # no two adjacent
 ], ids=["single", "all", "gaps", "isolated"])
 def test_free_jacobian_solve_equals_solve_banded_bit_for_bit(free):
+    # the whole-array system with held nodes as identity rows solves the
+    # free nodes to the bits of their compacted system, the held ones to 0
     grid = Grid(0.0, 1.0, 41)
     lap = laplacian_diagonals(grid)
     sub, diag, sup = lap
     idx = np.asarray(free)
+    mask = np.zeros(grid.n, bool)
+    mask[idx] = True
     consec = np.diff(idx) == 1
     rng = np.random.default_rng(len(free))
     for _ in range(20):
@@ -153,14 +158,17 @@ def test_free_jacobian_solve_equals_solve_banded_bit_for_bit(free):
         ab[0, 1:][consec] = sup[idx[:-1][consec]]
         ab[2, :-1][consec] = sub[idx[:-1][consec]]
         want = solve_banded((1, 1), ab, rhs)
-        got = _solve_free_jacobian(lap, idx, jd.copy(), rhs.copy())
-        assert got.tobytes() == want.tobytes()
+        full_jd, full_rhs = np.ones(grid.n), np.zeros(grid.n)
+        full_jd[idx], full_rhs[idx] = jd, rhs
+        got = _solve_free_jacobian(lap, mask, full_jd, full_rhs)
+        assert got[idx].tobytes() == want.tobytes()
+        assert got[~mask].tobytes() == np.zeros(grid.n - idx.size).tobytes()
     # a stack of rows on the same free nodes: zero seams decouple the rows
-    jd = diag[idx] + rng.uniform(0.01, 50.0, (3, idx.size))
-    rhs = rng.normal(size=(3, idx.size))
-    got = _solve_free_jacobian(lap, idx, jd.copy(), rhs.copy())
+    jd = np.where(mask, diag + rng.uniform(0.01, 50.0, (3, grid.n)), 1.0)
+    rhs = np.where(mask, rng.normal(size=(3, grid.n)), 0.0)
+    got = _solve_free_jacobian(lap, mask, jd.copy(), rhs.copy())
     for row, j, b in zip(got, jd, rhs):
-        assert row.tobytes() == _solve_free_jacobian(lap, idx, j.copy(), b.copy()).tobytes()
+        assert row.tobytes() == _solve_free_jacobian(lap, mask, j.copy(), b.copy()).tobytes()
 
 
 @pytest.mark.parametrize("entry", ["solve_step", "solve_unconstrained"])
@@ -277,6 +285,86 @@ def test_a_failed_coarse_solve_does_not_fail_the_cold_solve(failure, monkeypatch
     assert coarse_grids == [50]
     assert got.kkt_residual <= TOL_KKT
     np.testing.assert_allclose(got.z, want.z, rtol=0.0, atol=1e-10)
+
+
+# --------------------------------------------------------------------------
+# held steps: a stack of steps that keep the contact set of the step before
+# --------------------------------------------------------------------------
+
+def second_step(data, nl, m):
+    """The grid, the state and contact set after step 1 of ``data`` in ``m``
+    steps, and the averaged data of every step."""
+    disc = discretize_time(data, m)
+    first = solve_step(data.grid, data.initial, disc.source_avg[0], disc.weight_avg[0],
+                       data.lam, nl)
+    return data.grid, first.z, first.active, disc
+
+
+@pytest.mark.parametrize("case", ["run-contact", "no-contact"])
+def test_held_steps_row_0_is_the_one_sweep_step_solve_to_the_bit(case):
+    # run-contact's step 2 keeps step 1's 89 contact nodes; a relaxing
+    # source keeps the empty set
+    data, nl = contact_data(301) if case == "run-contact" else (relax_data(), TANH)
+    g, z1, active, disc = second_step(data, nl, 50)
+    assert active.size == (89 if case == "run-contact" else 0)
+    step = solve_step(g, z1, disc.source_avg[1], disc.weight_avg[1], data.lam, nl,
+                      initial_active=active)
+    assert step.iters == 1
+    Z, eta, kkt = solve_held_steps(g, z1, active, disc.source_avg[1:5], disc.weight_avg[1:5],
+                                   data.lam, nl)
+    assert len(Z) == 4
+    assert Z[0].tobytes() == step.z.tobytes()
+    assert eta[0].tobytes() == step.eta.tobytes()
+    assert kkt[0] == step.kkt_residual
+
+
+#: gamma(s) = -s/2: the convexity margin is lam - w/2
+SOFTENING = nonlinearity({"preset": "linear", "slope": -0.5})
+
+
+def falling_rows(levels, weights=None, n=21):
+    """Grid, a high obstacle and the rows of a source at each of ``levels``
+    (unit weight unless ``weights`` are given), none of which touches it."""
+    g = Grid(0.0, 1.0, n)
+    w = np.ones((len(levels), n)) if weights is None else np.outer(weights, np.ones(n))
+    return g, np.full(n, 10.0), np.outer(levels, np.ones(n)), w
+
+
+def test_held_steps_stop_at_the_first_row_without_the_convexity_margin():
+    # row 2's margin is 1 - 3/2 < 0; row 3 has it again, and is not solved
+    g, start, f, w = falling_rows([1.0, 0.9, 0.8, 0.7], [1.0, 1.0, 3.0, 1.0])
+    Z, eta, kkt = solve_held_steps(g, start, np.array([], int), f, w, 1.0, SOFTENING)
+    assert len(Z) == len(eta) == len(kkt) == 2
+    # every row with the margin would pass
+    assert len(solve_held_steps(g, start, np.array([], int), f, np.ones_like(w), 1.0,
+                                SOFTENING)[0]) == 4
+
+
+def test_held_steps_drop_the_rows_after_the_first_rejected_row():
+    # row 1's source rises, so its state rises above row 0's: the predictor
+    # moves the set and row 1 is rejected; rows 2 and 3 fall below row 1's
+    # state, pass from there, and are dropped all the same
+    g, start, f, w = falling_rows([1.0, 1.2, 1.1, 1.0])
+    Z, eta, kkt = solve_held_steps(g, start, np.array([], int), f, w, 1.0, SOFTENING)
+    assert len(Z) == len(eta) == len(kkt) == 1
+    z1 = solve_unconstrained(g, f[1], w[1], 1.0, SOFTENING)
+    assert len(solve_held_steps(g, z1, np.array([], int), f[2:], w[2:], 1.0, SOFTENING)[0]) == 2
+
+
+def test_contact_nodes_on_a_negative_zero_obstacle_keep_its_sign():
+    # the source pushes up on the left half, where the obstacle is -0.0, and
+    # a held node must keep the obstacle's bits through every Newton update
+    g = Grid(0.0, 1.0, 41)
+    left = g.nodes < 0.5
+    psi = np.where(left, -0.0, 1.0)
+    ones = np.ones(g.n)
+    res = solve_step(g, psi, ones, ones, 1.0, TANH1)
+    assert res.iters > 1 and np.array_equal(res.active, np.flatnonzero(left))
+    assert np.signbit(res.z[left]).all() and res.z[left].tobytes() == psi[left].tobytes()
+    Z, _, _ = solve_held_steps(g, res.z, res.active, np.outer([0.9, 0.8], ones),
+                               np.ones((2, g.n)), 1.0, TANH1)
+    assert len(Z) == 2
+    assert np.signbit(Z[:, left]).all()
 
 
 # --------------------------------------------------------------------------
