@@ -18,7 +18,8 @@ Commands and exit codes::
 
     0  success / all checks passed
     1  validation or assertion failure
-    2  solver failure (partial outputs kept with a .partial marker)
+    2  solver failure (partial outputs kept with a trajectory.partial
+       marker, which the next successful run into the directory removes)
     3  configuration or usage error
 
 The environment variable ``IRREV_VERBOSE=1`` makes ``run``, ``longtime`` and
@@ -42,8 +43,8 @@ from . import presets
 from .diagnostics import (CheckVerdict, check_energy_balance, check_irreversibility,
                           check_lewy_stampacchia, check_unilateral_minimality,
                           refinement_study, verdicts_to_json, write_refinement_csv)
-from .evolution import (EvolutionError, Trajectory, run_evolution, save_trajectory,
-                        write_csv, write_long_csv)
+from .evolution import (EvolutionError, Trajectory, _rewrite, run_evolution,
+                        save_trajectory, write_csv, write_long_csv)
 from .fracture import ATParams, FractureSetupError, run_fracture
 from .grid import BC, Grid
 from .model import MARGIN_FLOOR, QUAD_PTS, ProblemData, ValidationError, validate
@@ -176,10 +177,12 @@ def _output_dir(cfg: dict, override: str | None) -> Path:
 
 
 def _save(traj: Trajectory, cfg: dict, out_dir: Path) -> None:
-    """Print the per-step lines when verbose, then write the trajectory."""
+    """Print the per-step lines when verbose, then write the trajectory and
+    remove the ``.partial`` marker an earlier failed run may have left."""
     _print_steps(traj)
     save_trajectory(traj, out_dir, **{k: v for k, v in cfg.get("output", {}).items()
                                       if k == "stride"})
+    (out_dir / "trajectory.partial").unlink(missing_ok=True)
 
 
 # --------------------------------------------------------------------------
@@ -189,7 +192,8 @@ def _save(traj: Trajectory, cfg: dict, out_dir: Path) -> None:
 def _solver_failed(exc: EvolutionError, cfg: dict, out_dir: Path) -> int:
     """Keep a failed run's partial trajectory, with a ``.partial`` marker."""
     _save(exc.partial, cfg, out_dir)
-    (out_dir / "trajectory.partial").write_text(f"{exc}\n")
+    with _rewrite(out_dir / "trajectory.partial") as fh:
+        fh.write(f"{exc}\n".encode())
     print(f"solver failure: {exc}")
     return EXIT_SOLVER_FAILED
 
@@ -207,7 +211,8 @@ def cmd_check(cfg: dict, out_dir: Path) -> int:
 def _report(out_dir: Path, traj: Trajectory, verdicts: list[CheckVerdict],
             detail: str) -> int:
     """Write ``verdicts.json``, print the movement, ``detail`` and the verdicts."""
-    (out_dir / "verdicts.json").write_text(verdicts_to_json(verdicts) + "\n")
+    with _rewrite(out_dir / "verdicts.json") as fh:
+        fh.write((verdicts_to_json(verdicts) + "\n").encode())
     movement = traj.max_movement()
     tag = "  [no evolution]" if movement <= 1e-10 else ""
     print(f"max movement: {movement:.17g}{tag}")
@@ -335,9 +340,10 @@ def cmd_stationary(cfg: dict, out_dir: Path) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "z_inf.csv", ("x", "z", "eta"), (x, res.z, res.eta))
-    with open(out_dir / "stationary.json", "w") as fh:
-        json.dump({"kkt_residual": res.kkt_residual, "iters": res.iters,
-                   "active": [int(i) for i in res.active]}, fh, sort_keys=True, indent=1)
+    with _rewrite(out_dir / "stationary.json") as fh:
+        fh.write(json.dumps({"kkt_residual": res.kkt_residual, "iters": res.iters,
+                             "active": [int(i) for i in res.active]},
+                            sort_keys=True, indent=1).encode())
     print(f"stationary state written; kkt_residual={res.kkt_residual:.3g} "
           f"active nodes={res.active.size}")
     return EXIT_OK

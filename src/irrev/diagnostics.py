@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .evolution import _csv_rows, interp_constant, run_evolution
+from .evolution import _csv_rows, _rewrite, interp_constant, run_evolution
 from .grid import Grid, forward_jumps, full_values, laplacian_diagonals, norm_h1
 from .model import (QUAD_PTS, ZERO_NONLINEARITY, DiscretizedData, Nonlinearity, ProblemData,
                     _step_residual, floor_of_sizes, rounding_sizes, time_blocks)
@@ -352,7 +352,8 @@ def write_refinement_csv(rows: list[RefinementRow], path: str | Path) -> Path:
     lines += [",".join([r.kind, str(r.m), str(r.n),
                         *("" if v is None else next(texts) for v in row)])
               for r, row in zip(rows, floats)]
-    path.write_text("\n".join(lines) + "\n")
+    with _rewrite(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode())
     return path
 
 

@@ -393,18 +393,34 @@ def test_margin_below_floor_in_the_initial_solve_exits_1(tmp_path, capsys, comma
     assert not out.exists()
 
 
+#: the weight spikes between two of the times validation samples (k/64), so
+#: only the step average, over midpoints 1/6, 1/2 and 5/6, loses convexity
+SPIKE_IN_STEP = with_blocks(RUN)
+SPIKE_IN_STEP["problem"].update(
+    gamma={"preset": "linear", "slope": -0.5}, z0={"preset": "zero"},
+    f={"preset": "constant", "value": 0.0}, m=1, quad_pts=3,
+    sigma={"preset": "tabulated", "times": [0.0, 1 / 6 - 0.004, 1 / 6, 1 / 6 + 0.004, 1.0],
+           "values": [[v] * 41 for v in (1.0, 1.0, 100.0, 1.0, 1.0)]})
+
+
 def test_margin_below_floor_inside_a_step_exits_2_with_a_partial_trajectory(tmp_path,
                                                                              capsys):
-    # the weight spikes between two of the times validation samples (k/64),
-    # so only the step average, over midpoints 1/6, 1/2 and 5/6, loses convexity
-    cfg = with_blocks(RUN)
-    cfg["problem"].update(
-        gamma={"preset": "linear", "slope": -0.5}, z0={"preset": "zero"},
-        f={"preset": "constant", "value": 0.0}, m=1, quad_pts=3,
-        sigma={"preset": "tabulated", "times": [0.0, 1 / 6 - 0.004, 1 / 6, 1 / 6 + 0.004, 1.0],
-               "values": [[v] * 41 for v in (1.0, 1.0, 100.0, 1.0, 1.0)]})
-    rc, out = run_cli(tmp_path, "run", cfg)
+    rc, out = run_cli(tmp_path, "run", SPIKE_IN_STEP)
     assert rc == cli.EXIT_SOLVER_FAILED
     assert capsys.readouterr().out.startswith("solver failure: step 1 failed: convexity margin")
     assert (out / "trajectory.partial").exists()
     assert load_trajectory(out).times.size == 1
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("run", RUN), ("longtime", LONGTIME), ("fracture", fracture_config(0.005, n=41, m=5)),
+], ids=["run", "longtime", "fracture"])
+def test_a_successful_run_removes_the_partial_marker_of_a_failed_one(tmp_path, capsys,
+                                                                    command, cfg):
+    rc, out = run_cli(tmp_path, "run", SPIKE_IN_STEP)
+    assert rc == cli.EXIT_SOLVER_FAILED
+    assert (out / "trajectory.partial").exists()
+    rc, same = run_cli(tmp_path, command, cfg)
+    assert same == out and rc == cli.EXIT_OK, capsys.readouterr().out
+    assert not (out / "trajectory.partial").exists()
+    assert load_trajectory(out).times.size > 2

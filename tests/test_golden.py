@@ -2,8 +2,10 @@
 
 Each case runs one command through :func:`irrev.cli.main` and compares its
 exit code, its stdout and the SHA-256 of every file it writes with
-``golden/digests.json``.  A change that alters any output byte fails here;
-one that means to must regenerate the digests and say why::
+``golden/digests.json``, once into a new directory and once into one that
+holds longer files of the same names, as a rerun finds it.  A change that
+alters any output byte fails here; one that means to must regenerate the
+digests and say why::
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -64,6 +66,30 @@ def test_outputs_match_the_golden_digests(name, tmp_path, monkeypatch):
     versions = (f"digests made with numpy {golden['numpy']}, scipy {golden['scipy']}; "
                 f"this run has numpy {np.__version__}, scipy {scipy.__version__}")
     assert got == golden["cases"][name], f"{name}: outputs differ ({versions})"
+
+
+@pytest.fixture(scope="module")
+def stale_bytes(tmp_path_factory) -> bytes:
+    """The n = 1001 case's ``trajectory.csv`` twice over: longer than any
+    file a case writes."""
+    out = tmp_path_factory.mktemp("stale")
+    run_case("run-contact-fine", out)
+    return (out / "trajectory.csv").read_bytes() * 2
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_a_rerun_over_longer_files_matches_the_golden_digests(name, tmp_path, monkeypatch,
+                                                              stale_bytes):
+    # every file the case writes is there already, and longer: a writer that
+    # overwrites without cutting leaves the old tail behind
+    monkeypatch.delenv("IRREV_VERBOSE", raising=False)
+    want = json.loads(DIGESTS.read_text())["cases"][name]
+    out = tmp_path / "out"
+    out.mkdir()
+    for fname in want["files"]:
+        (out / fname).write_bytes(stale_bytes)
+    assert run_case(name, out) == want, f"{name}: a rerun's outputs differ"
+    assert all(p.stat().st_size < len(stale_bytes) for p in out.iterdir())
 
 
 def moved(old: dict | None, new: dict) -> list[str]:

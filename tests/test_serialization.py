@@ -7,7 +7,7 @@ import pytest
 from irrev import (EvolutionError, Grid, ProblemData, TimeProfile,
                    constant_profile, load_trajectory, run_evolution, save_trajectory,
                    solve_unconstrained)
-from irrev import model
+from irrev import evolution, model
 from irrev.evolution import _csv_rows, write_csv, write_long_csv
 from irrev.model import EVAL_BLOCK
 from irrev.presets import nonlinearity
@@ -331,3 +331,27 @@ def test_long_writer_matches_the_plain_writer_byte_for_byte(tmp_path, monkeypatc
     path = tmp_path / "long.csv"
     write_long_csv(path, times, x, fields)
     assert path.read_bytes() == plain_long_csv(times, x, fields)
+
+
+def test_long_writer_that_raises_leaves_no_byte_of_the_old_file(tmp_path, monkeypatch):
+    # 3 nodes and 4 columns, 12 values a stamp: three stamps a block at 36,
+    # and no stamp repeats, so each block is one _csv_rows call
+    monkeypatch.setattr(model, "EVAL_BLOCK", 36)
+    rng = np.random.default_rng(5)
+    times, x = np.arange(7) / 4.0, np.array([0.0, 0.5, 1.0])
+    a, b = rng.normal(size=(2, 7, 3))
+    path = tmp_path / "long.csv"
+    path.write_bytes(b"an older, longer file\n" * 1000)
+    calls = []
+
+    def fail_on_the_second_block(table):
+        calls.append(len(table))
+        if len(calls) == 2:
+            raise OSError("no space left on device")
+        return _csv_rows(table)
+
+    monkeypatch.setattr(evolution, "_csv_rows", fail_on_the_second_block)
+    with pytest.raises(OSError, match="no space left"):
+        write_long_csv(path, times, x, {"a": list(a), "b": b})
+    assert calls == [3, 3]
+    assert path.read_bytes() == plain_long_csv(times[:3], x, {"a": a[:3], "b": b[:3]})
