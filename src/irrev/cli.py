@@ -2,10 +2,11 @@
 
 One JSON configuration file drives one experiment; command-line flags only
 override the output directory and allow a run past failed validation
-(``--force``), so every run is reproducible from a single artifact.  Every
-key and the domain of every value are checked against one table,
-:data:`SCHEMA`, before any computation (fail-closed).  A setting the
-library has a default for is passed only when the configuration sets it.
+(``--force``), so every run is reproducible from a single artifact.  The
+file is strict JSON: ``NaN``, ``Infinity`` and numbers beyond a double are
+config errors (exit 3).  Every key and the domain of every value are checked
+against one table, :data:`SCHEMA`, before any computation (fail-closed).  A
+setting the library has a default for is passed only when the config sets it.
 
 Commands and exit codes::
 
@@ -31,19 +32,19 @@ coupling exists.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from . import presets
 from .diagnostics import (CheckVerdict, check_energy_balance, check_irreversibility,
                           check_lewy_stampacchia, check_unilateral_minimality,
                           refinement_study, verdicts_to_json, write_refinement_csv)
-from .evolution import (EvolutionError, Trajectory, _rewrite, run_evolution,
+from .evolution import (EvolutionError, Trajectory, _json, _rewrite, run_evolution,
                         save_trajectory, write_csv, write_long_csv)
 from .fracture import ATParams, FractureSetupError, run_fracture
 from .grid import BC, Grid
@@ -125,20 +126,14 @@ def _check(block, schema: dict, where: str) -> None:
             raise ConfigError(f"{path} must be {schema[key][0]}, got {value!r}")
 
 
-def _refuse_constant(name: str):
-    """``json`` accepts ``NaN``, ``Infinity`` and ``-Infinity``; a config does not."""
-    raise ConfigError(f"config may not contain {name}")
-
-
 def load_config(path: str | Path) -> dict:
     """Read a configuration and check every key and the domain of every
     value against :data:`SCHEMA`, before any computation."""
     try:
-        with open(path) as fh:
-            cfg = json.load(fh, parse_constant=_refuse_constant)
+        cfg = orjson.loads(Path(path).read_bytes())
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except orjson.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _check(cfg, SCHEMA, "config")
     return cfg
@@ -190,7 +185,10 @@ def _save(traj: Trajectory, cfg: dict, out_dir: Path) -> None:
 # --------------------------------------------------------------------------
 
 def _solver_failed(exc: EvolutionError, cfg: dict, out_dir: Path) -> int:
-    """Keep a failed run's partial trajectory, with a ``.partial`` marker."""
+    """Keep a failed run's partial trajectory, with a ``.partial`` marker, and
+    remove the files an earlier successful run derived from its trajectory."""
+    for name in ("verdicts.json", "gap.csv", "displacement.csv", "at_energy.csv"):
+        (out_dir / name).unlink(missing_ok=True)
     _save(exc.partial, cfg, out_dir)
     with _rewrite(out_dir / "trajectory.partial") as fh:
         fh.write(f"{exc}\n".encode())
@@ -210,9 +208,10 @@ def cmd_check(cfg: dict, out_dir: Path) -> int:
 
 def _report(out_dir: Path, traj: Trajectory, verdicts: list[CheckVerdict],
             detail: str) -> int:
-    """Write ``verdicts.json``, print the movement, ``detail`` and the verdicts."""
+    """Write ``verdicts.json`` (:func:`~irrev.evolution._json`: sorted keys, one
+    line, a final ``\\n``), print the movement, ``detail`` and the verdicts."""
     with _rewrite(out_dir / "verdicts.json") as fh:
-        fh.write((verdicts_to_json(verdicts) + "\n").encode())
+        fh.write(verdicts_to_json(verdicts))
     movement = traj.max_movement()
     tag = "  [no evolution]" if movement <= 1e-10 else ""
     print(f"max movement: {movement:.17g}{tag}")
@@ -341,9 +340,7 @@ def cmd_stationary(cfg: dict, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "z_inf.csv", ("x", "z", "eta"), (x, res.z, res.eta))
     with _rewrite(out_dir / "stationary.json") as fh:
-        fh.write(json.dumps({"kkt_residual": res.kkt_residual, "iters": res.iters,
-                             "active": [int(i) for i in res.active]},
-                            sort_keys=True, indent=1).encode())
+        fh.write(_json(dict(kkt_residual=res.kkt_residual, iters=res.iters, active=res.active)))
     print(f"stationary state written; kkt_residual={res.kkt_residual:.3g} "
           f"active nodes={res.active.size}")
     return EXIT_OK

@@ -16,14 +16,13 @@ one-state call on its row to the last bit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .evolution import _csv_rows, _rewrite, interp_constant, run_evolution
+from .evolution import _csv_rows, _json, _rewrite, interp_constant, run_evolution
 from .grid import Grid, forward_jumps, full_values, laplacian_diagonals, norm_h1
 from .model import (QUAD_PTS, ZERO_NONLINEARITY, DiscretizedData, Nonlinearity, ProblemData,
                     _step_residual, floor_of_sizes, rounding_sizes, time_blocks)
@@ -267,8 +266,7 @@ def regrid_problem(data: ProblemData, n: int) -> ProblemData:
     new_grid = Grid(a=g.a, b=g.b, n=n, bc_left=g.bc_left, bc_right=g.bc_right)
 
     def regrid_field(f: np.ndarray) -> np.ndarray:
-        xs = np.concatenate(([g.a], g.nodes, [g.b]))
-        return np.interp(new_grid.nodes, xs, full_values(g, f))
+        return np.interp(new_grid.nodes, g.nodes_full, full_values(g, f))
 
     return ProblemData(
         grid=new_grid, lam=data.lam, weight=data.weight, source=data.source,
@@ -328,8 +326,7 @@ def refinement_study(data: ProblemData, nl: Nonlinearity, m_list, n_list,
             if kind == "tau":
                 fine = np.array([interp_constant(traj, t) for t in prev_traj.times])
             else:
-                fine_full_x = np.concatenate(([g.a], g.nodes, [g.b]))
-                fine = np.array([np.interp(cg.nodes, fine_full_x, row) for row in
+                fine = np.array([np.interp(cg.nodes, g.nodes_full, row) for row in
                                  full_values(g, traj.states[:prev_traj.m + 1])])
             gap = float(norm_h1(cg, fine - prev_traj.states).max())
             if kind == "tau" and width > 0:
@@ -357,5 +354,5 @@ def write_refinement_csv(rows: list[RefinementRow], path: str | Path) -> Path:
     return path
 
 
-def verdicts_to_json(verdicts: list[CheckVerdict]) -> str:
-    return json.dumps([asdict(v) for v in verdicts], sort_keys=True, indent=1)
+def verdicts_to_json(verdicts: list[CheckVerdict]) -> bytes:
+    return _json([asdict(v) for v in verdicts])

@@ -23,7 +23,6 @@ written from that stamp's text with only its time put in.  The per-run work
 
 from __future__ import annotations
 
-import json
 import os
 from bisect import bisect_right
 from contextlib import contextmanager
@@ -35,7 +34,7 @@ from typing import BinaryIO, Iterator, Optional, Sequence
 import numpy as np
 import orjson
 
-from .grid import BC, Grid, laplacian_diagonals
+from .grid import Grid, laplacian_diagonals
 from .model import (QUAD_PTS, DiscretizedData, Nonlinearity, ProblemData,
                     ValidationError, _step_residual, discretize_time, time_blocks,
                     validate)
@@ -290,6 +289,13 @@ def _rewrite(path: str | Path) -> Iterator[BinaryIO]:
             fh.truncate()
 
 
+def _json(value) -> bytes:
+    """``value`` as JSON: sorted keys, one line, a final ``\\n``; the one encoder of
+    every JSON file ``irrev`` writes.  A float that is not finite is ``null``."""
+    return orjson.dumps(value, option=orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
+                        | orjson.OPT_APPEND_NEWLINE)
+
+
 def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
     """Write a flat table: a header line, then one row per entry of the
     equal-length float ``columns``, each value in the shortest text that
@@ -355,13 +361,13 @@ def save_trajectory(traj: Trajectory, directory: str | Path,
     round trip through :func:`load_trajectory` reproduces the trajectory to
     the last bit.  ``stride`` thins the stored time stamps (the initial and
     final stamps are always kept).  Multiplier entries at ``t == 0`` are
-    written as ``nan`` (no step produced them).  The manifest is one line of
-    JSON with sorted keys, encoded by orjson in one C call; orjson writes a
-    non-finite number (an energy that overflowed) as ``null``, which
-    :func:`load_trajectory` reads back as ``nan``.  Existing files of these
-    names are overwritten from their start and cut after the new bytes, never
-    truncated first (:func:`_rewrite`), so a rerun into the same directory
-    leaves exactly the new run's bytes.
+    written as ``nan`` (no step produced them).  The manifest is encoded by
+    :func:`_json`, the one JSON encoder: sorted keys, one line, a final ``\\n``;
+    a non-finite number (an energy that overflowed) is written as ``null``,
+    which :func:`load_trajectory` reads back as ``nan``.  Existing files of
+    these names are overwritten from their start and cut after the new bytes,
+    never truncated first (:func:`_rewrite`), so a rerun into the same
+    directory leaves exactly the new run's bytes.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
@@ -388,8 +394,7 @@ def save_trajectory(traj: Trajectory, directory: str | Path,
         "step_meta": [vars(s) for s in traj.step_meta],   # asdict would deep-copy
     }
     with _rewrite(json_path) as fh:
-        fh.write(orjson.dumps(manifest, option=orjson.OPT_SORT_KEYS
-                              | orjson.OPT_SERIALIZE_NUMPY) + b"\n")
+        fh.write(_json(manifest))
     return csv_path, json_path
 
 
@@ -400,11 +405,8 @@ def load_trajectory(directory: str | Path) -> Trajectory:
     averages); a thinned save loads as a trajectory over the kept stamps.
     """
     directory = Path(directory)
-    with open(directory / "trajectory.json") as fh:
-        manifest = json.load(fh)
-    gspec = manifest["grid"]
-    grid = Grid(a=gspec["a"], b=gspec["b"], n=gspec["n"],
-                bc_left=BC(gspec["bc_left"]), bc_right=BC(gspec["bc_right"]))
+    manifest = orjson.loads((directory / "trajectory.json").read_bytes())
+    grid = Grid(**manifest["grid"])
 
     times = np.asarray(manifest["times"], dtype=float)
     n, m1 = grid.n, times.size

@@ -67,8 +67,9 @@ class Grid:
 
     @property
     def nodes_full(self) -> np.ndarray:
-        """All node coordinates including the two endpoints, shape ``(n+2,)``."""
-        return self.a + self.h * np.arange(self.n + 2)
+        """All node coordinates, shape ``(n+2,)``: exactly ``a``, the interior
+        :attr:`nodes`, exactly ``b`` (``a + (n+1)*h`` can miss ``b`` by an ulp)."""
+        return np.concatenate(([self.a], self.nodes, [self.b]))
 
 
 def full_values(grid: Grid, u) -> np.ndarray:

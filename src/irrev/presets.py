@@ -32,14 +32,16 @@ def _take(spec: dict, where: str, required=(), optional=()) -> dict:
 
 
 def _number(p: dict, key: str, where: str, default=None, integer: bool = False):
-    """``p[key]`` (``default`` when absent), a number or a (nested) list of
-    numbers, as floats, or as an int with ``integer``.  A boolean, a string,
-    or a non-integer where an integer is asked is refused: ``float()`` would
-    take the first two and ``int()`` truncate the last."""
+    """``p[key]`` (``default`` when absent), a finite number or a (nested) list
+    of them, as floats, or as an int with ``integer``.  A boolean, a string, a
+    non-integer where an integer is asked, ``inf`` and ``nan`` are refused:
+    ``float()`` would take the first two and ``int()`` truncate the third."""
     v = p.get(key, default)
     if np.asarray(v).dtype.kind not in ("iu" if integer else "iuf"):
         raise PresetError(f"{where}: {key} must be {'an integer' if integer else 'numeric'}, "
                           f"got {v!r:.40}")
+    if not np.all(np.isfinite(v)):
+        raise PresetError(f"{where}: non-finite {key} {v!r:.40}")
     return int(v) if integer else (float(v) if np.ndim(v) == 0 else np.asarray(v, dtype=float))
 
 

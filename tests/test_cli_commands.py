@@ -244,6 +244,34 @@ def test_preset_parameters_fail_closed_and_exit_3(tmp_path, capsys, problem, nam
     assert not out.exists()
 
 
+#: a number beyond a double, as the text of a config writes it
+BEYOND_A_DOUBLE = "1e400"
+
+
+@pytest.mark.parametrize("command,cfg", [
+    # read as inf, the amplitude would give nan in nonlinearity_growth
+    ("check", with_blocks(RUN, problem=dict(RUN["problem"], z0={"preset": "zero"}, gamma={
+        "preset": "tanh", "amplitude": BEYOND_A_DOUBLE}))),
+    # ... and the ramp time a load that is 0 at every time
+    ("fracture", {"fracture": dict(fracture_config(0.005)["fracture"], load={
+        "preset": "ramp_sine", "scale": 0.005, "ramp_time": BEYOND_A_DOUBLE})}),
+], ids=["tanh-amplitude", "ramp_sine-ramp_time"])
+def test_numbers_beyond_a_double_exit_3_and_write_nothing(tmp_path, capsys, command, cfg):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg).replace(f'"{BEYOND_A_DOUBLE}"', BEYOND_A_DOUBLE))
+    out = tmp_path / "out"
+    assert cli.main([command, str(path), "--output-dir", str(out)]) == cli.EXIT_CONFIG_ERROR
+    assert "config error: config is not valid JSON: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_config_that_is_not_utf8_exits_3(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(json.dumps(RUN).encode().replace(b"tanh", b"t\xe2nh"))
+    assert cli.main(["check", str(path)]) == cli.EXIT_CONFIG_ERROR
+    assert "config error: config is not valid JSON: " in capsys.readouterr().err
+
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -412,9 +440,13 @@ def test_margin_below_floor_inside_a_step_exits_2_with_a_partial_trajectory(tmp_
     assert load_trajectory(out).times.size == 1
 
 
-@pytest.mark.parametrize("command,cfg", [
+#: a successful run of each command that writes a trajectory
+SUCCESSES = pytest.mark.parametrize("command,cfg", [
     ("run", RUN), ("longtime", LONGTIME), ("fracture", fracture_config(0.005, n=41, m=5)),
 ], ids=["run", "longtime", "fracture"])
+
+
+@SUCCESSES
 def test_a_successful_run_removes_the_partial_marker_of_a_failed_one(tmp_path, capsys,
                                                                     command, cfg):
     rc, out = run_cli(tmp_path, "run", SPIKE_IN_STEP)
@@ -424,3 +456,17 @@ def test_a_successful_run_removes_the_partial_marker_of_a_failed_one(tmp_path, c
     assert same == out and rc == cli.EXIT_OK, capsys.readouterr().out
     assert not (out / "trajectory.partial").exists()
     assert load_trajectory(out).times.size > 2
+
+
+@SUCCESSES
+def test_a_failed_run_removes_the_outputs_derived_from_a_successful_one(tmp_path, capsys,
+                                                                       command, cfg):
+    rc, out = run_cli(tmp_path, command, cfg)
+    assert rc == cli.EXIT_OK
+    rc, same = run_cli(tmp_path, "run", SPIKE_IN_STEP)
+    assert same == out and rc == cli.EXIT_SOLVER_FAILED, capsys.readouterr().out
+    assert (out / "trajectory.partial").exists()
+    assert load_trajectory(out).times.size == 1
+    left = [name for name in ("verdicts.json", "gap.csv", "displacement.csv", "at_energy.csv")
+            if (out / name).exists()]
+    assert left == []

@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from pathlib import Path
 
-from irrev import (DiscretizedData, Grid, ProblemData, Trajectory, check_energy_balance,
-                   check_irreversibility, check_lewy_stampacchia,
+from irrev import (CheckVerdict, DiscretizedData, Grid, ProblemData, Trajectory,
+                   check_energy_balance, check_irreversibility, check_lewy_stampacchia,
                    check_unilateral_minimality, cli, constant_profile, energy,
                    load_trajectory, refinement_study, run_evolution, save_trajectory,
                    solve_unconstrained, step_energy)
@@ -305,6 +307,22 @@ def test_minimality_deterministic(moving):
     a = check_unilateral_minimality(traj, TANH, data.lam)
     b = check_unilateral_minimality(traj, TANH, data.lam)
     assert verdicts_to_json([a]) == verdicts_to_json([b])
+
+
+def test_verdicts_json_is_one_strict_line_with_sorted_keys():
+    # a nan violation is written as null, so no reader meets a NaN token
+    v = CheckVerdict(name="x", max_violation=float("nan"), tolerance=1e-12, passed=False,
+                     worst=(3, 4))
+    text = verdicts_to_json([v])
+    assert text.endswith(b"\n") and text.count(b"\n") == 1
+
+    def refuse(name):
+        raise ValueError(name)
+
+    [got] = json.loads(text, parse_constant=refuse)
+    assert list(got) == sorted(got)
+    assert got == {"max_violation": None, "name": "x", "note": "", "passed": False,
+                   "tolerance": 1e-12, "worst": [3, 4]}
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,12 @@
 """Every file ``irrev`` writes goes through one helper, ``evolution._rewrite``,
 which overwrites the file from its start and cuts it after the new bytes,
 never truncating it first.  A writer opened any other way would bring the
-truncation back, so no module may open a file for writing by itself."""
+truncation back, so no module may open a file for writing by itself.
+
+Every JSON file is read and written by orjson, whose parser refuses what
+RFC 8259 refuses (``NaN``, ``Infinity``, a number beyond a double) and whose
+encoder writes none of them, so no module may import the stdlib ``json``,
+which reads all three and writes the first two."""
 
 import ast
 from pathlib import Path
@@ -75,3 +80,35 @@ def test_no_module_opens_a_file_for_writing_but_through_the_helper(path):
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_the_guard_sees_every_way_to_write_a_file(source, writes):
     assert len(file_writes(source, helper="_rewrite")) == writes
+
+
+def json_imports(source: str) -> list[str]:
+    """``line: import`` for each import of the stdlib ``json`` or one of its
+    submodules in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:   # not a relative one
+            names = [node.module]
+        else:
+            continue
+        found += [f"{node.lineno}: {name}" for name in names
+                  if name == "json" or name.startswith("json.")]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_the_stdlib_json(path):
+    assert json_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("source,imports", [
+    ("import json", 1), ("import json as j", 1), ("import os, json", 1), ("import json.decoder", 1),
+    ("from json import loads", 1), ("from json.decoder import JSONDecodeError", 1),
+    ("def f():\n    import json", 1),
+    ("import orjson", 0), ("from orjson import loads", 0), ("import jsonschema", 0),
+    ("from . import json", 0), ("from .json import x", 0), ("orjson.loads(b)", 0),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_the_json_guard_sees_every_import_of_the_stdlib_json(source, imports):
+    assert len(json_imports(source)) == imports

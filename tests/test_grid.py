@@ -19,6 +19,16 @@ def test_grid_geometry():
     assert g.nodes[0] > g.a and g.nodes[-1] < g.b
 
 
+def test_full_nodes_end_exactly_at_the_endpoints():
+    # a + (n+1)*h misses b on 432 of these grids, n = 48 on [-1, 1] among them
+    for a, b in ((0.0, 1.0), (-1.0, 1.0)):
+        for n in range(1, 2001):
+            g = Grid(a, b, n)
+            full = g.nodes_full
+            assert full[0] == a and full[-1] == b, (a, b, n)
+            assert full[1:-1].tobytes() == g.nodes.tobytes(), (a, b, n)
+
+
 def test_grid_rejects_bad_input():
     with pytest.raises(ValueError):
         Grid(1.0, 0.0, 3)

@@ -10,7 +10,7 @@ from irrev import (Grid, ProblemData, TimeProfile, constant_profile,
                    default_lower_envelope, discretize_time, solve_unconstrained, validate)
 from irrev.grid import laplacian_diagonals
 from irrev.model import SAMPLE_POINTS, SAMPLE_RANGE, TOL_ADMISS, _step_residual, rounding_floor
-from irrev.presets import PresetError, nonlinearity, space_values
+from irrev.presets import PresetError, fracture_load, nonlinearity, space_values, time_profile
 
 G = Grid(0.0, 1.0, 5)
 
@@ -290,6 +290,21 @@ def test_problem_data_refuses_a_wrong_shape():
 def test_space_values_refuse_nonfinite_values(spec):
     with pytest.raises(PresetError, match="non-finite"):
         space_values(G, spec, "z0")
+
+
+@pytest.mark.parametrize("build,key", [
+    (lambda: nonlinearity({"preset": "tanh", "amplitude": np.inf}), "amplitude"),
+    (lambda: fracture_load({"preset": "ramp_sine", "scale": 0.005, "ramp_time": np.inf}),
+     "ramp_time"),
+    (lambda: time_profile(G, {"preset": "step_t", "before": 0.0, "after": -np.inf,
+                              "t_switch": 0.5}), "after"),
+    (lambda: time_profile(G, {"preset": "tabulated", "times": [0.0, 1.0],
+                              "values": [[0.0] * G.n, [1.0, 1.0, np.nan, 1.0, 1.0]]}), "values"),
+], ids=["tanh-amplitude", "ramp_sine-ramp_time", "step_t-after", "tabulated-values"])
+def test_preset_parameters_refuse_nonfinite_numbers(build, key):
+    # an infinite amplitude would give growth inf, an infinite ramp a load 0 at every time
+    with pytest.raises(PresetError, match=f"non-finite {key} "):
+        build()
 
 
 def test_validate_is_idempotent():
