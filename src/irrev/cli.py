@@ -63,15 +63,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _print_steps(traj: Trajectory) -> None:
-    """One line per step from the solver metadata, when verbose."""
-    if os.environ.get("IRREV_VERBOSE", "0") in ("", "0"):
-        return
-    for s in traj.step_meta:
-        print(f"step {s.k}: sweeps={s.iters} n_active={s.n_active} "
-              f"kkt_residual={s.kkt_residual:.3g}")
-
-
 # --------------------------------------------------------------------------
 # config parsing (fail-closed)
 # --------------------------------------------------------------------------
@@ -166,15 +157,14 @@ def build_solver_options(cfg: dict) -> SolverOptions:
     return SolverOptions(**cfg.get("solver", {}))
 
 
-def _output_dir(cfg: dict, override: str | None) -> Path:
-    """The output directory; only a command that writes creates it."""
-    return Path(override or cfg.get("output", {}).get("directory", "irrev_out"))
-
-
 def _save(traj: Trajectory, cfg: dict, out_dir: Path) -> None:
-    """Print the per-step lines when verbose, then write the trajectory and
-    remove the ``.partial`` marker an earlier failed run may have left."""
-    _print_steps(traj)
+    """Print one line per step from the solver's record when verbose, then write
+    the trajectory and remove the ``.partial`` marker a failed run may have left."""
+    if os.environ.get("IRREV_VERBOSE", "0") not in ("", "0"):
+        t = traj.step_meta
+        for k, (iters, n_active, kkt) in enumerate(zip(t.iters.tolist(), t.n_active.tolist(),
+                                                       t.kkt_residual.tolist()), 1):
+            print(f"step {k}: sweeps={iters} n_active={n_active} kkt_residual={kkt:.3g}")
     save_trajectory(traj, out_dir, **{k: v for k, v in cfg.get("output", {}).items()
                                       if k == "stride"})
     (out_dir / "trajectory.partial").unlink(missing_ok=True)
@@ -216,12 +206,10 @@ def _report(out_dir: Path, traj: Trajectory, verdicts: list[CheckVerdict],
     tag = "  [no evolution]" if movement <= 1e-10 else ""
     print(f"max movement: {movement:.17g}{tag}")
     print(detail)
-    ok = True
     for v in verdicts:
         status = "PASS" if v.passed else "FAIL"
-        ok &= v.passed
         print(f"{status}  {v.name}: violation={v.max_violation:.3g} tol={v.tolerance:.3g}")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return EXIT_OK if all(v.passed for v in verdicts) else EXIT_CHECK_FAILED
 
 
 def cmd_run(cfg: dict, out_dir: Path, force: bool = False) -> int:
@@ -422,7 +410,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = load_config(args.config)
-        out_dir = _output_dir(cfg, args.output_dir)
+        # only a command that writes creates its output directory
+        out_dir = Path(args.output_dir or cfg.get("output", {}).get("directory", "irrev_out"))
         if args.command == "run":
             return cmd_run(cfg, out_dir, force=args.force)
         return COMMANDS[args.command](cfg, out_dir)

@@ -2,23 +2,18 @@
 
 Each step's obstacle is the previous state, so the discrete trajectory is
 nonincreasing in time by construction.  Because the evolution is
-irreversible, the contact set changes little from one step to the next, so
-every active-set solve after the first starts from the previous step's
-contact set; the first, unless it settles in one sweep, takes its start from
-a coarser grid (nested iteration).  After a step whose set held, the steps
-that keep that set are solved in stacks
-(:func:`irrev.obstacle.solve_held_steps`) until one moves it.  A step whose
-data repeat the step before's to the last bit is held and copies that
-step's state, which is exact: with the same data, the minimizer over
-``{v <= z_{k-2}}`` lies in the smaller set ``{v <= z_{k-1}}``, so it
-minimizes there too.
-The full history (states, multipliers, energies, per-step solver metadata)
-is kept in memory -- these are desk-scale runs -- and can be thinned only at
-serialization time, which writes every number in the shortest text that
-reloads to its bits, so verdicts on a reloaded run see the run itself; a
-stamp whose field rows repeat the stamp before's, as a held step's do, is
-written from that stamp's text with only its time put in.  The per-run work
-(the grid's operator, the stored energies) is done once, not per step.
+irreversible, the contact set changes little from one step to the next: each
+solve starts from the set of the step before, stretches that keep it are
+solved in stacks, and a step whose data repeat the step before's copies its
+state (:func:`run_evolution`).  The full history (states, multipliers,
+energies, and the solver's record of every step as columns,
+:class:`StepTrace`) is kept in memory -- these are desk-scale runs -- and
+can be thinned only at serialization time, which writes every number in the
+shortest text that reloads to its bits, so verdicts on a reloaded run see
+the run itself; a stamp whose field rows repeat the stamp before's, as a
+held step's do, is written from that stamp's text with only its time put
+in.  The per-run work (the grid's operator, the stored energies) is done
+once, not per step.
 """
 
 from __future__ import annotations
@@ -51,12 +46,29 @@ class EvolutionError(RuntimeError):
         super().__init__(f"step {step} failed: {cause}")
 
 
-@dataclass(frozen=True)
-class StepMeta:
-    k: int
-    iters: int
-    kkt_residual: float
-    n_active: int
+@dataclass(frozen=True, eq=False)
+class StepTrace:
+    """The solver's record of a run's steps, one column each: row ``k - 1``
+    holds step ``k``'s sweeps (a stacked or held step counts one), KKT
+    residual and contact-set size; filled in place, one slice per stretch."""
+
+    iters: np.ndarray          # (m,) int
+    kkt_residual: np.ndarray   # (m,) float
+    n_active: np.ndarray       # (m,) int
+
+    def __len__(self) -> int:
+        return self.iters.size
+
+    def fill(self, rows, iters, kkt_residual, n_active) -> None:
+        self.iters[rows], self.kkt_residual[rows], self.n_active[rows] = \
+            iters, kkt_residual, n_active
+
+    def records(self) -> list[dict]:
+        """One ``{"iters", "k", "kkt_residual", "n_active"}`` object per step,
+        as ``trajectory.json`` stores them."""
+        return [{"iters": i, "k": k, "kkt_residual": r, "n_active": a}
+                for k, (i, r, a) in enumerate(zip(self.iters.tolist(), self.kkt_residual.tolist(),
+                                                  self.n_active.tolist()), 1)]
 
 
 @dataclass(frozen=True)
@@ -66,7 +78,10 @@ class Trajectory:
     ``states[k]`` is the state at ``times[k]`` (``k = 0..m``),
     ``multipliers[k-1]`` the step multiplier produced on ``(t_{k-1}, t_k]``,
     ``energies[k]`` the energy at ``(states[k], times[k])``, equal to the
-    last bit to :func:`irrev.diagnostics.energy`.
+    last bit to :func:`irrev.diagnostics.energy`.  ``step_meta`` holds the
+    record of every step of the run, also in a thinned load, whose stamps
+    are every ``stride``-th step of the run and its last (``stride`` is 1
+    for a run), so ``len(step_meta)`` counts the run's steps, ``m`` the stamps'.
     """
 
     grid: Grid
@@ -75,8 +90,9 @@ class Trajectory:
     multipliers: np.ndarray    # (m, n)
     energies: np.ndarray       # (m+1,)
     tau: float
-    step_meta: tuple
+    step_meta: StepTrace
     disc: Optional[DiscretizedData] = None
+    stride: int = 1
 
     @property
     def m(self) -> int:
@@ -108,7 +124,7 @@ def run_evolution(data: ProblemData, nl: Nonlinearity, m: int,
     minimizes the step energy over ``{v <= z_{k-2}}``, which contains ``{v
     <= z_{k-1}}``, so it is step ``k``'s minimizer.  A held step copies the state
     and multiplier of the step before, keeps its contact set and is solved by
-    nothing; its :class:`StepMeta` is what :func:`~irrev.obstacle.solve_step`
+    nothing; its :class:`StepTrace` row is what :func:`~irrev.obstacle.solve_step`
     from that set returns, one sweep with the KKT residual of the state at zero
     slack, ``sup max(G, 0)``, and the stack sizes go on after it as before.
     On a per-step solver failure the partial trajectory built so far is
@@ -129,7 +145,7 @@ def run_evolution(data: ProblemData, nl: Nonlinearity, m: int,
 
     states = np.empty((m + 1, n))
     multipliers = np.zeros((m, n))
-    meta: list[StepMeta] = []
+    trace = StepTrace(np.empty(m, int), np.empty(m), np.empty(m, int))
 
     states[0] = data.initial
 
@@ -148,9 +164,8 @@ def run_evolution(data: ProblemData, nl: Nonlinearity, m: int,
             multipliers[k - 1:edge] = multipliers[k - 2]
             G = _step_residual(states[k - 1], disc.source_avg[k - 1], disc.weight_avg[k - 1],
                                data.lam, nl, lap)
-            kkt = float(_sweep_certificate(states[k - 1], G, states[k - 1], False)[1])
-            meta += [StepMeta(k=j, iters=1, kkt_residual=kkt, n_active=int(active.size))
-                     for j in range(k, edge + 1)]
+            trace.fill(slice(k - 1, edge), 1,
+                       _sweep_certificate(states[k - 1], G, states[k - 1], False)[1], active.size)
             k = edge + 1
             continue
         rows = slice(k - 1, min(k - 1 + block, edge))
@@ -162,8 +177,7 @@ def run_evolution(data: ProblemData, nl: Nonlinearity, m: int,
                 Z, eta, kkt = states[:0], states[:0], np.empty(0)
             states[k:k + len(Z)] = Z
             multipliers[k - 1:k - 1 + len(Z)] = eta
-            meta += [StepMeta(k=k + j, iters=1, kkt_residual=r, n_active=int(active.size))
-                     for j, r in enumerate(kkt.tolist())]
+            trace.fill(slice(k - 1, k - 1 + len(Z)), 1, kkt, active.size)
             k += len(Z)
             if k == rows.stop + 1:
                 block = min(2 * block, cap)
@@ -177,20 +191,20 @@ def run_evolution(data: ProblemData, nl: Nonlinearity, m: int,
                 grid=g, times=disc.times[:k], states=states[:k].copy(),
                 multipliers=multipliers[:k - 1].copy(),
                 energies=energies(data, nl, states, disc.times[:k]),
-                tau=disc.tau, step_meta=tuple(meta), disc=disc)
+                tau=disc.tau, disc=disc,
+                step_meta=StepTrace(*(column[:k - 1] for column in vars(trace).values())))
             raise EvolutionError(k, partial, exc) from exc
         active = res.active
         states[k] = res.z
         multipliers[k - 1] = res.eta
-        meta.append(StepMeta(k=k, iters=res.iters, kkt_residual=res.kkt_residual,
-                             n_active=int(res.active.size)))
+        trace.fill(k - 1, res.iters, res.kkt_residual, res.active.size)
         block = min(2, cap) if res.iters == 1 else 0
         k += 1
 
     return Trajectory(grid=g, times=disc.times, states=states,
                       multipliers=multipliers,
                       energies=energies(data, nl, states, disc.times),
-                      tau=disc.tau, step_meta=tuple(meta), disc=disc)
+                      tau=disc.tau, step_meta=trace, disc=disc)
 
 
 def _repeats(rows: np.ndarray, before: Optional[np.ndarray] = None) -> np.ndarray:
@@ -210,25 +224,18 @@ def _repeats(rows: np.ndarray, before: Optional[np.ndarray] = None) -> np.ndarra
 # interpolants
 # --------------------------------------------------------------------------
 
-def _locate(traj: Trajectory, t: float) -> int:
-    """Index k with t in (t_{k-1}, t_k]; 0 for t == 0."""
-    T = traj.times[-1]
-    if t < -1e-12 * max(1.0, T) or t > T * (1.0 + 1e-12) + 1e-300:
-        raise ValueError(f"time {t} outside [0, {T}]")
-    t = min(max(t, 0.0), T)
-    if t == 0.0:
-        return 0
-    k = int(np.searchsorted(traj.times, t, side="left"))
-    return min(max(k, 1), traj.m)
-
-
 def interp_constant(traj: Trajectory, t: float) -> np.ndarray:
     """Piecewise constant interpolant: the value on ``(t_{k-1}, t_k]`` is
     the row ``states[k]``.  At ``t == 0`` the initial state is returned (the
     natural left-end extension; the stepping scheme leaves that instant
     undefined).
     """
-    return traj.states[_locate(traj, t)]
+    T = traj.times[-1]
+    if t < -1e-12 * max(1.0, T) or t > T * (1.0 + 1e-12) + 1e-300:
+        raise ValueError(f"time {t} outside [0, {T}]")
+    t = min(max(t, 0.0), T)
+    k = int(np.searchsorted(traj.times, t, side="left"))
+    return traj.states[0 if t == 0.0 else min(max(k, 1), traj.m)]
 
 
 # --------------------------------------------------------------------------
@@ -352,22 +359,35 @@ def write_long_csv(path: str | Path, times: np.ndarray, x: np.ndarray,
                               for t in _csv_rows(times[sl][a:b, None]).split())
 
 
+class _StampRows:
+    """Rows ``at`` of ``rows``, a row of nan where ``at < 0``, which
+    :func:`write_long_csv` slices and so copies a block at a time."""
+
+    def __init__(self, rows: np.ndarray, at: np.ndarray):
+        self.rows, self.at = rows, at
+
+    def __getitem__(self, sl: slice) -> np.ndarray:
+        at = self.at[sl]
+        out = np.full((at.size, self.rows.shape[1]), np.nan)
+        out[at >= 0] = self.rows[at[at >= 0]]
+        return out
+
+
 def save_trajectory(traj: Trajectory, directory: str | Path,
                     stride: int = 1) -> tuple[Path, Path]:
     """Write ``trajectory.csv`` (long format: t, x, z, eta) and ``trajectory.json``.
 
-    The CSV is written by :func:`write_long_csv`, one block of stamps at a
-    time, every value in the shortest text that reloads to its bits, so a
-    round trip through :func:`load_trajectory` reproduces the trajectory to
-    the last bit.  ``stride`` thins the stored time stamps (the initial and
-    final stamps are always kept).  Multiplier entries at ``t == 0`` are
-    written as ``nan`` (no step produced them).  The manifest is encoded by
-    :func:`_json`, the one JSON encoder: sorted keys, one line, a final ``\\n``;
-    a non-finite number (an energy that overflowed) is written as ``null``,
-    which :func:`load_trajectory` reads back as ``nan``.  Existing files of
-    these names are overwritten from their start and cut after the new bytes,
-    never truncated first (:func:`_rewrite`), so a rerun into the same
-    directory leaves exactly the new run's bytes.
+    The CSV is written by :func:`write_long_csv`, so a round trip through
+    :func:`load_trajectory` reproduces the trajectory to the last bit.
+    ``stride`` thins the stored time stamps (the initial and final stamps
+    are always kept, their rows copied a block at a time); a thinned load is
+    thinned by ``stride * traj.stride`` from the run's steps, so with
+    ``stride`` 1 it writes the bytes it was loaded from.  Multiplier entries
+    at ``t == 0`` are written as ``nan`` (no step produced them).  The
+    manifest is encoded by :func:`_json`: sorted keys, one line, a final
+    ``\\n``; a non-finite number (an energy that overflowed) is written as
+    ``null``, which :func:`load_trajectory` reads back as ``nan``.  Existing
+    files are overwritten and cut, never truncated first (:func:`_rewrite`).
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
@@ -376,22 +396,23 @@ def save_trajectory(traj: Trajectory, directory: str | Path,
     csv_path = directory / "trajectory.csv"
     json_path = directory / "trajectory.json"
 
-    keep = sorted(set(range(0, traj.m + 1, stride)) | {0, traj.m})
-    no_eta = np.full(traj.grid.n, np.nan)
-    write_long_csv(csv_path, traj.times[keep], traj.grid.nodes,
-                   {"z": [traj.states[k] for k in keep],
-                    "eta": [traj.multipliers[k - 1] if k else no_eta for k in keep]})
+    keep = np.r_[0:traj.m:stride, traj.m]   # the stored stamps to write
+    times = traj.times[keep]
+    write_long_csv(csv_path, times, traj.grid.nodes,
+                   {"z": _StampRows(traj.states, keep),
+                    "eta": _StampRows(traj.multipliers, keep - 1)})
 
+    steps, stride = len(traj.step_meta), stride * traj.stride
     manifest = {
         "grid": {"a": traj.grid.a, "b": traj.grid.b, "n": traj.grid.n,
                  "bc_left": traj.grid.bc_left.value, "bc_right": traj.grid.bc_right.value},
         "tau": traj.tau,
-        "m": traj.m,
+        "m": steps,
         "stride": stride,
-        "kept_stamps": keep,
-        "times": [float(t) for t in traj.times[keep]],
-        "energies": [float(e) for e in traj.energies[keep]],
-        "step_meta": [vars(s) for s in traj.step_meta],   # asdict would deep-copy
+        "kept_stamps": np.r_[0:steps:stride, steps],
+        "times": times,
+        "energies": traj.energies[keep],
+        "step_meta": traj.step_meta.records(),
     }
     with _rewrite(json_path) as fh:
         fh.write(_json(manifest))
@@ -416,7 +437,9 @@ def load_trajectory(directory: str | Path) -> Trajectory:
     states = rows[:, 2].reshape(m1, n).copy()
     multipliers = rows[n:, 3].reshape(m1 - 1, n).copy()
 
-    meta = tuple(StepMeta(**s) for s in manifest["step_meta"])
+    meta = manifest["step_meta"]
+    trace = StepTrace(*(np.array([s[key] for s in meta], dtype) for key, dtype in
+                        (("iters", int), ("kkt_residual", float), ("n_active", int))))
     return Trajectory(grid=grid, times=times, states=states, multipliers=multipliers,
                       energies=np.asarray(manifest["energies"], dtype=float),
-                      tau=manifest["tau"], step_meta=meta, disc=None)
+                      tau=manifest["tau"], step_meta=trace, disc=None, stride=manifest["stride"])

@@ -116,14 +116,10 @@ def at_nonlinearity(params: ATParams) -> Nonlinearity:
         s = np.asarray(s, dtype=float)
         return (delta - 3.0 * s * s) / (eps * (s * s + delta) ** 3)
 
-    slope_bound = float(-deriv(np.sqrt(delta)))
-
     # |fn| attains its maximum at s = +-sqrt(delta/3)
-    s_peak = np.sqrt(delta / 3.0)
-    growth = float(abs(fn(s_peak)))
-
     return Nonlinearity(fn=fn, primitive=primitive, deriv=deriv,
-                        slope_bound=slope_bound, growth=growth)
+                        slope_bound=float(-deriv(np.sqrt(delta))),
+                        growth=float(abs(fn(np.sqrt(delta / 3.0)))))
 
 
 def _cumtrapz(x: np.ndarray, y: np.ndarray) -> np.ndarray:

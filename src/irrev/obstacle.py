@@ -21,15 +21,11 @@ guess from the same problem on a grid of half as many nodes (nested
 iteration), so a cold solve needs a number of sweeps that does not grow
 with ``n``.
 
-Every sweep and every stack of steps runs the same Newton on whole arrays:
-a held node (one of the active set) is an identity row of the Jacobian
-with a zero right-hand side, cut from its neighbours, so it keeps its bits
-and the free nodes get the floating-point operations of their own
-subsystem; an empty set is a mask with no node held.  While a set holds,
-its nodes stay on the obstacle and a step's free-node problem does not
-depend on the step before: a stretch of such steps is one stack of rows for
-the same Newton (:func:`solve_held_steps`), certified by the same sweep test
-as :func:`solve_step`.
+Every sweep and every stack of steps runs the same Newton on whole arrays,
+a held node being an identity row (:func:`_newton_on_subset`); a stretch of
+steps that keep their contact set is one stack of rows for it
+(:func:`solve_held_steps`), certified by the same sweep test as
+:func:`solve_step`.
 """
 
 from __future__ import annotations
@@ -147,35 +143,25 @@ def _sup_norm(v: np.ndarray, where=True) -> float:
 # Newton inner solve on a node subset
 # --------------------------------------------------------------------------
 
-def _solve_free_jacobian(lap: tuple[np.ndarray, np.ndarray, np.ndarray],
-                         free: np.ndarray, jd: np.ndarray,
-                         rhs: np.ndarray) -> np.ndarray:
-    """Solve the Newton system on whole arrays: the diagonal ``jd``, and the
-    Laplacian's off-diagonals from ``lap`` between adjacent nodes that the
-    mask ``free`` flags, zero elsewhere, so a held node is a row of its own.
+def _solve_free_jacobian(off: np.ndarray, jd: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the Newton system on whole arrays: the diagonal ``jd``, and both
+    off-diagonals ``off``, the Laplacian's between adjacent free nodes and
+    zero elsewhere, so a held node is a row of its own.
 
     LAPACK's ``dgtsv`` (what ``scipy.linalg.solve_banded`` calls for one band
     on either side, without its checks and copies) carries nothing across a
     zero off-diagonal: the free nodes get the operations of their own
     subsystem, and a held row with ``jd`` 1 and ``rhs`` 0 solves to 0.  One
-    node is a division.  Stacks ``(k, n)`` are one system with zero
-    off-diagonals at the seams, so the rows decouple.  ``jd`` and ``rhs``
-    are overwritten.
+    node is a division.  A stack ``(k, n)`` is one system whose ``off`` is
+    zero at the seams, so the rows decouple.  ``jd`` and ``rhs`` are
+    overwritten; ``dgtsv`` gets a copy of ``off``, which Newton reuses.
     """
     if jd.size == 1:
         return rhs / jd
-    sub, _, sup = lap
-    both = free[1:] & free[:-1]
-    dl, du = (np.where(both, d, 0.0) for d in (sub, sup))
-    shape = rhs.shape
-    if jd.ndim == 2:   # one system, with zero off-diagonals at the seams
-        dl, du = (np.tile(np.append(d, 0.0), len(jd))[:-1] for d in (dl, du))
-        jd, rhs = jd.ravel(), rhs.ravel()
-    _, _, _, x, info = dgtsv(dl, jd, du, rhs, overwrite_dl=1, overwrite_d=1,
-                             overwrite_du=1, overwrite_b=1)
+    _, _, _, x, info = dgtsv(off, jd.ravel(), off, rhs.ravel(), overwrite_d=1, overwrite_b=1)
     if info != 0:  # pragma: no cover - SPD by margin
         raise NewtonFailure(f"singular step Jacobian (dgtsv info={info})")
-    return x.reshape(shape)
+    return x.reshape(rhs.shape)
 
 
 def _newton_on_subset(u: np.ndarray, free: np.ndarray,
@@ -205,11 +191,15 @@ def _newton_on_subset(u: np.ndarray, free: np.ndarray,
         return u, G
     # the Jacobian's diagonal is (lap + lam) + w*fn'(u), added in that order
     jd_fixed = lap[1] + lam
+    # the off-diagonals (lap's sub and sup are one array) depend only on the mask
+    off = np.where(free[1:] & free[:-1], lap[0], 0.0)
+    if u.ndim == 2:   # one system of the stack's rows, with zeros at the seams
+        off = np.tile(np.append(off, 0.0), len(u))[:-1]
     alpha_floor = NEWTON_DAMPING ** 40
 
     for _ in range(MAX_NEWTON):
         jd = np.where(free, jd_fixed + wv * nl.deriv(u), 1.0)
-        delta = _solve_free_jacobian(lap, free, jd, np.where(free, -G, 0.0))
+        delta = _solve_free_jacobian(off, jd, np.where(free, -G, 0.0))
 
         alpha = 1.0
         while alpha >= alpha_floor:
@@ -347,7 +337,8 @@ def solve_held_steps(grid: Grid, start, active, sources, weights, lam: float,
     that pass the test of :func:`solve_step`'s first sweep from ``active``:
     the convexity margin (rows from the first without it are not solved),
     and, from :func:`_sweep_certificate` against the row before, the
-    predictor giving ``active`` and the KKT residual :func:`_settled`.
+    predictor giving ``active`` and the KKT residual :func:`_settled`, whose
+    rounding floor is computed only at a row beyond :data:`TOL_KKT`.
     """
     fv, wv = np.asarray(sources, dtype=float), np.asarray(weights, dtype=float)
     psi = np.asarray(start, dtype=float)
@@ -359,10 +350,11 @@ def solve_held_steps(grid: Grid, start, active, sources, weights, lam: float,
                              fv[:k], wv[:k], lam, nl, lap)
     eta, kkt, predicted = _sweep_certificate(Z, G, np.concatenate([psi[None], Z])[:-1], held)
     same = (predicted == held).all(axis=-1)
-    keep = 0   # the leading rows that pass
+    passed = same & (kkt <= TOL_KKT)
+    keep = int(np.logical_and.accumulate(passed).sum())   # the leading rows that pass
     while keep < k and same[keep] and _settled(kkt[keep], Z[keep], fv[keep], wv[keep],
                                                lam, nl, lap):
-        keep += 1
+        keep += 1 + int(np.logical_and.accumulate(passed[keep + 1:]).sum())
     return Z[:keep], eta[:keep], kkt[:keep]
 
 

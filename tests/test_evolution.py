@@ -9,7 +9,6 @@ from irrev import (EvolutionError, Grid, ProblemData, TimeProfile,
                    load_trajectory, norm_h1, run_evolution, save_trajectory,
                    solve_step, solve_unconstrained)
 from irrev.diagnostics import energies
-from irrev.evolution import StepMeta
 from irrev.fracture import ATParams, build_problem
 from irrev.obstacle import TOL_KKT
 from irrev.presets import fracture_load, nonlinearity, time_profile
@@ -157,13 +156,28 @@ def test_warm_start_matches_cold_steps(n):
     cold = [solve_step(data.grid, traj.states[k - 1], traj.disc.source_avg[k - 1],
                        traj.disc.weight_avg[k - 1], data.lam, nl)
             for k in range(1, traj.m + 1)]
-    sweeps = [s.iters for s in traj.step_meta]
+    sweeps = traj.step_meta.iters.tolist()
     assert sweeps[0] == cold[0].iters > 2   # the first step starts cold
     assert max(sweeps[1:]) <= 2             # later ones from the last contact set
-    assert [s.n_active for s in traj.step_meta] == [res.active.size for res in cold]
+    assert traj.step_meta.n_active.tolist() == [res.active.size for res in cold]
     assert min(res.active.size for res in cold) > 0
     for k, res in enumerate(cold, start=1):
         np.testing.assert_allclose(traj.states[k], res.z, rtol=0, atol=1e-12)
+
+
+def trace_rows(trace):
+    """``(k, iters, n_active)`` of every step of a :class:`StepTrace`."""
+    return list(zip(range(1, len(trace) + 1), trace.iters.tolist(), trace.n_active.tolist()))
+
+
+def assert_trace_is(trace, results, first=1):
+    """The rows of ``trace`` from step ``first`` on are the ``solve_step``
+    ``results``: sweeps and contact-set sizes equal, KKT residuals to the bit."""
+    rows = slice(first - 1, first - 1 + len(results))
+    assert trace.iters[rows].tolist() == [res.iters for res in results]
+    assert trace.n_active[rows].tolist() == [res.active.size for res in results]
+    assert trace.kkt_residual[rows].tobytes() == \
+        np.array([res.kkt_residual for res in results]).tobytes()
 
 
 def bump(x):
@@ -223,10 +237,10 @@ def test_contact_free_stretch_matches_the_cold_walk():
     states, cold = step_walk(data, traj, warm=False)
     assert traj.max_movement() > 1e-3
     np.testing.assert_allclose(traj.states, states, rtol=0, atol=1e-12)
-    assert [(s.k, s.iters, s.n_active) for s in traj.step_meta] == \
+    assert trace_rows(traj.step_meta) == \
         [(k, res.iters, res.active.size) for k, res in enumerate(cold, start=1)]
     assert [res.active.size for res in cold] == [0] * traj.m
-    assert max(s.kkt_residual for s in traj.step_meta) <= TOL_KKT
+    assert traj.step_meta.kkt_residual.max() <= TOL_KKT
     assert (traj.states[1:] <= traj.states[:-1]).all()
 
 
@@ -236,7 +250,7 @@ def test_contact_onset_in_a_stretch_matches_the_cold_walk():
     states, cold = step_walk(data, traj, warm=False)
     n_active = [res.active.size for res in cold]
     assert n_active[0] == 0 and n_active[-1] > 0  # the stretch ends in contact
-    assert [s.n_active for s in traj.step_meta] == n_active
+    assert traj.step_meta.n_active.tolist() == n_active
     np.testing.assert_allclose(traj.states, states, rtol=0, atol=1e-12)
     assert (traj.states[1:] <= traj.states[:-1]).all()
 
@@ -257,9 +271,8 @@ def test_one_row_stacks_equal_the_sequential_walk(monkeypatch, name):
     states, warm = step_walk(data, traj, warm=True, nl=nl)
     np.testing.assert_array_equal(traj.states, states)
     np.testing.assert_array_equal(traj.multipliers, [res.eta for res in warm])
-    assert traj.step_meta == tuple(
-        StepMeta(k=k, iters=res.iters, kkt_residual=res.kkt_residual,
-                 n_active=int(res.active.size)) for k, res in enumerate(warm, start=1))
+    assert len(traj.step_meta) == traj.m
+    assert_trace_is(traj.step_meta, warm)
 
 
 @pytest.mark.parametrize("name", ["contact", "onset_data"])
@@ -267,7 +280,7 @@ def test_held_set_stretch_matches_the_warm_walk(name):
     data, nl = RUNS[name]()
     traj = run_evolution(data, nl, m=50)
     states, warm = step_walk(data, traj, warm=True, nl=nl)
-    meta = [(s.k, s.iters, s.n_active) for s in traj.step_meta]
+    meta = trace_rows(traj.step_meta)
     assert meta == [(k, res.iters, res.active.size) for k, res in enumerate(warm, start=1)]
     # a stretch of steps that keep a nonempty contact set
     assert sum(1 for (_, iters, n_active) in meta[1:] if iters == 1 and n_active) > 10
@@ -278,9 +291,9 @@ def test_held_set_stretch_matches_the_warm_walk(name):
 
 def counted_run(monkeypatch, data, nl, m):
     """``run_evolution`` with its ``solve_step`` calls, its stacked Newton
-    runs and the stack rows it asks for (``rows``) and does not keep
-    (``rows_lost``) counted."""
-    counts = {"solve_step": 0, "stacks": 0, "rows": 0, "rows_lost": 0}
+    runs, the stack rows it asks for (``rows``) and does not keep
+    (``rows_lost``) and the rounding-floor tests (``settled``) counted."""
+    counts = {"solve_step": 0, "stacks": 0, "rows": 0, "rows_lost": 0, "settled": 0}
 
     def counted_step(*args, **kwargs):
         counts["solve_step"] += 1
@@ -296,7 +309,13 @@ def counted_run(monkeypatch, data, nl, m):
         counts["stacks"] += np.ndim(u) == 2
         return newton(u, *args)
 
+    def counted_settled(*args):
+        counts["settled"] += 1
+        return settled(*args)
+
     newton, held = obstacle._newton_on_subset, evolution.solve_held_steps
+    settled = obstacle._settled
+    monkeypatch.setattr(obstacle, "_settled", counted_settled)
     monkeypatch.setattr(evolution, "solve_step", counted_step)
     monkeypatch.setattr(evolution, "solve_held_steps", counted_held)
     monkeypatch.setattr(obstacle, "_newton_on_subset", counted_newton)
@@ -306,10 +325,13 @@ def counted_run(monkeypatch, data, nl, m):
 def test_long_contact_free_run_takes_few_stacked_solves(monkeypatch):
     m = 640
     traj, counts = counted_run(monkeypatch, relax_data(horizon=40.0), TANH, m)
-    assert [s.n_active for s in traj.step_meta] == [0] * m
+    assert traj.step_meta.n_active.tolist() == [0] * m
     assert counts["solve_step"] == 1
     # stacks of 2, 4, 8, ... rows
     assert 1 <= counts["stacks"] <= 2 * math.ceil(math.log2(m))
+    # a stacked row within TOL_KKT asks for no rounding floor: only the
+    # sweeps of solve_step do
+    assert counts["settled"] == traj.step_meta.iters[0] == 1
 
 
 def test_held_contact_set_run_takes_two_step_solves(monkeypatch):
@@ -317,7 +339,7 @@ def test_held_contact_set_run_takes_two_step_solves(monkeypatch):
     # cold, step 2 confirms it in one sweep, and stacks solve the rest
     m = 50
     traj, counts = counted_run(monkeypatch, *contact_data(301), m)
-    assert min(s.n_active for s in traj.step_meta) > 0
+    assert traj.step_meta.n_active.min() > 0
     assert counts["solve_step"] == 2
     assert 1 <= counts["stacks"] <= 2 * math.ceil(math.log2(m))
     assert counts["rows_lost"] == 0
@@ -328,7 +350,7 @@ def test_a_moving_contact_set_wastes_few_stack_rows(monkeypatch):
     # every step asks for few rows that it cannot keep
     data, nl = travelling_data(), TANH
     traj, counts = counted_run(monkeypatch, data, nl, 200)
-    iters = [s.iters for s in traj.step_meta]
+    iters = traj.step_meta.iters.tolist()
     assert sum(i > 1 for i in iters) > 150    # the set moves
     assert counts["rows_lost"] <= 4
     states, warm = step_walk(data, traj, warm=True, nl=nl)
@@ -383,14 +405,13 @@ def test_held_steps_equal_the_warm_walk_bit_for_bit(monkeypatch, name):
     traj = run_evolution(data, nl, m=100)
     held = held_steps(traj)
     assert len(held) > 40 and held[-1] == traj.m
-    assert all(traj.step_meta[k - 1].n_active == (7 if name == "rise_and_hold" else 0)
+    assert all(traj.step_meta.n_active[k - 1] == (7 if name == "rise_and_hold" else 0)
                for k in held)
     states, warm = step_walk(data, traj, warm=True, nl=nl)
     np.testing.assert_array_equal(traj.states, states)
     np.testing.assert_array_equal(traj.multipliers, [res.eta for res in warm])
-    assert traj.step_meta == tuple(
-        StepMeta(k=k, iters=res.iters, kkt_residual=res.kkt_residual,
-                 n_active=int(res.active.size)) for k, res in enumerate(warm, start=1))
+    assert len(traj.step_meta) == traj.m
+    assert_trace_is(traj.step_meta, warm)
 
 
 @pytest.mark.parametrize("name", list(HOLDS))
@@ -411,8 +432,7 @@ def test_held_steps_copy_the_step_before_and_call_no_solver(monkeypatch, name):
                          initial_active=np.flatnonzero(traj.multipliers[k - 2] > 0))
         assert res.z.tobytes() == traj.states[k].tobytes()
         assert res.eta.tobytes() == traj.multipliers[k - 1].tobytes()
-        assert traj.step_meta[k - 1] == StepMeta(k=k, iters=res.iters, kkt_residual=res.kkt_residual,
-                                                 n_active=int(res.active.size))
+        assert_trace_is(traj.step_meta, [res], first=k)
 
 
 def test_a_hold_inside_a_stack_loses_no_stack_row(monkeypatch):
@@ -425,7 +445,7 @@ def test_a_hold_inside_a_stack_loses_no_stack_row(monkeypatch):
     traj, counts = counted_run(monkeypatch, data, nl, m)
     held = held_steps(traj)
     assert held == list(range(14, 25))
-    assert [s.n_active for s in traj.step_meta] == [0] * m
+    assert traj.step_meta.n_active.tolist() == [0] * m
     assert counts["solve_step"] == 1 and counts["rows_lost"] == 0
     assert counts["rows"] == m - 1 - len(held)
     states, cold = step_walk(data, traj, warm=False)
@@ -509,8 +529,7 @@ def test_trajectory_round_trip(tmp_path, moving_traj):
     np.testing.assert_array_equal(back.times, moving_traj.times)
     np.testing.assert_array_equal(back.energies, moving_traj.energies)
     assert back.grid == moving_traj.grid
-    assert [s.kkt_residual for s in back.step_meta] == \
-        [s.kkt_residual for s in moving_traj.step_meta]
+    assert back.step_meta.kkt_residual.tobytes() == moving_traj.step_meta.kkt_residual.tobytes()
 
 
 def test_trajectory_stride_keeps_ends(tmp_path, moving_traj):

@@ -12,7 +12,7 @@ from irrev import (CoercivityLost, DiscretizedData, Grid, MaxIterations, NewtonF
                    solve_unconstrained, step_energy)
 from irrev import obstacle as obstacle_module
 from irrev.grid import laplacian_diagonals
-from irrev.model import _step_residual, discretize_time, rounding_floor
+from irrev.model import MARGIN_FLOOR, _step_residual, discretize_time, rounding_floor
 from irrev.obstacle import TOL_KKT, TOL_NEWTON, _solve_free_jacobian, solve_held_steps
 from irrev.presets import nonlinearity
 
@@ -140,7 +140,9 @@ def test_reference_solvers_keep_the_coercivity_guard(solver):
 ], ids=["single", "all", "gaps", "isolated"])
 def test_free_jacobian_solve_equals_solve_banded_bit_for_bit(free):
     # the whole-array system with held nodes as identity rows solves the
-    # free nodes to the bits of their compacted system, the held ones to 0
+    # free nodes to the bits of their compacted system, the held ones to 0;
+    # the off-diagonal, zero next to a held node, is built once and survives
+    # every solve
     grid = Grid(0.0, 1.0, 41)
     lap = laplacian_diagonals(grid)
     sub, diag, sup = lap
@@ -148,6 +150,8 @@ def test_free_jacobian_solve_equals_solve_banded_bit_for_bit(free):
     mask = np.zeros(grid.n, bool)
     mask[idx] = True
     consec = np.diff(idx) == 1
+    off = np.where(mask[1:] & mask[:-1], sub, 0.0)
+    kept = off.copy()
     rng = np.random.default_rng(len(free))
     for _ in range(20):
         # SPD: the Laplacian's diagonal dominates, and lam + w*fn' > 0
@@ -160,15 +164,17 @@ def test_free_jacobian_solve_equals_solve_banded_bit_for_bit(free):
         want = solve_banded((1, 1), ab, rhs)
         full_jd, full_rhs = np.ones(grid.n), np.zeros(grid.n)
         full_jd[idx], full_rhs[idx] = jd, rhs
-        got = _solve_free_jacobian(lap, mask, full_jd, full_rhs)
+        got = _solve_free_jacobian(off, full_jd, full_rhs)
         assert got[idx].tobytes() == want.tobytes()
         assert got[~mask].tobytes() == np.zeros(grid.n - idx.size).tobytes()
+        assert off.tobytes() == kept.tobytes()
     # a stack of rows on the same free nodes: zero seams decouple the rows
     jd = np.where(mask, diag + rng.uniform(0.01, 50.0, (3, grid.n)), 1.0)
     rhs = np.where(mask, rng.normal(size=(3, grid.n)), 0.0)
-    got = _solve_free_jacobian(lap, mask, jd.copy(), rhs.copy())
+    stacked = np.tile(np.append(off, 0.0), len(jd))[:-1]   # zero at the seams
+    got = _solve_free_jacobian(stacked, jd.copy(), rhs.copy())
     for row, j, b in zip(got, jd, rhs):
-        assert row.tobytes() == _solve_free_jacobian(lap, mask, j.copy(), b.copy()).tobytes()
+        assert row.tobytes() == _solve_free_jacobian(off, j.copy(), b.copy()).tobytes()
 
 
 @pytest.mark.parametrize("entry", ["solve_step", "solve_unconstrained"])
@@ -349,6 +355,76 @@ def test_held_steps_drop_the_rows_after_the_first_rejected_row():
     assert len(Z) == len(eta) == len(kkt) == 1
     z1 = solve_unconstrained(g, f[1], w[1], 1.0, SOFTENING)
     assert len(solve_held_steps(g, z1, np.array([], int), f[2:], w[2:], 1.0, SOFTENING)[0]) == 2
+
+
+def per_row_held_steps(grid, start, active, sources, weights, lam, nl):
+    """:func:`solve_held_steps` with the per-row rule it had before the rows
+    were tested as one array: ``_settled`` on every row in turn (oracle)."""
+    fv, wv = np.asarray(sources, dtype=float), np.asarray(weights, dtype=float)
+    psi = np.asarray(start, dtype=float)
+    held = np.zeros(grid.n, bool)
+    held[active] = True
+    k = int(np.logical_and.accumulate(nl.convexity_margin(lam, wv) >= MARGIN_FLOOR).sum())
+    lap = laplacian_diagonals(grid)
+    Z, G = obstacle_module._newton_on_subset(np.repeat(psi[None], k, axis=0), ~held,
+                                             fv[:k], wv[:k], lam, nl, lap)
+    eta, kkt, predicted = obstacle_module._sweep_certificate(
+        Z, G, np.concatenate([psi[None], Z])[:-1], held)
+    same = (predicted == held).all(axis=-1)
+    keep = 0
+    while keep < k and same[keep] and obstacle_module._settled(kkt[keep], Z[keep], fv[keep],
+                                                               wv[keep], lam, nl, lap):
+        keep += 1
+    return Z[:keep], eta[:keep], kkt[:keep]
+
+
+def floor_row_stack():
+    """Constant states 0.6, 0.5, 0.2 + 0.01x, 0.15 and 0.1 on 21 nodes with
+    zero-flux ends, the middle one under a weight of 1e8: only that row's
+    residual is rounding of size 1e8, beyond TOL_KKT but within its floor."""
+    g = Grid(0.0, 1.0, 21, "neumann", "neumann")
+    states = [np.full(g.n, 0.6), np.full(g.n, 0.5), 0.2 + 0.01 * g.nodes,
+              np.full(g.n, 0.15), np.full(g.n, 0.1)]
+    w = np.outer([1.0, 1.0, 1e8, 1.0, 1.0], np.ones(g.n))
+    f = np.array([u + wk * np.asarray(TANH.fn(u)) for u, wk in zip(states, w)])
+    return g, np.full(g.n, 10.0), f, w, TANH
+
+
+@pytest.mark.parametrize("case", ["tol_kkt", "floor_row", "set_moves", "no_margin"])
+def test_held_steps_keep_the_rows_of_the_per_row_rule(monkeypatch, case):
+    # the rows are tested as one array, and only a row beyond TOL_KKT asks
+    # for its rounding floor; the kept rows are the per-row rule's, bit for bit
+    if case == "floor_row":
+        g, start, f, w, nl = floor_row_stack()
+    else:
+        levels, weights = {"tol_kkt": ([1.0, 0.9, 0.8, 0.7], None),
+                           # row 2 rises above row 1 by rounding: within
+                           # TOL_KKT, but its predictor takes nodes into contact
+                           "set_moves": ([1.0, 0.9, 0.9 + 1e-12, 0.8], None),
+                           "no_margin": ([1.0, 0.9, 0.8], [3.0, 1.0, 1.0])}[case]
+        g, start, f, w = falling_rows(levels, weights)
+        nl = SOFTENING
+    want = per_row_held_steps(g, start, np.array([], int), f, w, 1.0, nl)
+    calls, settled = [], obstacle_module._settled
+
+    def counted(kkt, *args):
+        calls.append(kkt)
+        return settled(kkt, *args)
+
+    monkeypatch.setattr(obstacle_module, "_settled", counted)
+    got = solve_held_steps(g, start, np.array([], int), f, w, 1.0, nl)
+    assert len(got[0]) == len(want[0]) == {"tol_kkt": 4, "floor_row": 5, "set_moves": 2,
+                                           "no_margin": 0}[case]
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    kkt = got[2]
+    if case == "floor_row":
+        floor = rounding_floor(got[0][2], f[2], w[2], 1.0, nl, laplacian_diagonals(g))
+        assert TOL_KKT < kkt[2] <= floor
+        assert np.delete(kkt, 2).max() <= TOL_KKT
+        assert calls == [kkt[2]]   # the one row beyond TOL_KKT
+    else:
+        assert kkt.max(initial=0.0) <= TOL_KKT and calls == []
 
 
 def test_contact_nodes_on_a_negative_zero_obstacle_keep_its_sign():

@@ -1,13 +1,17 @@
+import contextlib
 import dataclasses
+import io
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 
 from irrev import (EvolutionError, Grid, ProblemData, TimeProfile,
                    constant_profile, load_trajectory, run_evolution, save_trajectory,
                    solve_unconstrained)
-from irrev import evolution, model
+from irrev import cli, evolution, model
 from irrev.evolution import _csv_rows, write_csv, write_long_csv
 from irrev.model import EVAL_BLOCK
 from irrev.presets import nonlinearity
@@ -355,3 +359,50 @@ def test_long_writer_that_raises_leaves_no_byte_of_the_old_file(tmp_path, monkey
         write_long_csv(path, times, x, {"a": list(a), "b": b})
     assert calls == [3, 3]
     assert path.read_bytes() == plain_long_csv(times[:3], x, {"a": a[:3], "b": b[:3]})
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def thinned_run_contact(tmp_path, stride: int) -> Path:
+    """``irrev run`` on the golden run-contact config (m = 50) saved with ``stride``."""
+    cfg = orjson.loads((GOLDEN / "run-contact.json").read_bytes())
+    cfg["output"] = {"stride": stride}
+    path, out = tmp_path / f"stride{stride}.json", tmp_path / f"stride{stride}"
+    path.write_bytes(orjson.dumps(cfg))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["run", str(path), "--output-dir", str(out)]) == cli.EXIT_OK
+    return out
+
+
+def test_thinned_trajectory_survives_load_and_save(tmp_path):
+    # a thinned load keeps its stride and every step's record, so saving it
+    # again writes its own bytes, and thinning it again is thinning the run
+    out7, out14 = thinned_run_contact(tmp_path, 7), thinned_run_contact(tmp_path, 14)
+    thin = load_trajectory(out7)
+    assert thin.m == 8 and thin.stride == 7 and len(thin.step_meta) == 50
+    save_trajectory(thin, tmp_path / "again", stride=1)
+    save_trajectory(thin, tmp_path / "twice", stride=2)
+    for name in ("trajectory.csv", "trajectory.json"):
+        assert (tmp_path / "again" / name).read_bytes() == (out7 / name).read_bytes()
+        assert (tmp_path / "twice" / name).read_bytes() == (out14 / name).read_bytes()
+    manifest = orjson.loads((tmp_path / "again" / "trajectory.json").read_bytes())
+    assert manifest["m"] == 50 and manifest["stride"] == 7 and manifest["tau"] == 0.02
+    assert manifest["kept_stamps"] == [*range(0, 50, 7), 50]
+    assert len(manifest["step_meta"]) == 50
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+def test_manifest_step_meta_is_one_object_per_step(tmp_path, stride):
+    # the benchmark reads trajectory.json's step_meta as a list of objects
+    # (perfbench/run.py), so a column layout has to come as a deliberate
+    # benchmark change: every step has its object, a thinned save too
+    manifest = orjson.loads((thinned_run_contact(tmp_path, stride) / "trajectory.json")
+                            .read_bytes())
+    meta = manifest["step_meta"]
+    assert isinstance(meta, list) and len(meta) == manifest["m"] == 50
+    assert all(isinstance(s, dict) and sorted(s) == ["iters", "k", "kkt_residual", "n_active"]
+               for s in meta)
+    assert [s["k"] for s in meta] == list(range(1, 51))
+    assert all(type(s["iters"]) is int and type(s["n_active"]) is int
+               and type(s["kkt_residual"]) is float for s in meta)
