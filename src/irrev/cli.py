@@ -23,6 +23,13 @@ Commands and exit codes::
        marker, which the next successful run into the directory removes)
     3  configuration or usage error
 
+The settled source of ``longtime`` and ``stationary`` is the source
+profile's known limit when it has one (every time preset but ``linear_t``
+and an ``exp_relax`` whose rate is not positive), and otherwise the source
+at the end of the run: at ``longtime.horizon`` for ``longtime`` and at
+``problem.T`` for ``stationary``, whose ``stationary.f_inf`` overrides it.
+Both take the weight at ``t = 0``, which ``stationary.sigma`` overrides.
+
 The environment variable ``IRREV_VERBOSE=1`` makes ``run``, ``longtime`` and
 ``fracture`` print one line per step (PDAS sweeps, contact-set size, KKT
 residual), for a failed run's partial trajectory too; no other environment
@@ -315,7 +322,9 @@ def cmd_stationary(cfg: dict, out_dir: Path) -> int:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"stationary block: {exc}") from exc
     # the problem's own data at its settled times: a fault there is a data fault
-    f_inf = given["f_inf"] if "f_inf" in given else data.source(x, data.horizon)
+    f_inf = given.get("f_inf", data.source.limit)
+    if f_inf is None:
+        f_inf = data.source(x, data.horizon)
     weight = given["sigma"] if "sigma" in given else data.weight(x, 0.0)
 
     for name, values in (("settled source", f_inf), ("weight", weight)):

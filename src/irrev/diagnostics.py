@@ -37,8 +37,8 @@ def energy(data: ProblemData, nl: Nonlinearity, u: np.ndarray, t: float) -> floa
     Evaluates ``0.5*|D+ u|^2 + 0.5*lam*|u|^2 + sum(weight(t)*primitive(u))
     - (source(t), u)`` with the grid inner products.  This is the same
     expression as the per-step energy with the instantaneous data in place
-    of the interval averages, and it is the single evaluation path used for
-    every stored trajectory energy.
+    of the interval averages.  The stored trajectory energies come from
+    :func:`energies`, which equals it to the last bit.
     """
     x = data.grid.nodes
     return step_energy(data.grid, u, data.source(x, t), data.weight(x, t),
@@ -166,11 +166,22 @@ def check_lewy_stampacchia(traj, lam: float, nl: Nonlinearity) -> CheckVerdict:
 
 
 def check_irreversibility(traj) -> CheckVerdict:
-    """Largest nodewise increase between consecutive states (must be ~0)."""
-    inc = np.diff(traj.states, axis=0)
-    worst = float(inc.max(initial=-np.inf))
-    k, i = np.unravel_index(int(np.argmax(inc)), inc.shape) if inc.size else (0, 0)
-    return _verdict("irreversibility", max(worst, 0.0), 1e-12, worst=(int(k) + 1, int(i)))
+    """Largest nodewise increase between consecutive states (must be ~0).
+
+    The steps are walked in the blocks of :func:`~irrev.model.time_blocks`,
+    each block with the last state of the block before; ``worst`` is the
+    first step, and its first node, where the largest increase occurs.
+    """
+    m = traj.states.shape[0] - 1
+    # a run of no steps reads one row of no increase, at (1, 0)
+    peaks, nodes = np.full(max(m, 1), -np.inf), np.zeros(max(m, 1), dtype=int)
+    for sl in time_blocks(m, traj.grid.n):
+        inc = np.diff(traj.states[sl.start:sl.stop + 1], axis=0)
+        nodes[sl] = np.argmax(inc, axis=1)
+        peaks[sl] = np.take_along_axis(inc, nodes[sl, None], axis=1)[:, 0]
+    k = int(np.argmax(peaks))
+    return _verdict("irreversibility", max(float(peaks[k]), 0.0), 1e-12,
+                    worst=(k + 1, int(nodes[k])))
 
 
 # --------------------------------------------------------------------------

@@ -132,6 +132,7 @@ def run_evolution(data: ProblemData, nl: Nonlinearity, m: int,
     The stored energies are evaluated after the steps, one stacked pass per
     block of times, data and energy alike.
     """
+    # diagnostics imports this module, so its energies are imported here, at the call
     from .diagnostics import energies
 
     if validate_first:

@@ -39,6 +39,7 @@ from typing import Optional
 
 import numpy as np
 
+from .evolution import run_evolution
 from .grid import BC, Grid, full_values
 from .model import (MARGIN_FLOOR, QUAD_PTS, ZERO_NONLINEARITY, Nonlinearity, ProblemData,
                     TimeProfile, constant_profile, node_row, validate)
@@ -164,35 +165,28 @@ def _cumulative_space(grid: Grid, params: ATParams) -> np.ndarray:
 
 
 def load_to_sigma(grid: Grid, params: ATParams) -> TimeProfile:
-    """Weight profile ``H(x,t)^2`` induced by the load, with its exact time
-    derivative ``2*H*dH/dt``.
+    """Weight profile ``H(x,t)^2`` induced by the load.
 
     Grid-bound: H is integrated on the construction grid and linearly
     interpolated at requested coordinates (exact at the grid's own nodes).
     A load ``space(x)*b(t)`` of one term (every load preset) has ``H = b*C``
     with ``C`` the cumulative ``space``, integrated and checked for zero
-    average once, here: the weight is the term ``(C^2, b^2, 2*b*b')``.  Any
-    other load is integrated and interpolated row by row at each time.
+    average once, here: the weight is the term ``(C^2, b^2)``.  Any other
+    load is integrated and interpolated row by row at each time.
     """
     x_full = grid.nodes_full
     if len(params.load.terms) == 1:
-        _, b, db = params.load.terms[0]
+        _, b = params.load.terms[0]
         C = _cumulative_space(grid, params)
         return TimeProfile(terms=[(lambda x: np.interp(x, x_full, C) ** 2,
-                                   None if b is None else lambda t: b(t) ** 2,
-                                   None if db is None else lambda t: 2.0 * b(t) * db(t))])
+                                   None if b is None else lambda t: b(t) ** 2)])
 
     def rows(x, H):
         xr = node_row(x)
         return np.reshape([np.interp(xr, x_full, h) for h in H.reshape(-1, H.shape[-1])],
                           H.shape[:-1] + xr.shape)
 
-    def dt_evaluator(x, t):
-        dH = _cumtrapz(x_full, params.load.dt(x_full, t[..., 0]))
-        return 2.0 * rows(x, cumulative_load(grid, params, t[..., 0])) * rows(x, dH)
-
-    return TimeProfile(lambda x, t: rows(x, cumulative_load(grid, params, t[..., 0])) ** 2,
-                       dt_evaluator)
+    return TimeProfile(lambda x, t: rows(x, cumulative_load(grid, params, t[..., 0])) ** 2)
 
 
 def recover_displacement(grid: Grid, z: np.ndarray, params: ATParams,
@@ -279,8 +273,6 @@ def run_fracture(params: ATParams, grid: Grid, horizon: float, m: int,
     the evolution and attaches a recovered displacement and the surrogate
     energy at every stored stamp.
     """
-    from .evolution import run_evolution
-
     data, nl = build_problem(grid, params, z0, horizon)
     report = validate(data, nl)
     if not report.ok:

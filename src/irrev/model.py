@@ -152,16 +152,15 @@ ZERO_NONLINEARITY = Nonlinearity(fn=_zeros, primitive=_zeros, deriv=_zeros,
 
 
 class TimeProfile:
-    """Space-time coefficient ``(x, t) -> value`` with its exact time derivative.
+    """Space-time coefficient ``(x, t) -> value``, given by its values alone.
 
-    ``profile(x, t)`` and ``profile.dt(x, t)`` take 1-D node coordinates
-    ``x`` of length ``n``.  A scalar ``t`` gives shape ``(n,)``; a 1-D array
-    of times gives one row per time, shape ``(len(t), n)``.  Both go through
-    one code path: ``evaluator(x, t)`` and ``dt_evaluator(x, t)`` receive
-    ``x`` and ``t`` broadcast to the shape of the result and work
-    elementwise, so a pointwise formula such as ``np.full(np.shape(x),
-    f(t))`` serves both, and row ``i`` of an array evaluation equals the
-    evaluation at ``t[i]`` to the last bit.
+    ``profile(x, t)`` takes 1-D node coordinates ``x`` of length ``n``.  A
+    scalar ``t`` gives shape ``(n,)``; a 1-D array of times gives one row
+    per time, shape ``(len(t), n)``.  Both go through one code path:
+    ``evaluator(x, t)`` receives ``x`` and ``t`` broadcast to the shape of
+    the result and works elementwise, so a pointwise formula such as
+    ``np.full(np.shape(x), f(t))`` serves both, and row ``i`` of an array
+    evaluation equals the evaluation at ``t[i]`` to the last bit.
 
     As ``x`` varies only along the last axis and ``t`` only along the
     leading ones, an evaluator may compute a space factor once on
@@ -169,14 +168,17 @@ class TimeProfile:
     with the bytes of the elementwise formula; a result that broadcasts to
     the shape of ``x``, such as a node row, is broadcast to it.
 
-    A profile may instead be given by ``terms``, ``(space, time, dtime)``
-    each: ``space`` maps the node row to values (or a number), ``time`` and
-    ``dtime`` map times elementwise to a factor and its derivative, ``None``
-    standing for 1 and 0.  The profile is ``sum_i space_i*time_i``, its
-    derivative ``sum_i space_i*dtime_i``.  :func:`discretize_time` and
+    A profile may instead be given by ``terms``, ``(space, time)`` pairs:
+    ``space`` maps the node row to values (or a number), ``time`` maps times
+    elementwise to a factor, ``None`` standing for 1.  The profile is
+    ``sum_i space_i*time_i``.  :func:`discretize_time` and
     :func:`default_lower_envelope` then work on the time factors alone, at
     their usual time points and never in closed form, to keep the scheme's
     midpoint rule (an exact average of ``exp(-r*t)`` is 1e-6 off at tau 1/16).
+
+    No stage reads a time derivative of the data: the scheme averages
+    values over the steps, and the lower envelope bounds the source by its
+    variation between sampled times.
 
     One call holds every value it returns.  The stages that walk long time
     arrays therefore evaluate them in blocks of at most :data:`EVAL_BLOCK`
@@ -188,29 +190,23 @@ class TimeProfile:
     threads and runs reproducible.
     """
 
-    def __init__(self, evaluator: Optional[Callable] = None,
-                 dt_evaluator: Optional[Callable] = None, limit=None, terms=()):
-        #: the factored form, ``()`` when the evaluators are given
+    def __init__(self, evaluator: Optional[Callable] = None, *, limit=None, terms=()):
+        #: the factored form, ``()`` when the evaluator is given
         self.terms = tuple(terms)
         if self.terms:
-            evaluator, dt_evaluator = (partial(_sum_terms, self.terms, k) for k in (1, 2))
+            evaluator = partial(_sum_terms, self.terms)
         self._eval = evaluator
-        self._dt = dt_evaluator
         #: known t -> infinity limit on the grid nodes, when the profile has one
         self.limit = None if limit is None else np.asarray(limit, dtype=float)
 
     def __call__(self, x: np.ndarray, t) -> np.ndarray:
         return _evaluate(self._eval, x, t)
 
-    def dt(self, x: np.ndarray, t) -> np.ndarray:
-        return _evaluate(self._dt, x, t)
 
-
-def _sum_terms(terms, k: int, x: np.ndarray, t: np.ndarray):
-    """Evaluator of factored ``terms`` (``k = 1``) or of their derivative (``k = 2``)."""
+def _sum_terms(terms, x: np.ndarray, t: np.ndarray):
+    """Evaluator of factored ``terms``."""
     xr, tc = node_row(x), time_column(t)
-    return _combine([(term[0](xr), None if term[k] is None else term[k](tc))
-                     for term in terms if k == 1 or term[2] is not None])
+    return _combine([(space(xr), None if time is None else time(tc)) for space, time in terms])
 
 
 def _combine(pairs):
@@ -252,7 +248,7 @@ def time_blocks(n_times: int, n_nodes: int) -> list[slice]:
 
 def constant_profile(value: float) -> TimeProfile:
     v = float(value)
-    return TimeProfile(terms=[(lambda x: v, None, None)])
+    return TimeProfile(terms=[(lambda x: v, None)])
 
 
 @dataclass(frozen=True)
@@ -446,7 +442,7 @@ def discretize_time(data: ProblemData, m: int, quad_pts: int = QUAD_PTS) -> Disc
         if profile.terms:
             out = np.broadcast_to(_combine([(space(x), None if time is None else
                                              (sum(time(pts)) / quad_pts)[:, None])
-                                            for space, time, _ in profile.terms]), (m, g.n))
+                                            for space, time in profile.terms]), (m, g.n))
             if np.all(np.isfinite(out)):
                 return out.copy()
         # otherwise, and to locate a non-finite value, one call per row of
@@ -479,38 +475,47 @@ def discretize_time(data: ProblemData, m: int, quad_pts: int = QUAD_PTS) -> Disc
 
 
 def default_lower_envelope(data: ProblemData, n_quad: int = 1024) -> np.ndarray:
-    """Default lower envelope of the source in time.
+    """Default lower envelope of the source in time: ``source(x, 0)`` minus
+    the variation of the source sampled at ``linspace(0, T, n_quad + 1)``,
+    a bound at those times by the triangle inequality that also sees a jump
+    (``step_t``) or a kink (``tabulated``).
 
-    For a factored source, ``source(x, 0) - sum_i |space_i(x)|*V_i`` with
-    ``V_i`` the variation of ``time_i`` sampled at ``n_quad + 1`` equally
-    spaced times of ``[0, T]``, a bound at those times by the triangle
-    inequality that also sees a jump (``step_t``).  Otherwise ``source(x,
-    0) - integral_0^T |d/dt source(x, s)| ds`` by the midpoint rule
-    (``n_quad`` subintervals), a bound whenever the derivative is integrable.
+    A factored source takes ``sum_i |space_i(x)|*V_i`` for its variation,
+    with ``V_i`` the sampled variation of ``time_i``, and evaluates each
+    space factor once.  Any other source is sampled at every node, in the
+    blocks of :func:`time_blocks`, each block continuing from the last row
+    of the block before, and its increments are summed in time order, as a
+    per-time loop would.  A non-finite sample raises ``ValueError`` with its
+    time, for a factored source too.
     """
     g = data.grid
     x = g.nodes
-    T = data.horizon
+    s = np.linspace(0.0, data.horizon, n_quad + 1)
+    f0 = data.source(x, 0.0)
     if data.source.terms:
-        s = np.linspace(0.0, T, n_quad + 1)
-        env = data.source(x, 0.0) - _combine([(np.abs(space(x)), np.abs(np.diff(time(s))).sum())
-                                              for space, time, _ in data.source.terms
-                                              if time is not None])
+        with np.errstate(invalid="ignore"):   # inf - inf: located below
+            env = f0 - _combine([(np.abs(space(x)), np.abs(np.diff(time(s))).sum())
+                                 for space, time in data.source.terms if time is not None])
         if np.all(np.isfinite(env)):
             return env
-        # the integral below locates the non-finite value
-    pts = (np.arange(n_quad) + 0.5) * (T / n_quad)
-    blocks = time_blocks(n_quad, g.n)
-    # row 0 carries the sum so far, the rows after it one block's |d/dt source|
+        # the samples below locate the non-finite value
+    blocks = time_blocks(s.size, g.n)
+    # row 0 carries the variation so far, the rows after it one block's
+    # |increments|; the first, from s[0] = 0 to itself, is 0
     rows = np.zeros((blocks[0].stop + 1, g.n))
+    last = f0
     for sl in blocks:
-        d = rows[:sl.stop - sl.start + 1]
-        np.abs(data.source.dt(x, pts[sl]), out=d[1:])
-        if not np.all(np.isfinite(d[1:])):
-            i = int(np.flatnonzero(~np.all(np.isfinite(d[1:]), axis=1))[0])
-            raise ValueError(f"source time derivative non-finite at t={pts[sl][i]:.6g}")
+        v = data.source(x, s[sl])
+        finite = np.all(np.isfinite(v), axis=1)
+        if not finite.all():
+            raise ValueError(f"source non-finite at t={s[sl][np.argmin(finite)]:.6g}")
+        d = rows[:len(v) + 1]
+        np.subtract(v[0], last, out=d[1])
+        np.subtract(v[1:], v[:-1], out=d[2:])
+        np.abs(d[1:], out=d[1:])
+        last = v[-1]
         # add the rows one after another, as a per-time loop would: numpy
         # reduces the rows of a (k, n) array with n > 1 node by node in row
         # order, but sums a single column pairwise, so one node takes cumsum
         rows[0] = np.add.reduce(d, axis=0) if g.n > 1 else np.cumsum(d, axis=0)[-1]
-    return data.source(x, 0.0) - rows[0] * (T / n_quad)
+    return f0 - rows[0]

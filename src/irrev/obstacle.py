@@ -212,16 +212,13 @@ def _newton_on_subset(u: np.ndarray, free: np.ndarray,
             if alpha == 1.0 and r <= rounding_floor(u, fv, wv, lam, nl, lap):
                 return u, G   # rounding alone is left: no shorter step would pass
             alpha *= NEWTON_DAMPING
-        else:
-            failure = f"Newton stalled at residual {r:.3g} (damping floor reached)"
-            break
+        else:   # the full step's test already found u beyond its floor
+            raise NewtonFailure(f"Newton stalled at residual {r:.3g} (damping floor reached)")
         if r <= TOL_NEWTON:
             return u, G
-    else:
-        failure = f"Newton did not reach tolerance {TOL_NEWTON:.3g}; residual {r:.3g}"
     if r <= rounding_floor(u, fv, wv, lam, nl, lap):
         return u, G
-    raise NewtonFailure(failure)
+    raise NewtonFailure(f"Newton did not reach tolerance {TOL_NEWTON:.3g}; residual {r:.3g}")
 
 
 def solve_unconstrained(grid: Grid, source, weight, lam: float, nl: Nonlinearity) -> np.ndarray:

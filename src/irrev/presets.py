@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .fracture import ATParams, at_nonlinearity
 from .grid import Grid
 from .model import (ZERO_NONLINEARITY, Nonlinearity, TimeProfile, constant_profile,
                     node_row, time_column)
@@ -79,7 +80,6 @@ def nonlinearity(spec: dict) -> Nonlinearity:
             deriv=lambda s: a / np.cosh(np.minimum(np.abs(np.asarray(s, dtype=float)), 350.0)) ** 2,
             slope_bound=0.0, growth=max(a, 1e-12))
     if kind == "at":
-        from .fracture import ATParams, at_nonlinearity
         p = _take(spec, "gamma:at", required=("eps", "delta"))
         eps, delta = (_number(p, key, "gamma:at") for key in ("eps", "delta"))
         params = ATParams(eps=eps, delta=delta, load=constant_profile(0.0))
@@ -138,11 +138,10 @@ def time_profile(grid: Grid, spec: dict, where: str = "profile") -> TimeProfile:
     t_switch), ``tabulated`` (times, values).
 
     Every preset but ``tabulated`` is factored (:class:`TimeProfile`
-    ``terms``), with the bits of its pointwise formula, and every preset
-    has its exact time derivative.  ``tabulated`` is linear in t between
-    its knots and constant outside them, so its derivative is piecewise
-    constant: at a knot the slope of the interval to its right applies,
-    and at the last knot and beyond it is 0."""
+    ``terms``), with the bits of its pointwise formula.  ``tabulated`` is
+    linear in t between its knots and constant outside them.  Every preset
+    but ``linear_t`` carries its ``limit`` as t -> infinity, ``exp_relax``
+    only for a positive rate."""
     kind = spec.get("preset")
     x_nodes = grid.nodes
 
@@ -154,30 +153,26 @@ def time_profile(grid: Grid, spec: dict, where: str = "profile") -> TimeProfile:
         p = _take(spec, f"{where}:constant", optional=("value", "space"))
         v = _number(p, "value", f"{where}:constant", 0.0)
         space = table("space", p) if "space" in p else (lambda x: v)
-        return TimeProfile(terms=[(space, None, None)], limit=np.full(grid.n, space(x_nodes)))
+        return TimeProfile(terms=[(space, None)], limit=np.full(grid.n, space(x_nodes)))
 
     if kind == "linear_t":
         p = _take(spec, f"{where}:linear_t", required=("base", "rate"))
-        return TimeProfile(terms=[(table("base", p), None, None),
-                                  (table("rate", p), lambda t: t, lambda t: 1.0)])
+        return TimeProfile(terms=[(table("base", p), None), (table("rate", p), lambda t: t)])
 
     if kind == "exp_relax":
         p = _take(spec, f"{where}:exp_relax", required=("limit", "bump"),
                   optional=("rate",))
         limit, bump = table("limit", p), table("bump", p)
         r = _number(p, "rate", f"{where}:exp_relax", 1.0)
-        return TimeProfile(terms=[(limit, None, None), (bump, lambda t: np.exp(-r * t),
-                                                        lambda t: -r * np.exp(-r * t))],
-                           limit=limit(x_nodes))
+        return TimeProfile(terms=[(limit, None), (bump, lambda t: np.exp(-r * t))],
+                           limit=limit(x_nodes) if r > 0 else None)
 
     if kind == "step_t":
         p = _take(spec, f"{where}:step_t", required=("before", "after", "t_switch"))
         before, after, ts = (_number(p, key, f"{where}:step_t")
                              for key in ("before", "after", "t_switch"))
-        # no dtime, as the derivative is 0 off the switch; the jump carries the
-        # change, which the lower envelope sees in the sampled time factor
-        return TimeProfile(terms=[(lambda x: 1.0, lambda t: np.where(t > ts, after, before),
-                                   None)], limit=np.full(grid.n, after))
+        return TimeProfile(terms=[(lambda x: 1.0, lambda t: np.where(t > ts, after, before))],
+                           limit=np.full(grid.n, after))
 
     if kind == "tabulated":
         p = _take(spec, f"{where}:tabulated", required=("times", "values"))
@@ -190,10 +185,10 @@ def time_profile(grid: Grid, spec: dict, where: str = "profile") -> TimeProfile:
         if times.size < 2 or np.any(np.diff(times) <= 0):
             raise PresetError(f"{where}: tabulated times must be at least two, increasing")
 
-        def bracket(x, t):
-            """Each time clamped to the table (a column), the index j of its
-            interval [times[j], times[j+1]), and rows j and j+1 interpolated
-            at the nodes, once per distinct j."""
+        def ev(x, t):
+            """Each time clamped to the table (a column) and the index j of
+            its interval [times[j], times[j+1]); rows j and j+1 interpolated
+            at the nodes, once per distinct j, then mixed linearly."""
             tc = np.clip(time_column(t), times[0], times[-1])
             j = np.clip(np.searchsorted(times, tc, side="right") - 1, 0, times.size - 2)
             rows, which = np.unique(j[..., 0], return_inverse=True)
@@ -202,20 +197,10 @@ def time_profile(grid: Grid, spec: dict, where: str = "profile") -> TimeProfile:
             for i, u in enumerate(rows):
                 lo[i] = np.interp(xr, x_nodes, table[u])
                 hi[i] = np.interp(xr, x_nodes, table[u + 1])
-            return tc, j, lo[which], hi[which]
-
-        def ev(x, t):
-            tc, j, lo, hi = bracket(x, t)
             theta = (tc - times[j]) / (times[j + 1] - times[j])
-            return (1 - theta) * lo + theta * hi
+            return (1 - theta) * lo[which] + theta * hi[which]
 
-        def dev(x, t):
-            _, j, lo, hi = bracket(x, t)
-            tq = time_column(t)
-            inside = (tq >= times[0]) & (tq < times[-1])
-            return np.where(inside, (hi - lo) / (times[j + 1] - times[j]), 0.0)
-
-        return TimeProfile(ev, dev, limit=table[-1])
+        return TimeProfile(ev, limit=table[-1])
 
     raise PresetError(f"unknown {where} preset {kind!r}")
 
@@ -255,6 +240,5 @@ def fracture_load(spec: dict) -> TimeProfile:
         if ramp <= 0:
             raise PresetError("load ramp_time must be positive")
         shape = (lambda x: x) if kind == "ramp_linear" else (lambda x: np.sin(np.pi * x))
-        return TimeProfile(terms=[(shape, lambda t: scale * np.minimum(t / ramp, 1.0),
-                                   lambda t: np.where(t < ramp, scale / ramp, 0.0))])
+        return TimeProfile(terms=[(shape, lambda t: scale * np.minimum(t / ramp, 1.0))])
     raise PresetError(f"unknown load preset {kind!r}")

@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from .evolution import run_evolution
 from .grid import Grid, norm_h1
 from .model import QUAD_PTS, Nonlinearity, ProblemData, time_blocks
 from .obstacle import ObstacleResult, SolverOptions, solve_step
@@ -76,14 +77,15 @@ def run_longtime(data: ProblemData, nl: Nonlinearity, horizon: float,
     ``JITTER_TOL`` and the limit is checked to stay below every state up to
     ``SANDWICH_TOL``.
     """
-    from .evolution import run_evolution
-
     g = data.grid
     x = g.nodes
     m = int(round(horizon * m_per_unit))
     if m < 1:
         raise ValueError("horizon * m_per_unit must be at least one step")
 
+    # the run validates the data on [0, horizon], the source at the horizon included
+    traj = run_evolution(replace(data, horizon=float(horizon)), nl, m, opts=opts,
+                         quad_pts=quad_pts)
     f_inf = data.source.limit if data.source.limit is not None else data.source(x, horizon)
 
     # precondition flags
@@ -93,9 +95,6 @@ def run_longtime(data: ProblemData, nl: Nonlinearity, horizon: float,
     w_dev = max(float(np.abs(data.weight(x, t_samples[sl]) - w0).max()) for sl in blocks)
     f_above = min(float((data.source(x, t_samples[sl]) - f_inf).min())
                   for sl in blocks)
-
-    run_data = replace(data, horizon=float(horizon))
-    traj = run_evolution(run_data, nl, m, opts=opts, quad_pts=quad_pts)
 
     limit = solve_stationary(
         StationaryProblem(grid=g, obstacle=data.initial, source=f_inf,

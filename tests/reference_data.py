@@ -1,8 +1,8 @@
 """Per-time and per-step reference loops for the stacked evaluations in ``irrev``.
 
-Two are the loops ``discretize_time`` and ``default_lower_envelope`` ran
-before they evaluated the data over arrays of times: one profile call per
-time point.  The third evaluates each step's energy bracket on its own.  The
+Two are the loops ``discretize_time`` and ``default_lower_envelope`` would
+run with one profile call per time point, where they evaluate the data over
+arrays of times.  The third evaluates each step's energy bracket on its own.  The
 stacked versions must reproduce them to the last bit.
 """
 
@@ -28,14 +28,16 @@ def per_step_averages(profile, x: np.ndarray, times: np.ndarray, tau: float,
 
 
 def per_time_envelope(data, n_quad: int) -> np.ndarray:
-    """``source(x, 0) - integral_0^T |d/dt source| dt``, one call per point."""
+    """``source(x, 0)`` minus the variation of the source sampled at
+    ``linspace(0, T, n_quad + 1)``, one call per time."""
     x = data.grid.nodes
-    T = data.horizon
-    pts = (np.arange(n_quad) + 0.5) * (T / n_quad)
+    last = data.source(x, 0.0)
     acc = np.zeros(x.size)
-    for t in pts:
-        acc += np.abs(data.source.dt(x, t))
-    return data.source(x, 0.0) - acc * (T / n_quad)
+    for t in np.linspace(0.0, data.horizon, n_quad + 1)[1:]:
+        value = data.source(x, t)
+        acc += np.abs(value - last)
+        last = value
+    return data.source(x, 0.0) - acc
 
 
 def per_step_bracket(traj, nl, lam: float) -> np.ndarray:

@@ -2,9 +2,10 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from irrev import cli, load_trajectory
+from irrev import cli, load_trajectory, run_longtime
 
 from test_cli import LONGTIME, RUN, fracture_config, run_cli
 
@@ -41,6 +42,20 @@ def test_check_accepts_a_step_source_either_way(tmp_path, capsys, after, gap):
                                     "t_switch": 0.5})
     assert run_cli(tmp_path, "check", cfg)[0] == cli.EXIT_OK
     assert f"PASS  source_above_floor: value={gap} " in capsys.readouterr().out
+
+
+def test_check_and_run_accept_a_tabulated_source_with_off_grid_knots(tmp_path, capsys):
+    # the knot at t = 0.1 lies between the envelope's sample times: the
+    # sampled variation 0.5 + 0.3 still bounds the source from below
+    n = 21
+    cfg = with_blocks(RUN)
+    cfg["problem"].update(grid={"n": n}, sigma={"preset": "constant", "value": 1.0},
+                          f={"preset": "tabulated", "times": [0.0, 0.1, 1.0],
+                             "values": [[v] * n for v in (1.0, 0.5, 0.2)]})
+    assert run_cli(tmp_path, "check", cfg)[0] == cli.EXIT_OK
+    line = [ln for ln in capsys.readouterr().out.splitlines() if "source_above_floor" in ln]
+    assert line[0].startswith("PASS  source_above_floor: ")
+    assert run_cli(tmp_path, "run", cfg)[0] == cli.EXIT_OK
 
 
 def test_refine_writes_refinement_csv(tmp_path):
@@ -139,6 +154,17 @@ def test_stationary_writes_z_inf_csv(tmp_path):
     assert rows[0] == ["x", "z", "eta"]
     assert len(rows) == 1 + 21
     assert json.loads((out / "stationary.json").read_text())["kkt_residual"] <= 1e-10
+
+
+def test_stationary_without_f_inf_solves_the_longtime_limit(tmp_path):
+    # the exp_relax source's known limit, not the source at problem.T
+    rc, out = run_cli(tmp_path, "stationary", LONGTIME)
+    assert rc == cli.EXIT_OK
+    data, nl, _, _ = cli.build_problem(LONGTIME)
+    block = LONGTIME["longtime"]
+    limit = run_longtime(data, nl, block["horizon"], block["m_per_unit"]).stationary
+    z = np.array([float(row[1]) for row in read_csv(out / "z_inf.csv")[1:]])
+    assert z.tobytes() == limit.z.tobytes()
 
 
 def test_longtime_writes_gap_csv(tmp_path):

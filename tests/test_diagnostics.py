@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -388,6 +390,53 @@ def test_irreversibility_check_detects_upward_motion(moving):
     assert not check_irreversibility(bad).passed
 
 
+def whole_run_irreversibility(states):
+    """The verdict's value and ``worst`` from one diff over the whole run."""
+    inc = np.diff(states, axis=0)
+    if not inc.size:
+        return 0.0, (1, 0)
+    k, i = np.unravel_index(int(np.argmax(inc)), inc.shape)
+    return max(float(inc.max()), 0.0), (int(k) + 1, int(i))
+
+
+@pytest.mark.parametrize("eval_block", [1, 10, EVAL_BLOCK])
+@pytest.mark.parametrize("case", ["falling", "rises", "ties", "nan", "no-steps"])
+def test_irreversibility_walks_blocks_with_the_whole_run_verdict(case, eval_block,
+                                                                monkeypatch):
+    # 4 nodes: one step a block, two, or all 12
+    g = Grid(0.0, 1.0, 4)
+    states = np.cumsum(-np.random.default_rng(5).uniform(0.5, 1.0, (13, g.n)), axis=0)
+    if case == "rises":
+        states[7, 2] += 2.0
+    elif case == "ties":   # a rise of 0.25, up to rounding, at every node of steps 5 and 10
+        states[4] = states[5] - 0.25
+        states[9] = states[10] - 0.25
+    elif case == "nan":
+        states[6, 3] = states[9, 0] = np.nan
+    elif case == "no-steps":
+        states = states[:1]
+    monkeypatch.setattr(model, "EVAL_BLOCK", eval_block)
+    v = check_irreversibility(SimpleNamespace(grid=g, states=states))
+    value, worst = whole_run_irreversibility(states)
+    assert np.float64(v.max_violation).tobytes() == np.float64(value).tobytes()
+    assert v.worst == worst
+    assert v.passed == (case in ("falling", "no-steps"))
+
+
+def test_irreversibility_holds_one_block_of_increases():
+    # n = 10001, m = 100: one diff of the whole run would hold 8 MB
+    g = Grid(0.0, 1.0, 10001)
+    states = np.cumsum(np.full((101, g.n), -1e-3), axis=0)
+    tracemalloc.start()
+    try:
+        v = check_irreversibility(SimpleNamespace(grid=g, states=states))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.passed
+    assert peak < 1_000_000
+
+
 # --------------------------------------------------------------------------
 # comparison principle
 # --------------------------------------------------------------------------
@@ -423,12 +472,9 @@ def test_comparison_random_ordered_pairs(seed):
         def ev(x, t):
             return np.interp(np.asarray(x), g.nodes, base + shift) * (1 - 0.5 * np.exp(-t)) - t
 
-        def dev(x, t):
-            return np.interp(np.asarray(x), g.nodes, base + shift) * 0.5 * np.exp(-t) - 1.0
-
         from irrev.model import TimeProfile
         return ProblemData(grid=g, lam=1.5, weight=constant_profile(0.4),
-                           source=TimeProfile(ev, dev),
+                           source=TimeProfile(ev),
                            initial=np.zeros(9), horizon=1.0)
 
     # identical weight/coefficient, ordered sources, equal initial states

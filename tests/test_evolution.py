@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from irrev import evolution, model, obstacle
-from irrev import (EvolutionError, Grid, ProblemData, TimeProfile,
+from irrev import (EvolutionError, Grid, NewtonFailure, ProblemData, TimeProfile,
                    ValidationError, constant_profile, energy, interp_constant,
                    load_trajectory, norm_h1, run_evolution, save_trajectory,
                    solve_step, solve_unconstrained)
@@ -24,10 +24,8 @@ def stationary_data(n=31, lam=2.0):
     g = Grid(0.0, 1.0, n)
     x = g.nodes
     source = constant_profile(0.0)
-    source = TimeProfile(lambda xx, t: 1.0 + np.sin(np.pi * np.asarray(xx)),
-                         lambda xx, t: np.zeros(np.shape(xx)))
-    weight = TimeProfile(lambda xx, t: 0.4 + 0.3 * np.asarray(xx),
-                         lambda xx, t: np.zeros(np.shape(xx)))
+    source = TimeProfile(lambda xx, t: 1.0 + np.sin(np.pi * np.asarray(xx)))
+    weight = TimeProfile(lambda xx, t: 0.4 + 0.3 * np.asarray(xx))
     z0 = solve_unconstrained(g, source(x, 0.0), weight(x, 0.0), lam, TANH)
     return ProblemData(grid=g, lam=lam, weight=weight, source=source,
                        initial=z0, horizon=1.0)
@@ -41,14 +39,9 @@ def ramp_data(n=21, lam=2.0, T=1.0):
         x = np.asarray(x)
         return -1.2 * np.sin(np.pi * x) + np.exp(-t) * np.cos(np.pi * x)
 
-    def dev(x, t):
-        return -np.exp(-t) * np.cos(np.pi * np.asarray(x))
-
-    source = TimeProfile(ev, dev)
+    source = TimeProfile(ev)
     weight = TimeProfile(lambda x, t: (0.6 + 0.3 * np.sin(np.pi * np.asarray(x)))
-                         * (1.0 + 0.5 * np.exp(-2.0 * t)),
-                         lambda x, t: (0.6 + 0.3 * np.sin(np.pi * np.asarray(x)))
-                         * (-1.0 * np.exp(-2.0 * t)))
+                         * (1.0 + 0.5 * np.exp(-2.0 * t)))
     z0 = solve_unconstrained(g, source(g.nodes, 0.0), weight(g.nodes, 0.0), lam, TANH)
     return ProblemData(grid=g, lam=lam, weight=weight, source=source,
                        initial=z0, horizon=T)
@@ -113,8 +106,7 @@ def test_step_failure_attaches_partial_trajectory():
     # the weight grows in time until the convexity margin is gone mid-run
     g = Grid(0.0, 1.0, 5)
     nl = nonlinearity({"preset": "linear", "slope": -1.0})  # L = 1
-    weight = TimeProfile(lambda x, t: np.full(np.shape(x), 2.0 * t),
-                         lambda x, t: np.full(np.shape(x), 2.0))
+    weight = TimeProfile(lambda x, t: np.full(np.shape(x), 2.0 * t))
     data = ProblemData(grid=g, lam=1.0, weight=weight,
                        source=constant_profile(0.0),
                        initial=np.zeros(5), horizon=1.0)
@@ -195,15 +187,13 @@ def profile_data(source, n=41, horizon=1.0):
 
 def relax_data(n=41, horizon=4.0):
     """f = 1/2 + exp(-t)*bump: the source falls everywhere, so no step has contact."""
-    return profile_data(TimeProfile(lambda x, t: 0.5 + np.exp(-t) * bump(x),
-                                    lambda x, t: -np.exp(-t) * bump(x)), n, horizon)
+    return profile_data(TimeProfile(lambda x, t: 0.5 + np.exp(-t) * bump(x)), n, horizon)
 
 
 def onset_data(n=41):
     """f = 1/2 + 4*(t - 1/2)^2*bump: the source falls until t = 1/2 and rises
     after, so contact starts in the middle of a contact-free stretch."""
-    return profile_data(TimeProfile(lambda x, t: 0.5 + 4.0 * (t - 0.5) ** 2 * bump(x),
-                                    lambda x, t: 8.0 * (t - 0.5) * bump(x)), n)
+    return profile_data(TimeProfile(lambda x, t: 0.5 + 4.0 * (t - 0.5) ** 2 * bump(x)), n)
 
 
 def travelling_data(n=301):
@@ -212,9 +202,7 @@ def travelling_data(n=301):
     def phase(x, t):
         return 2.0 * np.pi * (np.asarray(x) - 0.3 * t)
 
-    source = TimeProfile(lambda x, t: 1.0 + t * np.sin(phase(x, t)),
-                         lambda x, t: np.sin(phase(x, t)) - 0.6 * np.pi * t * np.cos(phase(x, t)))
-    return profile_data(source, n)
+    return profile_data(TimeProfile(lambda x, t: 1.0 + t * np.sin(phase(x, t))), n)
 
 
 def step_walk(data, traj, warm, nl=TANH):
@@ -272,6 +260,26 @@ def test_one_row_stacks_equal_the_sequential_walk(monkeypatch, name):
     np.testing.assert_array_equal(traj.states, states)
     np.testing.assert_array_equal(traj.multipliers, [res.eta for res in warm])
     assert len(traj.step_meta) == traj.m
+    assert_trace_is(traj.step_meta, warm)
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_failed_stacks_fall_back_to_the_warm_walk(monkeypatch, name):
+    # every stack fails, so each step it held goes to solve_step from the
+    # contact set of the step before
+    failures = []
+
+    def failing(*args):
+        failures.append(args[0])
+        raise NewtonFailure("stalled")
+
+    monkeypatch.setattr(evolution, "solve_held_steps", failing)
+    data, nl = RUNS[name]()
+    traj = run_evolution(data, nl, m=40)
+    assert failures
+    states, warm = step_walk(data, traj, warm=True, nl=nl)
+    np.testing.assert_array_equal(traj.states, states)
+    np.testing.assert_array_equal(traj.multipliers, [res.eta for res in warm])
     assert_trace_is(traj.step_meta, warm)
 
 
@@ -370,8 +378,8 @@ def fracture_data(n=101):
 def rise_and_hold_data():
     """f = 1/2 + min(t, 0.3)*(bump - 0.4): rises in the middle and falls at
     the sides until t = 0.3, then holds, with 7 of 41 nodes in contact."""
-    return profile_data(TimeProfile(lambda x, t: 0.5 + np.minimum(t, 0.3) * (bump(x) - 0.4),
-                                    lambda x, t: (t < 0.3) * (bump(x) - 0.4))), TANH
+    source = TimeProfile(lambda x, t: 0.5 + np.minimum(t, 0.3) * (bump(x) - 0.4))
+    return profile_data(source), TANH
 
 
 def ramp_hold_ramp_data():
@@ -380,11 +388,7 @@ def ramp_hold_ramp_data():
     def g(t):
         return 1.0 - np.minimum(t, 0.3) - np.maximum(t - 0.6, 0.0)
 
-    def dg(t):
-        return -1.0 * (t < 0.3) - 1.0 * (t > 0.6)
-
-    return profile_data(TimeProfile(lambda x, t: 0.5 + g(t) * bump(x),
-                                    lambda x, t: dg(t) * bump(x))), TANH
+    return profile_data(TimeProfile(lambda x, t: 0.5 + g(t) * bump(x))), TANH
 
 
 HOLDS = {"fracture": fracture_data, "rise_and_hold": rise_and_hold_data}

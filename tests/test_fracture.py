@@ -70,7 +70,7 @@ def test_cumulative_load_rejects_nonzero_mean():
     # a one-term load is checked in its space factor, any other at each time
     with pytest.raises(ValueError, match="nonzero spatial average in its space factor"):
         recover_displacement(grid, np.zeros(grid.n), params, 0.5)
-    unfactored = TimeProfile(lambda x, t: np.ones(np.shape(x)), lambda x, t: np.zeros(np.shape(x)))
+    unfactored = TimeProfile(lambda x, t: np.ones(np.shape(x)))
     with pytest.raises(ValueError, match="nonzero spatial average at t=0.5"):
         recover_displacement(grid, np.zeros(grid.n), replace(params, load=unfactored), 0.5)
 

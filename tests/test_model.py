@@ -218,8 +218,7 @@ def test_convexity_margin_is_per_row():
 
 def test_validate_reports_nonfinite_data_as_one_failed_item():
     # 65 samples on [0, 1]: the first one past t = 0.5 is t = 33/64
-    bad = TimeProfile(lambda x, t: np.full(np.shape(x), np.where(t > 0.5, np.inf, 0.0)),
-                      lambda x, t: np.zeros(np.shape(x)))
+    bad = TimeProfile(lambda x, t: np.full(np.shape(x), np.where(t > 0.5, np.inf, 0.0)))
     rep = validate(make_data(source=bad), nonlinearity({"preset": "zero"}))
     assert [(it.name, it.passed) for it in rep.items] == [("data_finite", False)]
     assert rep.items[0].value == 33 / 64
@@ -333,8 +332,7 @@ def test_averages_of_constant(quad_pts):
 
 
 def test_averages_of_linear_in_t_exact():
-    ramp = TimeProfile(lambda x, t: np.full(np.shape(x), t),
-                       lambda x, t: np.ones(np.shape(x)))
+    ramp = TimeProfile(lambda x, t: np.full(np.shape(x), t))
     data = make_data(source=ramp, T=1.0)
     disc = discretize_time(data, 2, quad_pts=1)
     np.testing.assert_allclose(disc.source_avg[0], 0.25, atol=1e-13)
@@ -342,8 +340,7 @@ def test_averages_of_linear_in_t_exact():
 
 
 def test_averages_of_separable_profile():
-    prof = TimeProfile(lambda x, t: np.asarray(x) * t,
-                       lambda x, t: np.asarray(x))
+    prof = TimeProfile(lambda x, t: np.asarray(x) * t)
     data = make_data(source=prof, T=1.0)
     m = 5
     disc = discretize_time(data, m, quad_pts=4)
@@ -353,8 +350,7 @@ def test_averages_of_separable_profile():
 
 
 def test_averages_telescope_to_total_integral():
-    prof = TimeProfile(lambda x, t: np.full(np.shape(x), np.sin(3 * t)),
-                       lambda x, t: np.full(np.shape(x), 3 * np.cos(3 * t)))
+    prof = TimeProfile(lambda x, t: np.full(np.shape(x), np.sin(3 * t)))
     data = make_data(source=prof, T=2.0,
                      floor=np.full(G.n, -1.0))
     for m in (3, 7):
@@ -365,8 +361,7 @@ def test_averages_telescope_to_total_integral():
 
 
 def test_nonfinite_evaluator_reports_location():
-    bad = TimeProfile(lambda x, t: np.full(np.shape(x), np.where(t > 0.5, np.inf, 0.0)),
-                      lambda x, t: np.zeros(np.shape(x)))
+    bad = TimeProfile(lambda x, t: np.full(np.shape(x), np.where(t > 0.5, np.inf, 0.0)))
     data = make_data(source=bad)
     with pytest.raises(ValueError, match="non-finite"):
         discretize_time(data, 4, quad_pts=2)
@@ -382,15 +377,13 @@ def test_envelope_of_constant_source():
 
 
 def test_envelope_of_decreasing_ramp():
-    prof = TimeProfile(lambda x, t: np.full(np.shape(x), 1.0 - t),
-                       lambda x, t: np.full(np.shape(x), -1.0))
+    prof = TimeProfile(lambda x, t: np.full(np.shape(x), 1.0 - t))
     data = make_data(source=prof, T=1.0)
     np.testing.assert_allclose(default_lower_envelope(data), 0.0, atol=1e-12)
 
 
 def test_envelope_of_sine_source():
-    prof = TimeProfile(lambda x, t: np.full(np.shape(x), np.sin(t)),
-                       lambda x, t: np.full(np.shape(x), np.cos(t)))
+    prof = TimeProfile(lambda x, t: np.full(np.shape(x), np.sin(t)))
     data = make_data(source=prof, T=np.pi)
     env = default_lower_envelope(data, n_quad=20000)
     np.testing.assert_allclose(env, -2.0, atol=1e-6)

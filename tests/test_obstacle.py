@@ -203,6 +203,26 @@ def test_a_residual_above_its_floor_still_raises(n, monkeypatch):
         solve_unconstrained(g, ones, ones, 1.0, TANH1)
 
 
+@pytest.mark.parametrize("perturbation,within", [(1e-6, True), (1e-4, False)])
+def test_newton_at_its_iteration_cap_accepts_only_a_residual_within_its_floor(
+        perturbation, within, monkeypatch):
+    # one iteration from a perturbed solution at n = 1001 leaves a residual
+    # above TOL_NEWTON: within the rounding floor for the small perturbation,
+    # beyond it for the large one
+    g = Grid(0.0, 1.0, 1001)
+    ones, free, lap = np.ones(g.n), np.ones(g.n, bool), laplacian_diagonals(g)
+    u0 = solve_unconstrained(g, ones, ones, 1.0, TANH1) + perturbation * np.sin(np.pi * g.nodes)
+    monkeypatch.setattr(obstacle_module, "MAX_NEWTON", 1)
+    if not within:
+        with pytest.raises(NewtonFailure, match="did not reach tolerance 1e-11"):
+            obstacle_module._newton_on_subset(u0, free, ones, ones, 1.0, TANH1, lap)
+        return
+    u, G = obstacle_module._newton_on_subset(u0, free, ones, ones, 1.0, TANH1, lap)
+    r0 = np.abs(_step_residual(u0, ones, ones, 1.0, TANH1, lap)).max()
+    assert TOL_NEWTON < np.abs(G).max() <= rounding_floor(u, ones, ones, 1.0, TANH1, lap) < r0
+    assert G.tobytes() == _step_residual(u, ones, ones, 1.0, TANH1, lap).tobytes()
+
+
 def run_contact_first_step(n):
     """Obstacle, source and weight of the first step of a run whose source
     rises where sin(2 pi x) > 0, from the equilibrium state on ``n`` nodes."""

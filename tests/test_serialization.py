@@ -25,8 +25,7 @@ def one_stamp_partial() -> EvolutionError:
     g = Grid(0.0, 1.0, 7, "dirichlet", "neumann")
     z0 = smooth_values(np.random.default_rng(3), g, amplitude=0.7)
     data = ProblemData(grid=g, lam=1.0,
-                       weight=TimeProfile(lambda x, t: np.full(np.shape(x), 2.0),
-                                          lambda x, t: np.zeros(np.shape(x))),
+                       weight=TimeProfile(lambda x, t: np.full(np.shape(x), 2.0)),
                        source=constant_profile(0.0), initial=z0, horizon=1.0)
     nl = nonlinearity({"preset": "linear", "slope": -1.0})  # L = 1 > lam / weight
     with pytest.raises(EvolutionError) as err:
@@ -173,8 +172,7 @@ def settled_trajectory():
     repeats the rows of the stamp before bit for bit."""
     g = Grid(0.0, 1.0, 17, "dirichlet", "neumann")
     nl = nonlinearity({"preset": "tanh", "amplitude": 0.5})
-    source = TimeProfile(lambda x, t: 1.0 + np.sin(np.pi * np.asarray(x)),
-                         lambda x, t: np.zeros(np.shape(x)))
+    source = TimeProfile(lambda x, t: 1.0 + np.sin(np.pi * np.asarray(x)))
     weight = constant_profile(0.6)
     z0 = solve_unconstrained(g, source(g.nodes, 0.0), weight(g.nodes, 0.0), 2.0, nl)
     data = ProblemData(grid=g, lam=2.0, weight=weight, source=source, initial=z0, horizon=1.0)

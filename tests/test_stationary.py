@@ -83,7 +83,6 @@ def test_rejects_nonpositive_margin():
 def scalar_relaxation_data():
     g = Grid(0.0, 2.0, 1)
     src = TimeProfile(lambda x, t: np.full(np.shape(x), -3.0 + 4.0 * np.exp(-t)),
-                      lambda x, t: np.full(np.shape(x), -4.0 * np.exp(-t)),
                       limit=np.array([-3.0]))
     return ProblemData(grid=g, lam=1.0, weight=constant_profile(0.0),
                        source=src, initial=[0.0], horizon=1.0)

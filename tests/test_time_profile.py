@@ -50,7 +50,7 @@ def assert_close(got, want):
 def stripped(profile: TimeProfile) -> TimeProfile:
     """The profile's own evaluators without its terms: the stages then take
     the blocked path, on the same pointwise values."""
-    return TimeProfile(profile._eval, profile._dt, profile.limit)
+    return TimeProfile(profile._eval, limit=profile.limit)
 
 
 def time_presets(grid: Grid, knot: float) -> dict:
@@ -111,19 +111,25 @@ def times_strategy(knot: float):
 def test_array_evaluation_matches_per_time(kind, name, n, knot, data):
     ts = np.array(data.draw(times_strategy(knot)))
     profile, x = profiles(kind, name, n, knot)
-    for fn in (profile, profile.dt):
-        stacked = np.stack([fn(x, t) for t in ts])
-        assert_bitwise(fn(x, ts), stacked)
-        blocks = [fn(x, ts[sl]) for sl in time_blocks(ts.size, x.size)]
-        assert_bitwise(np.concatenate(blocks), stacked)
-        assert fn(x, float(ts[0])).shape == (x.size,)
+    stacked = np.stack([profile(x, t) for t in ts])
+    assert_bitwise(profile(x, ts), stacked)
+    blocks = [profile(x, ts[sl]) for sl in time_blocks(ts.size, x.size)]
+    assert_bitwise(np.concatenate(blocks), stacked)
+    assert profile(x, float(ts[0])).shape == (x.size,)
 
 
 @pytest.mark.parametrize("kind,name", CASES)
 def test_no_times_give_no_rows(kind, name):
     profile, x = profiles(kind, name, 7, 0.5)
-    for fn in (profile, profile.dt):
-        assert fn(x, np.array([])).shape == (0, x.size)
+    assert profile(x, np.array([])).shape == (0, x.size)
+
+
+def test_a_profile_takes_one_evaluator_and_no_derivative():
+    ev = lambda x, t: np.ones(np.shape(x))
+    with pytest.raises(TypeError):
+        TimeProfile(ev, lambda x, t: np.zeros(np.shape(x)))
+    assert not hasattr(TimeProfile(ev), "dt")
+    assert all(len(term) == 2 for term in fracture_load(load_spec("ramp_sine")).terms)
 
 
 @SETTINGS
@@ -139,24 +145,33 @@ def test_cumulative_load_rows_match_per_time(n, n_times):
 def test_cumulative_load_checks_every_row():
     grid = Grid(-1.0, 1.0, 11)
     # zero average up to t = 1, a uniform load added after it
-    load = TimeProfile(lambda x, t: x + np.where(t > 1.0, 1.0, 0.0),
-                       lambda x, t: np.zeros(np.shape(x)))
+    load = TimeProfile(lambda x, t: x + np.where(t > 1.0, 1.0, 0.0))
     params = ATParams(eps=0.1, delta=1e-3, load=load)
     cumulative_load(grid, params, np.array([0.0, 0.5, 1.0]))
     with pytest.raises(ValueError, match="nonzero spatial average at t=1.5"):
         cumulative_load(grid, params, np.array([0.0, 1.5, 2.0]))
 
 
-def test_tabulated_derivative_is_the_slope_of_the_interval_to_the_right():
+def test_tabulated_is_linear_between_knots_and_constant_outside():
     grid = Grid(0.0, 1.0, 2)
     prof = time_profile(grid, {"preset": "tabulated", "times": [0.0, 1.0, 3.0],
                                "values": [[0.0, 0.0], [2.0, 4.0], [3.0, 0.0]]})
     x = grid.nodes
-    np.testing.assert_array_equal(prof.dt(x, np.array([-0.5, 0.0, 0.5])),
-                                  [[0.0, 0.0], [2.0, 4.0], [2.0, 4.0]])
-    np.testing.assert_array_equal(prof.dt(x, 1.0), [0.5, -2.0])
-    np.testing.assert_array_equal(prof.dt(x, np.array([3.0, 4.0])), np.zeros((2, 2)))
+    np.testing.assert_array_equal(prof(x, np.array([-0.5, 0.0, 0.5, 1.0])),
+                                  [[0.0, 0.0], [0.0, 0.0], [1.0, 2.0], [2.0, 4.0]])
     np.testing.assert_array_equal(prof(x, 2.0), [2.5, 2.0])
+    np.testing.assert_array_equal(prof(x, np.array([3.0, 4.0])), [[3.0, 0.0], [3.0, 0.0]])
+
+
+@pytest.mark.parametrize("rate", [0.9, 0.0, -0.9])
+def test_exp_relax_knows_its_limit_only_when_the_bump_decays(rate):
+    grid = Grid(0.0, 1.0, 7)
+    spec = dict(time_presets(grid, 0.5)["exp_relax"], rate=rate)
+    prof = time_profile(grid, spec)
+    if rate > 0:
+        np.testing.assert_allclose(prof(grid.nodes, 60.0), prof.limit, rtol=0, atol=1e-20)
+    else:
+        assert prof.limit is None
 
 
 # --------------------------------------------------------------------------
@@ -176,39 +191,30 @@ def query_points(grid: Grid) -> np.ndarray:
 @pytest.mark.parametrize("load", LOADS)
 @pytest.mark.parametrize("n", [1, 8, 41])
 def test_load_to_sigma_matches_per_row_interpolation(load, n):
-    """The one-term weight ``(C^2, b^2, 2*b*b')`` of a load ``space*b``, with
-    ``C`` the cumulative space factor interpolated by np.interp, at nodes,
+    """The one-term weight ``(C^2, b^2)`` of a load ``space*b``, with ``C``
+    the cumulative space factor interpolated by np.interp, at nodes,
     off-grid points, both endpoints and outside [a, b], for a scalar t and
-    for arrays of t; and, to rounding, H^2 and 2*H*dH/dt of the cumulative
-    load interpolated per row."""
+    for arrays of t; and, to rounding, H^2 of the cumulative load
+    interpolated per row."""
     grid = Grid(-1.0, 1.0, n)
     params = ATParams(eps=0.1, delta=1e-3, load=fracture_load(load_spec(load)))
     sigma = load_to_sigma(grid, params)
     x, x_full = query_points(grid), grid.nodes_full
-    space, b, db = params.load.terms[0]
+    space, b = params.load.terms[0]
     C = _cumtrapz(x_full, np.broadcast_to(space(x_full), x_full.shape).astype(float))
     c2 = np.interp(x, x_full, C) ** 2
 
     def per_row(t):
-        if b is None:
-            return c2, np.zeros_like(c2)
-        return c2 * b(t) ** 2, c2 * (2.0 * b(t) * db(t))
+        return c2 if b is None else c2 * b(t) ** 2
 
     def integrated(t):
-        H = cumulative_load(grid, params, t)
-        dH = _cumtrapz(x_full, params.load.dt(x_full, t))
-        h = np.interp(x, x_full, H)
-        return h ** 2, 2.0 * h * np.interp(x, x_full, dH)
+        return np.interp(x, x_full, cumulative_load(grid, params, t)) ** 2
 
     for ts in (0.0, 0.35, 0.6, 2.0, np.array([0.25]),
                np.array([0.0, 0.1, 0.6, 0.59, 1.3, 0.2, 5.0])):
         for reference, close in ((per_row, assert_bitwise), (integrated, assert_close)):
-            rows = [reference(np.float64(t)) for t in np.atleast_1d(ts)]
-            want = [np.stack([r[i] for r in rows]) for i in (0, 1)]
-            if np.ndim(ts) == 0:
-                want = [w[0] for w in want]
-            close(sigma(x, ts), want[0])
-            close(sigma.dt(x, ts), want[1])
+            want = np.stack([reference(np.float64(t)) for t in np.atleast_1d(ts)])
+            close(sigma(x, ts), want[0] if np.ndim(ts) == 0 else want)
 
 
 def interpolating_profiles(n: int):
@@ -246,12 +252,11 @@ def test_space_factors_per_node_row_and_time_factors_per_time(k, monkeypatch):
         monkeypatch.setattr(np, name, recording(name, getattr(np, name)))
     for label, profile, x in cases:
         limits = {"interp": x.size, "sin": n + 2, "exp": k, "where": k}
-        for fn in (profile, profile.dt):
-            for calls in sizes.values():
-                calls.clear()
-            assert fn(x, ts).shape == (k, x.size)
-            for name, limit in limits.items():
-                assert max(sizes[name], default=0) <= limit, (label, name, sizes[name])
+        for calls in sizes.values():
+            calls.clear()
+        assert profile(x, ts).shape == (k, x.size)
+        for name, limit in limits.items():
+            assert max(sizes[name], default=0) <= limit, (label, name, sizes[name])
 
 
 # --------------------------------------------------------------------------
@@ -328,8 +333,7 @@ def test_factored_averages_evaluate_each_space_factor_once():
     data = problem(n, specs["exp_relax"], specs["linear_t"], horizon=1.0)
 
     def counted_terms(profile):
-        terms = [(counted_space(space, calls), time, dtime)
-                 for space, time, dtime in profile.terms]
+        terms = [(counted_space(space, calls), time) for space, time in profile.terms]
         return TimeProfile(terms=terms, limit=profile.limit)
 
     data = dataclasses.replace(data, source=counted_terms(data.source),
@@ -359,9 +363,36 @@ def test_lower_envelope_matches_per_time_loop(n, n_quad, source):
                    per_time_envelope(data, n_quad))
 
 
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("eval_block", [1, 5])
+@pytest.mark.parametrize("source", ["step_t", "tabulated"])
+def test_lower_envelope_carries_each_block_into_the_next(n, eval_block, source, monkeypatch):
+    """Blocks of one time, or of a few: the first increment of a block starts
+    from the last sample of the block before."""
+    data = problem(n, time_presets(Grid(0.0, 1.0, n), 0.5)[source],
+                   {"preset": "constant", "value": 1.0}, horizon=2.0)
+    data = dataclasses.replace(data, source=stripped(data.source))
+    monkeypatch.setattr(model, "EVAL_BLOCK", eval_block)
+    assert len(time_blocks(101, n)) > 20
+    assert_bitwise(default_lower_envelope(data, n_quad=100), per_time_envelope(data, 100))
+
+
+def test_lower_envelope_locates_a_non_finite_sample():
+    grid = Grid(0.0, 1.0, 3)
+    spiked = TimeProfile(lambda x, t: np.where(t > 0.6, np.inf, 1.0 + x))
+    data = ProblemData(grid=grid, lam=1.0, weight=model.constant_profile(1.0), source=spiked,
+                       initial=np.zeros(3), horizon=1.0)
+    with pytest.raises(ValueError, match="source non-finite at t=0.625"):
+        default_lower_envelope(data, n_quad=8)
+    # a factored source whose time factor is not finite is located the same way
+    data = dataclasses.replace(data, source=TimeProfile(
+        terms=[(lambda x: 1.0 + x, lambda t: np.where(t > 0.6, np.inf, 1.0))]))
+    with pytest.raises(ValueError, match="source non-finite at t=0.625"):
+        default_lower_envelope(data, n_quad=8)
+
+
 #: a factored source that is not monotone in t: (1 + x) sin(2 pi t)
-SWINGING = TimeProfile(terms=[(lambda x: 1.0 + x, lambda t: np.sin(2.0 * np.pi * t),
-                               lambda t: 2.0 * np.pi * np.cos(2.0 * np.pi * t))])
+SWINGING = TimeProfile(terms=[(lambda x: 1.0 + x, lambda t: np.sin(2.0 * np.pi * t))])
 
 
 @SETTINGS
@@ -369,9 +400,9 @@ SWINGING = TimeProfile(terms=[(lambda x: 1.0 + x, lambda t: np.sin(2.0 * np.pi *
        knot=st.sampled_from([0.25, 0.5, 1.5]), source=st.sampled_from(FACTORED + ("swinging",)))
 def test_factored_envelope_is_the_sampled_variation_bound(n, n_quad, knot, source):
     """``source(x, 0) - sum |space_i| V_i`` bounds the source at every sampled
-    time; for presets monotone in t it is the integral of ``|d/dt source|``
-    to quadrature error, and for ``step_t`` exactly ``before - |after -
-    before|`` when the switch falls in [0, T)."""
+    time; where every space factor keeps its sign it is the sampled
+    variation of the values to rounding, and for ``step_t`` exactly
+    ``before - |after - before|`` when the switch falls in [0, T)."""
     horizon = 2.0
     specs = time_presets(Grid(0.0, 1.0, n), knot)
     data = problem(n, specs.get(source, specs["constant"]),
@@ -384,7 +415,7 @@ def test_factored_envelope_is_the_sampled_variation_bound(n, n_quad, knot, sourc
     assert np.all(values - env >= -1e-14 * (1.0 + np.abs(values).max()))
     if source == "step_t":
         assert_bitwise(env, np.full(n, -1.0 - 3.5))
-    elif source != "swinging":
+    else:
         scale = 1.0 + np.abs(values).max()
         assert np.abs(env - per_time_envelope(data, n_quad)).max() <= \
             (horizon / n_quad) ** 2 * scale
@@ -440,11 +471,8 @@ def longtime_data(n: int, calls: list) -> ProblemData:
     grid = Grid(0.0, 1.0, n)
     bump = np.exp(-((grid.nodes - 0.5) / 0.2) ** 2)
     ev = lambda x, t: 0.5 + np.exp(-0.8 * t) * np.interp(x, grid.nodes, bump)
-    dev = lambda x, t: -0.8 * np.exp(-0.8 * t) * np.interp(x, grid.nodes, bump)
-    source = TimeProfile(counted(ev, calls), counted(dev, calls),
-                         limit=np.full(n, 0.5))
-    weight = TimeProfile(counted(lambda x, t: np.ones(np.shape(x)), calls),
-                         counted(lambda x, t: np.zeros(np.shape(x)), calls))
+    source = TimeProfile(counted(ev, calls), limit=np.full(n, 0.5))
+    weight = TimeProfile(counted(lambda x, t: np.ones(np.shape(x)), calls))
     tanh = nonlinearity({"preset": "tanh", "amplitude": 0.5})
     z0 = solve_unconstrained(grid, ev(grid.nodes, 0.0), np.ones(n), 1.0, tanh)
     return ProblemData(grid=grid, lam=1.0, weight=weight, source=source,
